@@ -21,7 +21,8 @@
 #                                sweep-dominated benches with record
 #                                collection on, validated end to end; any
 #                                tick-vs-Rational disagreement is a hard
-#                                failure (docs/PERFORMANCE.md)
+#                                failure (docs/PERFORMANCE.md). Then run the
+#                                benchmark's self-test (perfbench/README.md)
 #   scripts/check.sh --soak      additionally run the service long-soak: the
 #                                200+-scenario admission-queue invariant
 #                                sweep, then a 10^6-job open-loop run driven
@@ -209,6 +210,14 @@ if [ "$PERF" -eq 1 ]; then
   grep -q '"bench":"bench_micro".*"merge_replay_ms"' build/PERF_records.json
   grep -q '"bench":"bench_micro".*"arena_growths_warm":"0"' \
     build/PERF_records.json
+
+  # The benchmark's gates (perfbench/README.md): every workload at smoke
+  # size, traced and untraced, must pass its correctness checks and print
+  # every metric BENCHMARK.json declares, and a BCAST schedule with one send
+  # moved by 1/q must fail. It builds its own tree under $CARGO_TARGET_DIR
+  # (default .bench_build).
+  echo "== perf: perfbench self-test"
+  python3 perfbench/selftest.py
 fi
 
 if [ "$SOAK" -eq 1 ]; then
@@ -276,12 +285,13 @@ if [ "$SANITIZE" -eq 1 ]; then
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
-    test_par test_machine_faults test_reliable_bcast test_chaos \
+    test_validator_order test_par test_machine_faults test_reliable_bcast test_chaos \
     test_ticks test_event_queue test_tick_differential test_par_machine \
     test_par_differential test_svc_workload test_svc_service \
     test_svc_soak test_svc_percentile test_svc_chaos
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
+  ./build-asan/tests/test_validator_order
   ./build-asan/tests/test_par
   ./build-asan/tests/test_machine_faults
   ./build-asan/tests/test_reliable_bcast

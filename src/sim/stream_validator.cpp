@@ -49,15 +49,19 @@ void StreamingValidator::feed(const StreamEvent* events, std::size_t count) {
   const Rational makespan = source_.schedule_makespan();
   for (std::size_t i = 0; i < count; ++i) {
     const StreamEvent& e = events[i];
-    std::ostringstream tag;
-    tag << "event (p" << e.src << " -> p" << e.dst << " at t=" << e.t << "): ";
+    // The "event (...): " prefix of a violation, formatted only when one fires.
+    auto tag = [&e] {
+      std::ostringstream os;
+      os << "event (p" << e.src << " -> p" << e.dst << " at t=" << e.t << "): ";
+      return os.str();
+    };
     // Coverage ordering: receivers arrive as the contiguous run
     // [first, last), each exactly once.
     if (next_ >= last_) {
-      violation(tag.str() + "event past the end of the certified receiver range");
+      violation(tag() + "event past the end of the certified receiver range");
     } else if (e.dst != next_) {
       std::ostringstream os;
-      os << tag.str() << "receiver out of order: expected rank " << next_;
+      os << tag() << "receiver out of order: expected rank " << next_;
       violation(os.str());
       // Resync forward so one gap does not cascade into a violation per
       // event; duplicates and regressions leave the expectation in place.
@@ -66,7 +70,7 @@ void StreamingValidator::feed(const StreamEvent* events, std::size_t count) {
       ++next_;
     }
     if (e.dst == 0 || e.dst >= n || e.src >= n || e.src == e.dst) {
-      violation(tag.str() + "endpoints outside the legal rank domain");
+      violation(tag() + "endpoints outside the legal rank domain");
       continue;
     }
     // Causality + send-port exclusivity: the send must start a whole
@@ -76,12 +80,12 @@ void StreamingValidator::feed(const StreamEvent* events, std::size_t count) {
     const Rational offset = e.t - inform_src;
     if (offset < Rational(0)) {
       std::ostringstream os;
-      os << tag.str() << "sender not informed until t=" << inform_src;
+      os << tag() << "sender not informed until t=" << inform_src;
       violation(os.str());
       continue;
     }
     if (!offset.is_integer()) {
-      violation(tag.str() +
+      violation(tag() +
                 "send start is not slot-aligned with the sender's inform time");
       continue;
     }
@@ -89,13 +93,13 @@ void StreamingValidator::feed(const StreamEvent* events, std::size_t count) {
     const std::optional<std::uint64_t> child = source_.rank_child_at(e.src, slot);
     if (!child.has_value()) {
       std::ostringstream os;
-      os << tag.str() << "sender performs no send in slot " << slot;
+      os << tag() << "sender performs no send in slot " << slot;
       violation(os.str());
       continue;
     }
     if (*child != e.dst) {
       std::ostringstream os;
-      os << tag.str() << "slot " << slot << " of p" << e.src << " addresses p"
+      os << tag() << "slot " << slot << " of p" << e.src << " addresses p"
          << *child;
       violation(os.str());
       continue;
@@ -106,14 +110,14 @@ void StreamingValidator::feed(const StreamEvent* events, std::size_t count) {
     const Rational inform_dst = source_.rank_inform_time(e.dst);
     if (arrival != inform_dst) {
       std::ostringstream os;
-      os << tag.str() << "arrival t=" << arrival
+      os << tag() << "arrival t=" << arrival
          << " differs from the receiver's inform time " << inform_dst;
       violation(os.str());
       continue;
     }
     if (arrival > makespan) {
       std::ostringstream os;
-      os << tag.str() << "arrival exceeds the certified makespan " << makespan;
+      os << tag() << "arrival exceeds the certified makespan " << makespan;
       violation(os.str());
       continue;
     }

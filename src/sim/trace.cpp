@@ -26,6 +26,10 @@ void Trace::record(const Delivery& d) {
   if (!slot.has_value() || d.arrival < *slot) slot = d.arrival;
 }
 
+void Trace::reserve(std::size_t deliveries) {
+  if (mode_ == TraceMode::kFull) deliveries_.reserve(deliveries);
+}
+
 std::optional<Rational> Trace::arrival(ProcId p, MsgId msg) const {
   POSTAL_REQUIRE(p < n_, "Trace::arrival: processor id out of range");
   POSTAL_REQUIRE(msg < messages_, "Trace::arrival: message id out of range");

@@ -1,10 +1,9 @@
 #include "sim/validator.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <sstream>
-
-#include "support/interval_set.hpp"
 
 namespace postal {
 
@@ -21,14 +20,13 @@ namespace {
 // The validation loop is written once, generic over the time
 // representation (docs/PERFORMANCE.md). Two policies instantiate it:
 //
-//   RationalOps -- the historical reference: Rational times, IntervalSet
-//                  ports, checked arithmetic everywhere.
+//   RationalOps -- the historical reference: Rational times, checked
+//                  arithmetic everywhere.
 //   TickOps     -- int64 ticks at resolution 1/q: plain integer adds and
-//                  compares, TickIntervalSet ports. Chosen by a static
-//                  probe (below) only when every input time is exactly
-//                  representable and a 128-bit bound proves no tick
-//                  expression can overflow, so the loop needs no per-op
-//                  checks and cannot invoke UB.
+//                  compares. Chosen by a static probe (below) only when
+//                  every input time is exactly representable and a 128-bit
+//                  bound proves no tick expression can overflow, so the
+//                  loop needs no per-op checks and cannot invoke UB.
 //
 // Exactness: tick <-> Rational is an order-preserving bijection on the
 // admitted inputs, so both instantiations take identical branches, record
@@ -37,7 +35,6 @@ namespace {
 
 struct RationalOps {
   using Time = Rational;
-  using Ports = IntervalSet;
   Rational lambda;
   Rational one{1};
 
@@ -50,7 +47,6 @@ struct RationalOps {
 
 struct TickOps {
   using Time = Tick;
-  using Ports = TickIntervalSet;
   TickDomain dom;
   Tick lambda = 0;
   Tick one = 0;
@@ -63,20 +59,53 @@ struct TickOps {
   [[nodiscard]] Rational rat(Time t) const { return dom.to_rational(t); }
 };
 
+// Port exclusivity with one stored window per port. The loop visits events
+// in nondecreasing send time t and lambda is a constant, so the windows
+// offered to any one port -- [t, t+1) on a send port, [t+lambda-1,
+// t+lambda) on a receive port -- come in nondecreasing lo. Every window is
+// exactly one unit long and the accepted ones are pairwise disjoint, so
+// their starts differ by at least 1. A new window [lo, lo+1) overlaps an
+// accepted [lo', lo'+1) with lo' <= lo iff lo' lies in (lo-1, lo]: at most
+// one accepted window can, and if one does, it is the latest accepted (the
+// largest lo'). If the latest does not overlap, every earlier one ends
+// sooner still. So the end of the last accepted window, the time the port
+// is free again, decides the check, and that window is exactly the one an
+// ordered interval set would report. Windows start at t >= 0
+// (Schedule::add) or t + lambda - 1 >= 0 (lambda >= 1), so a free time of
+// 0 marks a port that has accepted nothing.
+template <typename Time>
+bool port_clash(Time& free_at, const Time& lo, const Time& one) {
+  if (lo < free_at) return true;  // the port keeps its window
+  free_at = lo + one;
+  return false;
+}
+
 template <typename Ops>
 void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
-                     std::uint64_t n, std::uint32_t messages,
-                     const ValidatorOptions& options,
+                     const std::vector<std::size_t>& order, std::uint64_t n,
+                     std::uint32_t messages, const ValidatorOptions& options,
                      const std::vector<std::optional<typename Ops::Time>>& crash,
                      SimReport& report) {
   using Time = typename Ops::Time;
   auto violate = [&report](const std::string& text) {
     report.violations.push_back(text);
   };
+  // A port clash: p's port already holds the unit window ending at `free_at`.
+  auto busy = [&ops](const char* port, ProcId p, const Time& free_at) {
+    std::ostringstream oss;
+    oss << port << " port of p" << p << " already busy on [" << ops.rat(free_at - ops.one)
+        << ", " << ops.rat(free_at) << ")";
+    return oss.str();
+  };
+  // Earliest crash of p, or nullptr; `crash` is empty when none is declared.
+  auto crash_of = [&crash](ProcId p) -> const Time* {
+    return crash.empty() || !crash[p].has_value() ? nullptr : &*crash[p];
+  };
 
-  std::vector<typename Ops::Ports> send_port(n);
-  std::vector<typename Ops::Ports> recv_port(n);
-  std::vector<Time> recv_free(options.fifo_receive ? n : 0, Time{});
+  // When each port is free again: the end of its last accepted window
+  // (under fifo_receive, of its last queued receive).
+  std::vector<Time> send_free(n, Time{});
+  std::vector<Time> recv_free(n, Time{});
   // holds[p * messages + msg]: earliest time p holds msg (origin: 0).
   std::vector<std::optional<Time>> holds(n * messages);
   if (options.preholds) {
@@ -94,40 +123,47 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
       holds[options.origins[msg] * messages + msg] = Time{};
     }
   }
+  report.trace.reserve(events.size());
+  // The Rational of the latest arrival recorded: arrivals repeat in runs,
+  // so the conversion happens once per distinct arrival time.
+  Time cached_arrive{};
+  Rational cached_arrival(0);
 
-  for (std::size_t i = 0; i < events.size(); ++i) {
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const std::size_t i = order.empty() ? k : order[k];
     const SendEvent& e = events[i];
-    std::ostringstream who;
-    who << "[" << e << "] ";
+    // The "[event] " prefix of a violation, formatted only when one fires.
+    auto who = [&e] {
+      std::ostringstream oss;
+      oss << "[" << e << "] ";
+      return oss.str();
+    };
     if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
+      violate(who() + "processor id out of range");
       continue;
     }
     if (e.msg >= messages) {
-      violate(who.str() + "message id out of range");
+      violate(who() + "message id out of range");
       continue;
     }
     const Time t = ops.event_time(e, i);
     // A dead processor cannot transmit: such an event proves the schedule
     // was not produced under the declared crashes.
-    if (crash[e.src].has_value() && t >= *crash[e.src]) {
-      violate(who.str() + "p" + std::to_string(e.src) + " crashed at t=" +
-              ops.rat(*crash[e.src]).str() + " but sends afterwards");
+    if (const Time* dead = crash_of(e.src); dead != nullptr && t >= *dead) {
+      violate(who() + "p" + std::to_string(e.src) + " crashed at t=" +
+              ops.rat(*dead).str() + " but sends afterwards");
       continue;
     }
     // Causality: the sender must hold the message when the send starts.
     const auto& held = holds[e.src * messages + e.msg];
     if (!held.has_value() || t < *held) {
-      violate(who.str() + "sender does not hold the message yet" +
+      violate(who() + "sender does not hold the message yet" +
               (held.has_value() ? " (holds it only from t=" + ops.rat(*held).str() + ")"
                                 : ""));
     }
     // Send-port exclusivity: [t, t+1).
-    if (auto clash = send_port[e.src].insert(t, t + ops.one)) {
-      std::ostringstream oss;
-      oss << who.str() << "send port of p" << e.src << " already busy on ["
-          << ops.rat(clash->lo) << ", " << ops.rat(clash->hi) << ")";
-      violate(oss.str());
+    if (port_clash(send_free[e.src], t, ops.one)) {
+      violate(who() + busy("send", e.src, send_free[e.src]));
     }
     // Receive port. Strict mode: exclusivity of [t+lambda-1, t+lambda),
     // overlap is a violation. FIFO mode: simultaneous arrivals serialize in
@@ -135,31 +171,31 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
     // delays the arrival instead. Either way a delivery reaching a crashed
     // receiver at or after its crash time is void: no port use, no hold.
     Time arrive = t + ops.lambda;
+    const Time* dst_dead = crash_of(e.dst);
     bool voided;
     if (options.fifo_receive) {
       const Time window = std::max(arrive - ops.one, recv_free[e.dst]);
       arrive = window + ops.one;
       recv_free[e.dst] = arrive;
-      voided = crash[e.dst].has_value() && arrive >= *crash[e.dst];
+      voided = dst_dead != nullptr && arrive >= *dst_dead;
     } else {
-      voided = crash[e.dst].has_value() && arrive >= *crash[e.dst];
-      if (!voided) {
-        if (auto clash = recv_port[e.dst].insert(arrive - ops.one, arrive)) {
-          std::ostringstream oss;
-          oss << who.str() << "receive port of p" << e.dst << " already busy on ["
-              << ops.rat(clash->lo) << ", " << ops.rat(clash->hi) << ")";
-          violate(oss.str());
-        }
+      voided = dst_dead != nullptr && arrive >= *dst_dead;
+      if (!voided && port_clash(recv_free[e.dst], arrive - ops.one, ops.one)) {
+        violate(who() + busy("receive", e.dst, recv_free[e.dst]));
       }
     }
     if (voided) continue;
     auto& dst_holds = holds[e.dst * messages + e.msg];
     if (!dst_holds.has_value() || arrive < *dst_holds) dst_holds = arrive;
-    report.trace.record(Delivery{e.src, e.dst, e.msg, e.t, ops.rat(arrive)});
+    if (arrive != cached_arrive) {
+      cached_arrive = arrive;
+      cached_arrival = ops.rat(arrive);
+    }
+    report.trace.record(Delivery{e.src, e.dst, e.msg, e.t, cached_arrival});
   }
 
   if (options.require_coverage) {
-    const auto is_crashed = [&crash](ProcId p) { return crash[p].has_value(); };
+    const auto is_crashed = [&crash_of](ProcId p) { return crash_of(p) != nullptr; };
     if (!options.required.empty()) {
       for (const auto& [p, msg] : options.required) {
         POSTAL_REQUIRE(p < n && msg < messages,
@@ -198,6 +234,26 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
       }
     }
   }
+}
+
+// Visit order. The loop must see events in nondecreasing send time, ties
+// in schedule order (a stable sort by t): then causality state (arrival
+// times) is always known before any later send is examined -- an arrival
+// enabling a send at t happened at a send that started at t - lambda < t
+// -- and, because lambda is a constant, the order is also nominal-arrival
+// order, which the fifo_receive serialization iterates in. An empty order
+// means the schedule is already sorted and is visited in place, which is
+// the case for every generator's and the Machine's output; other input is
+// visited through a stable_sort of its indices.
+std::vector<std::size_t> visit_order(const std::vector<SendEvent>& events) {
+  const auto by_t = [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; };
+  if (std::is_sorted(events.begin(), events.end(), by_t)) return {};
+  std::vector<std::size_t> order(events.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&events](std::size_t a, std::size_t b) {
+    return events[a].t < events[b].t;
+  });
+  return order;
 }
 
 /// Static tick-path probe: fold every time the loop will touch into one
@@ -266,6 +322,7 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
   const Rational& lambda = params.lambda();
   const std::uint32_t messages =
       options.messages != 0 ? options.messages : schedule.message_count();
+  const std::vector<SendEvent>& events = schedule.events();
 
   SimReport report;
   report.trace = Trace(n, messages);
@@ -274,29 +331,23 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
 
   // Earliest known crash per processor (docs/FAULTS.md): deliveries at or
   // after it are void, sends at or after it are impossible, and the
-  // processor is exempt from coverage.
-  std::vector<std::optional<Rational>> crash(n);
+  // processor is exempt from coverage. Left empty when none is declared.
+  std::vector<std::optional<Rational>> crash;
+  if (!options.crashes.empty()) crash.resize(n);
   for (const CrashFault& c : options.crashes) {
     POSTAL_REQUIRE(c.proc < n, "validate_schedule: crashed processor out of range");
     auto& slot = crash[c.proc];
     if (!slot.has_value() || c.time < *slot) slot = c.time;
   }
 
-  // Sort events by send time so causality state (arrival times) is always
-  // known before any later send is examined: an arrival enabling a send at
-  // t happened at a send that started at t - lambda < t. Because lambda is
-  // a constant, this order is simultaneously nominal-arrival order, which
-  // is what the fifo_receive serialization below iterates in. The sort is
-  // shared by both time paths, so their event order is identical by
-  // construction.
-  std::vector<SendEvent> events = schedule.events();
-  std::stable_sort(events.begin(), events.end(),
-                   [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; });
-
+  // Both time paths visit the events in this one order, so their reports
+  // are identical.
+  const std::vector<std::size_t> order = visit_order(events);
   if (options.time_path == TimePath::kAuto) {
     if (std::optional<TickPlan> plan = probe_ticks(events, lambda, crash)) {
       plan->ops.event_ticks = &plan->event_ticks;
-      validate_events(plan->ops, events, n, messages, options, plan->crash, report);
+      validate_events(plan->ops, events, order, n, messages, options, plan->crash,
+                      report);
       report.tick_domain = true;
       report.makespan = report.trace.makespan();
       report.order_preserving = report.trace.order_preserving();
@@ -305,7 +356,7 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
     }
   }
 
-  validate_events(RationalOps{lambda, Rational(1)}, events, n, messages, options,
+  validate_events(RationalOps{lambda, Rational(1)}, events, order, n, messages, options,
                   crash, report);
   report.makespan = report.trace.makespan();
   report.order_preserving = report.trace.order_preserving();

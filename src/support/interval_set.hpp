@@ -1,24 +1,20 @@
-// Disjoint half-open interval tracking over rational (or tick) time.
+// Disjoint half-open interval tracking over rational time.
 //
-// The postal-model validator uses one interval set per processor port: a
-// send occupies the sender's output port for [t, t+1) and the receiver's
-// input port for [t+lambda-1, t+lambda). The model's "simultaneous I/O"
-// rule says intervals on the *same* port must be disjoint; inserting an
-// overlapping interval is the violation the validator reports.
+// The model-variant validators (k-ported, LogP, reduce, heterogeneous and
+// two-level latency) use one interval set per processor port: a send
+// occupies the sender's output port for [t, t+1) and the receiver's input
+// port for [t+lambda-1, t+lambda). The model's "simultaneous I/O" rule says
+// intervals on the *same* port must be disjoint; inserting an overlapping
+// interval is the violation those validators report. (validate_schedule
+// visits events in time order and keeps only each port's last window; see
+// sim/validator.cpp.)
 //
 // Intervals are half-open [lo, hi): a send finishing at time x and another
 // starting at exactly x do not conflict, matching the paper's timing (e.g.
 // a processor starts forwarding a message at the same instant its receive
 // completes).
-//
-// The container is generic over the time type: IntervalSet (Rational) is
-// the historical reference, TickIntervalSet (int64 ticks at resolution
-// 1/q, support/ticks.hpp) is the validator's fast path -- same algorithm,
-// same overlap answers, integer comparisons (docs/PERFORMANCE.md). Member
-// definitions live in interval_set.cpp via explicit instantiation.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <optional>
 
@@ -26,24 +22,23 @@
 
 namespace postal {
 
-/// A set of pairwise-disjoint half-open intervals [lo, hi) over time type T.
-template <typename T>
-class BasicIntervalSet {
+/// A set of pairwise-disjoint half-open intervals [lo, hi).
+class IntervalSet {
  public:
   /// One half-open busy interval.
   struct Interval {
-    T lo;
-    T hi;
+    Rational lo;
+    Rational hi;
     friend bool operator==(const Interval&, const Interval&) = default;
   };
 
   /// Try to insert [lo, hi). Returns std::nullopt on success, or the first
   /// existing interval that overlaps on failure (the set is unchanged).
   /// Requires lo < hi.
-  std::optional<Interval> insert(const T& lo, const T& hi);
+  std::optional<Interval> insert(const Rational& lo, const Rational& hi);
 
   /// True iff [lo, hi) overlaps some stored interval. Requires lo < hi.
-  [[nodiscard]] bool overlaps(const T& lo, const T& hi) const;
+  [[nodiscard]] bool overlaps(const Rational& lo, const Rational& hi) const;
 
   /// Number of stored intervals.
   [[nodiscard]] std::size_t size() const noexcept { return by_lo_.size(); }
@@ -52,24 +47,17 @@ class BasicIntervalSet {
 
   /// Total measure (sum of interval lengths); useful for port-utilization
   /// statistics in the benches.
-  [[nodiscard]] T total_length() const;
+  [[nodiscard]] Rational total_length() const;
 
   /// Earliest time >= from at which an interval of length len fits without
   /// overlap. Runs in O(#intervals) worst case.
-  [[nodiscard]] T earliest_fit(const T& from, const T& len) const;
+  [[nodiscard]] Rational earliest_fit(const Rational& from, const Rational& len) const;
 
  private:
-  [[nodiscard]] std::optional<Interval> find_overlap(const T& lo, const T& hi) const;
+  [[nodiscard]] std::optional<Interval> find_overlap(const Rational& lo,
+                                                     const Rational& hi) const;
 
-  std::map<T, T> by_lo_;  // lo -> hi
+  std::map<Rational, Rational> by_lo_;  // lo -> hi
 };
-
-extern template class BasicIntervalSet<Rational>;
-extern template class BasicIntervalSet<std::int64_t>;
-
-/// The historical Rational-time interval set (public API).
-using IntervalSet = BasicIntervalSet<Rational>;
-/// Integer-tick twin for the validator's fast path (internal).
-using TickIntervalSet = BasicIntervalSet<std::int64_t>;
 
 }  // namespace postal

@@ -331,5 +331,78 @@ TEST(Validator, SummaryListsEachViolation) {
   EXPECT_GE(report.violations.size(), 2u);  // port + missing coverage for p3
 }
 
+// The exact violation strings, on both time paths. Each port keeps only
+// its last accepted window, so these pin both the text and which window a
+// clash quotes.
+std::vector<std::string> violations_on_both_paths(const Schedule& s,
+                                                  const PostalParams& params,
+                                                  ValidatorOptions options = {}) {
+  const SimReport fast = validate_schedule(s, params, options);
+  EXPECT_TRUE(fast.tick_domain);
+  options.time_path = TimePath::kRational;
+  const SimReport reference = validate_schedule(s, params, options);
+  EXPECT_EQ(fast.violations, reference.violations);
+  EXPECT_EQ(fast.trace.deliveries(), reference.trace.deliveries());
+  return fast.violations;
+}
+
+TEST(Validator, SendPortClashStringsQuoteTheAcceptedWindow) {
+  // The t=1/2 send clashes with [0, 1) and is not stored, so the t=1 send
+  // fits right after the first one.
+  Schedule s;
+  s.add(0, 1, 0, Rational(0));
+  s.add(0, 2, 0, Rational(1, 2));
+  s.add(0, 3, 0, Rational(1));
+  EXPECT_EQ(violations_on_both_paths(s, mps(4, Rational(2))),
+            std::vector<std::string>{
+                "[p0 -> p2 : M1 @ t=1/2] send port of p0 already busy on [0, 1)"});
+
+  // A fourth send at t=3/2 then clashes with the t=1 window.
+  s.add(0, 1, 0, Rational(3, 2));
+  EXPECT_EQ(violations_on_both_paths(s, mps(4, Rational(2))),
+            (std::vector<std::string>{
+                "[p0 -> p2 : M1 @ t=1/2] send port of p0 already busy on [0, 1)",
+                "[p0 -> p1 : M1 @ t=3/2] send port of p0 already busy on [1, 2)"}));
+}
+
+TEST(Validator, ReceivePortClashStringQuotesTheAcceptedWindow) {
+  Schedule s;
+  s.add(0, 2, 0, Rational(0));
+  s.add(1, 2, 1, Rational(1, 2));
+  ValidatorOptions options;
+  options.messages = 2;
+  options.require_coverage = false;
+  options.origins = {0, 1};
+  EXPECT_EQ(violations_on_both_paths(s, mps(3, Rational(2)), options),
+            std::vector<std::string>{
+                "[p1 -> p2 : M2 @ t=1/2] receive port of p2 already busy on [1, 2)"});
+}
+
+TEST(Validator, WideTickSpanMatchesTheRationalPath) {
+  // Out of time order and 2^40 apart: the tick path must still visit them
+  // in time order and agree with the Rational path.
+  const Rational far(std::int64_t{1} << 40);
+  Schedule s;
+  s.add(1, 2, 0, far);
+  s.add(0, 1, 0, Rational(0));
+  const PostalParams params = mps(3, Rational(5, 2));
+  EXPECT_TRUE(violations_on_both_paths(s, params).empty());
+  const SimReport report = validate_schedule(s, params);
+  ASSERT_TRUE(report.ok) << report.summary();
+  ASSERT_EQ(report.trace.deliveries().size(), 2u);
+  EXPECT_EQ(report.trace.deliveries()[0].dst, 1u);
+  EXPECT_EQ(report.makespan, far + Rational(5, 2));
+
+  // Swapped times break causality; the string quotes the late hold.
+  Schedule late;
+  late.add(0, 1, 0, far);
+  late.add(1, 2, 0, Rational(0));
+  ValidatorOptions no_coverage;
+  no_coverage.require_coverage = false;
+  EXPECT_EQ(violations_on_both_paths(late, params, no_coverage),
+            std::vector<std::string>{
+                "[p1 -> p2 : M1 @ t=0] sender does not hold the message yet"});
+}
+
 }  // namespace
 }  // namespace postal
