@@ -47,7 +47,7 @@
 //                                               the receive events of ranks
 //                                               [lo, hi) (docs/ORACLE.md)
 //   postal_cli serve <workload> <seed> [--queue CAP] [--exec-every K]
-//                    [--fault-seed S] [--threads T] [--time-path auto|rational]
+//                    [--fault-seed S] [--threads T]
 //                                               open-loop broadcast service
 //                                               over a seeded workload spec
 //                                               (docs/SERVICE.md); stdout is
@@ -129,8 +129,7 @@ int usage() {
             << "  postal_cli oracle <n> <lambda> range <lo> <hi>\n"
             << "  postal_cli serve <workload> <seed> [--queue CAP] "
                "[--exec-every K]\n"
-            << "             [--fault-seed S] [--threads T] "
-               "[--time-path auto|rational]\n"
+            << "             [--fault-seed S] [--threads T]\n"
             << "    e.g. serve 'poisson;grid=16;rate=1/4;jobs=1000;"
                "mix=w1:n64:l2:m1' 7\n";
   return 2;
@@ -933,12 +932,6 @@ int main(int argc, char** argv) {
       const std::string threads_arg = take_flag(rest, "--threads");
       if (!threads_arg.empty()) {
         options.threads = static_cast<unsigned>(std::stoul(threads_arg));
-      }
-      const std::string time_path = take_flag(rest, "--time-path");
-      if (time_path == "rational") {
-        options.time_path = TimePath::kRational;
-      } else if (!time_path.empty() && time_path != "auto") {
-        return usage();
       }
       if (!rest.empty()) return usage();
       return cmd_serve(spec, seed, options);

@@ -16,11 +16,13 @@
 #                                replayable seed+plan JSON artifacts into
 #                                build/chaos-artifacts (POSTAL_CHAOS_ARTIFACTS),
 #                                which the nightly CI job uploads.
-#   scripts/check.sh --perf      additionally regenerate the tick-domain
-#                                speedup records: E22 plus the
+#   scripts/check.sh --perf      additionally regenerate the tick-engine
+#                                timing records: E22 plus the
 #                                sweep-dominated benches with record
 #                                collection on, validated end to end; any
-#                                tick-vs-Rational disagreement is a hard
+#                                tick result that disagrees with its
+#                                independent reference (GenFib f_lambda, the
+#                                validator, bcast_schedule) is a hard
 #                                failure (docs/PERFORMANCE.md). Then run the
 #                                benchmark's self-test (perfbench/README.md)
 #   scripts/check.sh --soak      additionally run the service long-soak: the
@@ -182,12 +184,14 @@ if [ "$CHAOS" -eq 1 ]; then
 fi
 
 if [ "$PERF" -eq 1 ]; then
-  # The perf trajectory (docs/PERFORMANCE.md): E22 re-times every ported
-  # hot loop on both TimePaths and exits nonzero if any section's tick run
-  # disagrees with the Rational reference; the sweep-dominated benches run
-  # with records on so the trajectory stays comparable release to release.
-  # A MISMATCH verdict in any record also hard-fails record validation.
-  echo "== perf: tick-domain speedup records"
+  # The perf trajectory (docs/PERFORMANCE.md): E22 times every tick hot
+  # loop and exits nonzero if any section disagrees with its independent
+  # reference (dp == greedy == GenFib f_lambda, validator passes, Machine
+  # schedule == bcast_schedule, sweep == f_lambda); the sweep-dominated
+  # benches run with records on so the trajectory stays comparable release
+  # to release. A MISMATCH verdict in any record also hard-fails record
+  # validation.
+  echo "== perf: tick-engine timing records"
   rm -f build/PERF_records.json
   for b in bench_tick_domain bench_par_sweep bench_bcast_optimality \
            bench_theorem7_bounds bench_multimessage_shootout; do
@@ -264,12 +268,11 @@ if [ "$SANITIZE" -eq 1 ]; then
   echo "== sanitize: thread"
   cmake -B build-tsan -G Ninja -DPOSTAL_SANITIZE=thread
   cmake --build build-tsan --target test_par test_differential test_chaos \
-    test_tick_differential test_par_machine test_par_differential \
+    test_par_machine test_par_differential \
     test_svc_service test_svc_soak test_svc_chaos
   ./build-tsan/tests/test_par
   ./build-tsan/tests/test_differential
   ./build-tsan/tests/test_chaos
-  ./build-tsan/tests/test_tick_differential
   ./build-tsan/tests/test_par_machine
   ./build-tsan/tests/test_par_differential
   ./build-tsan/tests/test_svc_service
@@ -279,7 +282,9 @@ if [ "$SANITIZE" -eq 1 ]; then
   # ASan+UBSan over the randomized tests: the differential pass, the
   # validator mutation fuzzer, the par tests again (allocation-heavy), the
   # fault-injection paths (crash truncation exercises every simulator
-  # early-exit; the chaos sweep stresses them with random plans), and the
+  # early-exit; the chaos sweep stresses them with random plans), the
+  # pinned tick-engine corpora with the mid-run grid rescale and the
+  # OverflowError paths (test_tick_differential), and the
   # whole service layer (parser edge cases, the 200+-scenario soak, the
   # histogram's bucket math at 2^64 extremes, and the faulted exec tier).
   echo "== sanitize: address,undefined"

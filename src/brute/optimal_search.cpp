@@ -5,43 +5,34 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/ticks.hpp"
 
 namespace postal {
 
 namespace {
 
-// Static overflow headroom for the tick loops: every value either route
-// produces is bounded by count * (lambda + 1), i.e. count * (lambda_ticks
-// + q) ticks, because each of the at most `count` steps adds 1 or lambda.
-// Admitting only runs whose bound stays far inside int64 lets the inner
-// loops use raw adds -- no per-operation checks, no UB (the bound is
-// checked in 128-bit arithmetic, so the probe itself cannot overflow).
-bool ticks_admissible(std::uint64_t count, const TickDomain& dom, Tick lambda_ticks) {
+// Both routes run on int64 ticks at resolution 1/q (lambda = p/q): every
+// T(k) is a multiple of 1/q, and tick <-> Rational is an order-preserving
+// bijection on those multiples, so min/max decisions are exact. Every
+// value either route produces is bounded by count * (lambda + 1), i.e.
+// count * (lambda_ticks + q) ticks, because each of the at most `count`
+// steps adds 1 or lambda; only runs whose bound stays far inside int64
+// proceed (checked in 128-bit arithmetic), so the inner loops use raw adds
+// -- no per-operation checks, no UB. Otherwise OverflowError names `site`.
+Tick lambda_ticks_checked(std::uint64_t count, const Rational& lambda,
+                          const char* site) {
+  const Tick lambda_ticks = lambda.num();  // lambda = num / den, q = den
   __extension__ using int128 = __int128;
   const int128 bound = (static_cast<int128>(count) + 2) *
-                       (static_cast<int128>(lambda_ticks) + dom.q());
-  return bound < (int128{1} << 62);
-}
-
-std::vector<Rational> dp_table_rational(std::uint64_t n_max, const Rational& lambda) {
-  std::vector<Rational> T(n_max + 1, Rational(0));
-  for (std::uint64_t k = 2; k <= n_max; ++k) {
-    // First split: the holder keeps j processors (continuing one unit
-    // later), the recipient takes k - j (starting lambda later). Scan all j.
-    Rational best = Rational(1) + T[k - 1];  // j = k-1 as the initial bound
-    best = rmax(best, lambda + T[1]);
-    for (std::uint64_t j = 1; j + 1 <= k - 1; ++j) {
-      const Rational cand = rmax(Rational(1) + T[j], lambda + T[k - j]);
-      best = rmin(best, cand);
-    }
-    T[k] = best;
+                       (static_cast<int128>(lambda_ticks) + lambda.den());
+  if (bound >= (int128{1} << 62)) {
+    throw_grid_overflow(site, "tick bound for n * lambda exceeds int64");
   }
-  return T;
+  return lambda_ticks;
 }
 
-// The identical recursion on int64 ticks. Exactness: tick <-> Rational is
-// an order-preserving bijection on multiples of 1/q, and every T(k) is
-// such a multiple, so min/max decisions match the Rational loop exactly.
+// First split: the holder keeps j processors (continuing one unit later),
+// the recipient takes k - j (starting lambda later). Scan all j.
 std::vector<Rational> dp_table_ticks(std::uint64_t n_max, const TickDomain& dom,
                                      Tick lambda_ticks) {
   const Tick one = dom.q();
@@ -64,57 +55,31 @@ std::vector<Rational> dp_table_ticks(std::uint64_t n_max, const TickDomain& dom,
 }  // namespace
 
 std::vector<Rational> optimal_broadcast_dp_table(std::uint64_t n_max,
-                                                 const Rational& lambda,
-                                                 TimePath time_path) {
+                                                 const Rational& lambda) {
   POSTAL_REQUIRE(n_max >= 1, "optimal_broadcast_dp_table: n_max must be >= 1");
   POSTAL_REQUIRE(lambda >= Rational(1),
                  "optimal_broadcast_dp_table: lambda must be >= 1");
-  if (time_path == TimePath::kAuto) {
-    const TickDomain dom(lambda.den());
-    const std::optional<Tick> lambda_ticks = dom.to_ticks(lambda);
-    if (lambda_ticks.has_value() && ticks_admissible(n_max, dom, *lambda_ticks)) {
-      return dp_table_ticks(n_max, dom, *lambda_ticks);
-    }
-  }
-  return dp_table_rational(n_max, lambda);
+  const Tick lambda_ticks =
+      lambda_ticks_checked(n_max, lambda, "optimal_broadcast_dp_table");
+  return dp_table_ticks(n_max, TickDomain(lambda.den()), lambda_ticks);
 }
 
-Rational optimal_broadcast_dp(std::uint64_t n, const Rational& lambda,
-                              TimePath time_path) {
+Rational optimal_broadcast_dp(std::uint64_t n, const Rational& lambda) {
   POSTAL_REQUIRE(n >= 1, "optimal_broadcast_dp: n must be >= 1");
   POSTAL_REQUIRE(lambda >= Rational(1), "optimal_broadcast_dp: lambda must be >= 1");
-  return optimal_broadcast_dp_table(n, lambda, time_path)[n];
+  return optimal_broadcast_dp_table(n, lambda)[n];
 }
 
 namespace {
 
-Rational greedy_rational(std::uint64_t n, const Rational& lambda) {
-  // Heap of candidate inform times. Popping a candidate materializes the
-  // next sibling (same sender, one unit later) and the new processor's own
-  // first child (lambda after it is informed).
-  std::priority_queue<Rational, std::vector<Rational>, std::greater<>> heap;
-  heap.push(lambda);  // p_0's first recipient is informed at lambda
-  std::uint64_t informed = 1;
-  Rational last(0);
-  while (informed < n) {
-    POSTAL_CHECK(!heap.empty());
-    const Rational t = heap.top();
-    heap.pop();
-    ++informed;
-    last = t;
-    heap.push(t + Rational(1));  // sender's next send, one unit later
-    heap.push(t + lambda);       // new processor's first own recipient
-  }
-  return last;
-}
-
-// Same expansion on ticks. Heap order among *equal* keys is unspecified
-// either way, but only the popped values feed the result, so the two
-// loops agree exactly.
+// Heap of candidate inform times. Popping a candidate materializes the next
+// sibling (same sender, one unit later) and the new processor's own first
+// child (lambda after it is informed). Heap order among *equal* keys is
+// unspecified, but only the popped values feed the result.
 Rational greedy_ticks(std::uint64_t n, const TickDomain& dom, Tick lambda_ticks) {
   const Tick one = dom.q();
   std::priority_queue<Tick, std::vector<Tick>, std::greater<>> heap;
-  heap.push(lambda_ticks);
+  heap.push(lambda_ticks);  // p_0's first recipient is informed at lambda
   std::uint64_t informed = 1;
   Tick last = 0;
   while (informed < n) {
@@ -123,27 +88,20 @@ Rational greedy_ticks(std::uint64_t n, const TickDomain& dom, Tick lambda_ticks)
     heap.pop();
     ++informed;
     last = t;
-    heap.push(t + one);
-    heap.push(t + lambda_ticks);
+    heap.push(t + one);           // sender's next send, one unit later
+    heap.push(t + lambda_ticks);  // new processor's first own recipient
   }
   return dom.to_rational(last);
 }
 
 }  // namespace
 
-Rational optimal_broadcast_greedy(std::uint64_t n, const Rational& lambda,
-                                  TimePath time_path) {
+Rational optimal_broadcast_greedy(std::uint64_t n, const Rational& lambda) {
   POSTAL_REQUIRE(n >= 1, "optimal_broadcast_greedy: n must be >= 1");
   POSTAL_REQUIRE(lambda >= Rational(1), "optimal_broadcast_greedy: lambda must be >= 1");
   if (n == 1) return Rational(0);
-  if (time_path == TimePath::kAuto) {
-    const TickDomain dom(lambda.den());
-    const std::optional<Tick> lambda_ticks = dom.to_ticks(lambda);
-    if (lambda_ticks.has_value() && ticks_admissible(n, dom, *lambda_ticks)) {
-      return greedy_ticks(n, dom, *lambda_ticks);
-    }
-  }
-  return greedy_rational(n, lambda);
+  const Tick lambda_ticks = lambda_ticks_checked(n, lambda, "optimal_broadcast_greedy");
+  return greedy_ticks(n, TickDomain(lambda.den()), lambda_ticks);
 }
 
 }  // namespace postal

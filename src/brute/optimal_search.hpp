@@ -18,26 +18,21 @@
 //
 // Theorem 6 says both equal f_lambda(n) exactly.
 //
-// Both routes take the tick-domain fast path by default (time_path ==
-// kAuto): with lambda = p/q every T(k) is a multiple of 1/q, so the inner
-// loops run on int64 ticks whenever a static bound proves the tick values
-// cannot overflow, and fall back to the checked Rational reference loops
-// otherwise. Results are identical either way (the differential tests
-// assert it); pass TimePath::kRational to force the reference loops.
+// Both routes run on int64 ticks: with lambda = p/q every T(k) is a
+// multiple of 1/q. When n * lambda leaves no int64 headroom on that grid
+// they raise OverflowError.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "support/rational.hpp"
-#include "support/ticks.hpp"
 
 namespace postal {
 
 /// Optimal broadcast time via the exhaustive split recursion. O(n^2) time,
 /// O(n) memo; intended for n up to a few thousand.
-[[nodiscard]] Rational optimal_broadcast_dp(std::uint64_t n, const Rational& lambda,
-                                            TimePath time_path = TimePath::kAuto);
+[[nodiscard]] Rational optimal_broadcast_dp(std::uint64_t n, const Rational& lambda);
 
 /// The whole DP table at once: entry k (1 <= k <= n_max) is
 /// optimal_broadcast_dp(k, lambda), from one O(n_max^2) pass. Grid sweeps
@@ -46,11 +41,9 @@ namespace postal {
 /// by construction because the recursion's prefix does not depend on n_max.
 /// Entry 0 is 0 (unused).
 [[nodiscard]] std::vector<Rational> optimal_broadcast_dp_table(
-    std::uint64_t n_max, const Rational& lambda,
-    TimePath time_path = TimePath::kAuto);
+    std::uint64_t n_max, const Rational& lambda);
 
 /// Optimal broadcast time via greedy frontier expansion. O(n log n).
-[[nodiscard]] Rational optimal_broadcast_greedy(std::uint64_t n, const Rational& lambda,
-                                                TimePath time_path = TimePath::kAuto);
+[[nodiscard]] Rational optimal_broadcast_greedy(std::uint64_t n, const Rational& lambda);
 
 }  // namespace postal

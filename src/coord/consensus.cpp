@@ -407,7 +407,6 @@ ConsensusTiming derive_consensus_timing(const PostalParams& params,
 Rational fault_free_latency(const PostalParams& params,
                             const ConsensusOptions& options) {
   Machine machine(params, /*messages=*/1);
-  machine.set_time_path(options.time_path);
   ConsensusProtocol protocol(params, options);
   static_cast<void>(machine.run(protocol));
   ConsensusHarvest harvest;
@@ -441,7 +440,6 @@ ConsensusReport run_consensus(const PostalParams& params, const FaultPlan* plan,
   report.quorum = static_cast<std::uint32_t>(n / 2 + 1);
 
   ParMachine machine(params, /*messages=*/1);
-  machine.set_time_path(report.options.time_path);
   machine.set_threads(report.options.threads == 0 ? 1 : report.options.threads);
   if (plan != nullptr) machine.attach_faults(*plan);
   ConsensusFactory factory(params, report.options);
@@ -501,7 +499,6 @@ ConsensusReport run_consensus(const PostalParams& params, const FaultPlan* plan,
   vopts.preholds = true;  // control-plane traffic: no payload causality
   vopts.fifo_receive = true;
   vopts.require_coverage = false;
-  vopts.time_path = report.options.time_path;
   if (plan != nullptr) vopts.crashes = plan->crashes;
   report.validation = validate_schedule(report.result.schedule, params, vopts);
 

@@ -22,8 +22,8 @@
 // might have been decided is the one re-proposed.
 //
 // All view boundaries and timers are multiples of 1/q (lambda = p/q), so
-// runs take the int64 tick fast path and are byte-identical on both
-// TimePaths and at every ParMachine thread count. Views stop at max_views
+// runs stay on their tick grid and are byte-identical at every ParMachine
+// thread count. Views stop at max_views
 // (derived from the fault plan's disturbances and loss budgets), which
 // bounds the run and gives the validator its guarded liveness clause.
 #pragma once
@@ -57,8 +57,6 @@ struct ConsensusOptions {
   std::uint32_t max_views = 0;
   /// Extra slack added to the view length and the repair timer (>= 0).
   Rational timeout_slack{2};
-  /// Time representation of the run and its validation (docs/PERFORMANCE.md).
-  TimePath time_path = TimePath::kAuto;
   /// Simulation lanes (docs/SIMULATION.md); 0 = 1. Reports are
   /// byte-identical at every setting.
   unsigned threads = 0;

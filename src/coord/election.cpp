@@ -407,7 +407,6 @@ ElectionReport run_election(const PostalParams& params, const FaultPlan* plan,
   const std::uint64_t n = params.n();
 
   ParMachine machine(params, /*messages=*/1);
-  machine.set_time_path(report.options.time_path);
   machine.set_threads(report.options.threads == 0 ? 1 : report.options.threads);
   if (plan != nullptr) machine.attach_faults(*plan);
   ElectionFactory factory(params, report.options);
@@ -485,7 +484,6 @@ ElectionReport run_election(const PostalParams& params, const FaultPlan* plan,
   vopts.preholds = true;  // control-plane traffic: no payload causality
   vopts.fifo_receive = true;
   vopts.require_coverage = false;
-  vopts.time_path = report.options.time_path;
   if (plan != nullptr) vopts.crashes = plan->crashes;
   report.validation = validate_schedule(report.result.schedule, params, vopts);
 

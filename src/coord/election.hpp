@@ -18,11 +18,11 @@
 // BCAST tree (smallest ScheduleOracle depth, ties to the smaller rank) --
 // the rank whose expected re-broadcast completion is lowest.
 //
-// Every timer is a multiple of 1/q (lambda = p/q), so runs execute on the
-// int64 tick fast path and are byte-identical on both TimePaths and at
-// every ParMachine thread count (chaos-differential-tested). Heartbeats
-// stop at a finite horizon so runs quiesce; the horizon is derived from
-// the fault plan generously enough that every disturbance settles first.
+// Every timer is a multiple of 1/q (lambda = p/q), so runs stay on their
+// tick grid and are byte-identical at every ParMachine thread count
+// (chaos-differential-tested). Heartbeats stop at a finite horizon so runs
+// quiesce; the horizon is derived from the fault plan generously enough
+// that every disturbance settles first.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +58,6 @@ struct ElectionOptions {
   /// with them the run) terminate. 0 derives a horizon from the fault plan
   /// that leaves every disturbance room to settle (resolve_election_options).
   Rational horizon{0};
-  /// Time representation of the run and its validation (docs/PERFORMANCE.md).
-  TimePath time_path = TimePath::kAuto;
   /// Simulation lanes (docs/SIMULATION.md); 0 = 1. Reports are
   /// byte-identical at every setting.
   unsigned threads = 0;

@@ -903,7 +903,6 @@ Rational fault_free_latency(const PostalParams& params,
                             const LogOptions& options,
                             const std::vector<ProcId>& final_members) {
   Machine machine(params, /*messages=*/1);
-  machine.set_time_path(options.time_path);
   LogProtocol protocol(params, options);
   static_cast<void>(machine.run(protocol));
   LogHarvest harvest;
@@ -945,7 +944,6 @@ LogReport run_log(const PostalParams& params, const FaultPlan* plan,
       expected_toggles(n, report.options.reconfig, &report.final_members));
 
   ParMachine machine(params, /*messages=*/1);
-  machine.set_time_path(report.options.time_path);
   machine.set_threads(report.options.threads == 0 ? 1 : report.options.threads);
   if (plan != nullptr) machine.attach_faults(*plan);
   LogFactory factory(params, report.options);
@@ -999,7 +997,6 @@ LogReport run_log(const PostalParams& params, const FaultPlan* plan,
   vopts.preholds = true;  // control-plane traffic: no payload causality
   vopts.fifo_receive = true;
   vopts.require_coverage = false;
-  vopts.time_path = report.options.time_path;
   if (plan != nullptr) vopts.crashes = plan->crashes;
   report.validation = validate_schedule(report.result.schedule, params, vopts);
 

@@ -23,7 +23,7 @@
 // min(grant + L, view end) with L derived on the 1/q grid from the
 // election heartbeat period max(4 lambda, 2 (n - 1)) plus lambda-scaled
 // round-trip slack -- so expiry is deterministic and byte-identical across
-// TimePaths and thread counts. The leader renews by heartbeating RENEW
+// thread counts. The leader renews by heartbeating RENEW
 // every heartbeat period; a quorum of RENEW-ACKs extends the expiry.
 // Writes (PROPOSE, repair, COMMIT) happen only while now < expiry; at the
 // exact expiry tick the timer wins the tie, mirroring the reliable-bcast
@@ -40,8 +40,8 @@
 // compute a stale leader are healed by catch-up like any other straggler.
 //
 // All view boundaries, lease grants, and timers are multiples of 1/q
-// (lambda = p/q), so runs take the int64 tick fast path and are
-// byte-identical on both TimePaths and at every ParMachine thread count.
+// (lambda = p/q), so runs stay on their tick grid and are byte-identical
+// at every ParMachine thread count.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +93,6 @@ struct LogOptions {
   Rational timeout_slack{2};
   /// Membership changes to request mid-run (see ReconfigRequest).
   std::vector<ReconfigRequest> reconfig;
-  /// Time representation of the run and its validation (docs/PERFORMANCE.md).
-  TimePath time_path = TimePath::kAuto;
   /// Simulation lanes (docs/SIMULATION.md); 0 = 1. Reports are
   /// byte-identical at every setting.
   unsigned threads = 0;

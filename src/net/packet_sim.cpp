@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "sim/event_queue.hpp"
 #include "sim/tick_queue.hpp"
 
 namespace postal {
@@ -49,88 +48,53 @@ void PacketNetwork::submit_schedule(const Schedule& schedule) {
 
 namespace {
 
-// The run loop below is written once, generic over the time representation
-// (docs/PERFORMANCE.md): RationalNetOps is the reference, TickNetOps the
-// int64 fast path admitted by probe_net_ticks. Both instantiations take
-// identical branches, consume the jitter PRNG and the per-wire loss
-// counters in identical order, and record FaultEvents/deliveries with
-// exactly-converted times, so their outputs are byte-identical
-// (differential-tested).
+// The run loop carries every time as int64 ticks on one 1/q grid that
+// probe_net_ticks folds over the whole run (docs/PERFORMANCE.md). Jitter
+// draws and per-wire loss counters are consumed in event order, and
+// FaultEvents/deliveries are recorded with exactly-converted times.
 
-template <typename Time>
 struct Traveling {
   NodeId at;   ///< node the packet's head has reached
   NodeId src;
   NodeId dst;
   MsgId msg;
-  Time requested;
-  Time tail;  ///< time the packet is fully present at `at`
+  Tick requested;
+  Tick tail;  ///< time the packet is fully present at `at`
   bool injected;  ///< false while still waiting in the sender's software
 };
 
-/// Per-spike window in ticks (same membership test as the Rational path:
-/// a hop whose serialization starts in [from, until) is stretched).
+/// Per-spike window in ticks: a hop whose serialization starts in
+/// [from, until) is stretched.
 struct NetSpikeTicks {
   Tick from = 0;
   Tick until = 0;
   Tick extra = 0;
 };
 
-struct RationalNetOps {
-  using Time = Rational;
-  const NetConfig* cfg;
-  const FaultInjector* injector;
-
-  static Time zero() { return Rational(0); }
-  static Time max(const Time& a, const Time& b) { return rmax(a, b); }
-  static Rational rat(const Time& t) { return t; }
-  [[nodiscard]] Time send_oh() const { return cfg->send_overhead; }
-  [[nodiscard]] Time recv_oh() const { return cfg->recv_overhead; }
-  [[nodiscard]] Time wire() const { return cfg->wire_time; }
-  [[nodiscard]] Time header() const { return cfg->header_time; }
-  [[nodiscard]] Time prop(const Rational& p) const { return p; }
-  [[nodiscard]] Time jitter_amount(std::int64_t k) const {
-    return cfg->jitter_max * Rational(k, 64);
-  }
-  [[nodiscard]] bool crashed(NodeId p, const Time& t) const {
-    return injector->crashed(p, t);
-  }
-  [[nodiscard]] Time spike_extra(const Time& start) const {
-    return injector->extra_latency(start);
-  }
-};
-
 struct TickNetOps {
-  using Time = Tick;
   TickDomain dom{1};
-  Tick send_oh_ = 0;
-  Tick recv_oh_ = 0;
-  Tick wire_ = 0;
-  Tick header_ = 0;
+  Tick send_oh = 0;
+  Tick recv_oh = 0;
+  Tick wire = 0;
+  Tick header = 0;
   Tick jitter_quantum = 0;  ///< jitter_max / 64 in ticks
   std::vector<std::optional<Tick>> crash;  ///< sized n when a plan is armed
   std::vector<NetSpikeTicks> spikes;
 
-  static Time zero() { return 0; }
-  static Time max(Time a, Time b) { return a > b ? a : b; }
-  [[nodiscard]] Rational rat(Time t) const { return dom.to_rational(t); }
-  [[nodiscard]] Time send_oh() const { return send_oh_; }
-  [[nodiscard]] Time recv_oh() const { return recv_oh_; }
-  [[nodiscard]] Time wire() const { return wire_; }
-  [[nodiscard]] Time header() const { return header_; }
-  [[nodiscard]] Time prop(const Rational& p) const {
+  [[nodiscard]] Rational rat(Tick t) const { return dom.to_rational(t); }
+  [[nodiscard]] Tick prop(const Rational& p) const {
     const std::optional<Tick> t = dom.to_ticks(p);
-    POSTAL_CHECK(t.has_value());  // guaranteed by probe_net_ticks
+    POSTAL_CHECK(t.has_value());  // on the grid probe_net_ticks folded
     return *t;
   }
-  [[nodiscard]] Time jitter_amount(std::int64_t k) const {
+  [[nodiscard]] Tick jitter_amount(std::int64_t k) const {
     return jitter_quantum * k;
   }
-  [[nodiscard]] bool crashed(NodeId p, Time t) const {
+  [[nodiscard]] bool crashed(NodeId p, Tick t) const {
     const auto& c = crash[p];
     return c.has_value() && t >= *c;
   }
-  [[nodiscard]] Time spike_extra(Time start) const {
+  [[nodiscard]] Tick spike_extra(Tick start) const {
     Tick extra = 0;
     for (const NetSpikeTicks& s : spikes) {
       if (start >= s.from && start < s.until) extra += s.extra;
@@ -139,22 +103,14 @@ struct TickNetOps {
   }
 };
 
-/// EventQueue with the (time, seq) FIFO contract -- the reference.
-struct RationalNetQueue {
-  EventQueue<Traveling<Rational>> q;
-  void push(Rational t, Traveling<Rational> v) { q.push(std::move(t), std::move(v)); }
-  [[nodiscard]] bool empty() const { return q.empty(); }
-  std::pair<Rational, Traveling<Rational>> pop() { return q.pop(); }
-};
-
-/// Bucketed monotone queue under the same (time, seq) contract: seqs are
-/// stamped in push order, so pops match the reference pop order exactly.
+/// Bucketed monotone queue under the (time, seq) contract: seqs are
+/// stamped in push order, so equal times pop FIFO.
 struct TickNetQueue {
-  TickEventQueue<Traveling<Tick>> q;
+  TickEventQueue<Traveling> q;
   std::uint64_t seq = 0;
-  void push(Tick t, Traveling<Tick> v) { q.push(t, seq++, std::move(v)); }
+  void push(Tick t, Traveling v) { q.push(t, seq++, std::move(v)); }
   [[nodiscard]] bool empty() const { return q.empty(); }
-  std::pair<Tick, Traveling<Tick>> pop() { return q.pop(); }
+  std::pair<Tick, Traveling> pop() { return q.pop(); }
 };
 
 /// Everything probe_net_ticks must pre-convert for a tick run.
@@ -163,16 +119,14 @@ struct NetTickPlan {
   std::vector<Tick> submit;  ///< pending_[i].t in ticks, same order
 };
 
-template <typename Ops, typename Queue>
 std::vector<NetDelivery> run_net(const Topology& topology, const NetConfig& config,
-                                 FaultInjector* injector, const Ops& ops,
-                                 Queue& queue, NetRunStats& stats) {
+                                 FaultInjector* injector, const TickNetOps& ops,
+                                 TickNetQueue& queue, NetRunStats& stats) {
   const std::uint64_t n = topology.n();
-  using Time = typename Ops::Time;
 
-  std::vector<Time> egress_free(n, Ops::zero());
-  std::vector<Time> ingress_free(n, Ops::zero());
-  std::unordered_map<std::uint64_t, Time> wire_free;
+  std::vector<Tick> egress_free(n, 0);
+  std::vector<Tick> ingress_free(n, 0);
+  std::unordered_map<std::uint64_t, Tick> wire_free;
   std::unordered_map<std::uint64_t, WireUse> wire_use;
   auto wire_key = [n](NodeId u, NodeId v) {
     return static_cast<std::uint64_t>(u) * n + v;
@@ -194,7 +148,7 @@ std::vector<NetDelivery> run_net(const Topology& topology, const NetConfig& conf
     auto [now, pkt] = queue.pop();
     if (!pkt.injected) {
       // Sender software: one packet at a time.
-      const Time start = Ops::max(egress_free[pkt.src], now);
+      const Tick start = std::max(egress_free[pkt.src], now);
       if (injector && ops.crashed(pkt.src, start)) {
         // The sender died before its egress slot started: never injected.
         ++stats.faults.sends_suppressed;
@@ -202,17 +156,17 @@ std::vector<NetDelivery> run_net(const Topology& topology, const NetConfig& conf
             FaultEvent::Kind::kSendSuppressed, ops.rat(start), pkt.src, pkt.dst});
         continue;
       }
-      egress_free[pkt.src] = start + ops.send_oh();
+      egress_free[pkt.src] = start + ops.send_oh;
       ++egress_count;
       pkt.injected = true;
-      pkt.tail = start + ops.send_oh();
-      queue.push(start + ops.send_oh(), pkt);
+      pkt.tail = start + ops.send_oh;
+      queue.push(start + ops.send_oh, pkt);
       continue;
     }
     if (pkt.at == pkt.dst) {
       // Receiver software: one packet at a time; needs the whole packet.
-      const Time start = Ops::max(ingress_free[pkt.dst], pkt.tail);
-      const Time done = start + ops.recv_oh();
+      const Tick start = std::max(ingress_free[pkt.dst], pkt.tail);
+      const Tick done = start + ops.recv_oh;
       ingress_free[pkt.dst] = done;
       ++ingress_count;
       if (injector && ops.crashed(pkt.dst, done)) {
@@ -231,11 +185,10 @@ std::vector<NetDelivery> run_net(const Topology& topology, const NetConfig& conf
     // begins once the whole packet is present; cut-through streams the head
     // onward after header_time, paying the full wire_time only at the tail.
     const NodeId next = topology.next_hop(pkt.at, pkt.dst);
-    Time& free_at =
-        wire_free.try_emplace(wire_key(pkt.at, next), Ops::zero()).first->second;
-    const Time ready =
+    Tick& free_at = wire_free.try_emplace(wire_key(pkt.at, next), 0).first->second;
+    const Tick ready =
         config.switching == Switching::kStoreAndForward ? pkt.tail : now;
-    const Time start = Ops::max(free_at, ready);
+    const Tick start = std::max(free_at, ready);
     if (injector && ops.crashed(pkt.at, start)) {
       // The relay died before it could serialize: the packet dies with it.
       ++stats.faults.drops_crash;
@@ -243,23 +196,23 @@ std::vector<NetDelivery> run_net(const Topology& topology, const NetConfig& conf
                                                ops.rat(start), pkt.at, pkt.dst});
       continue;
     }
-    free_at = start + ops.wire();
+    free_at = start + ops.wire;
     ++stats.hops_total;
     WireUse& use = wire_use.try_emplace(wire_key(pkt.at, next),
                                         WireUse{pkt.at, next, 0, Rational(0)})
                        .first->second;
     ++use.packets;
-    Time jit = Ops::zero();
+    Tick jit = 0;
     if (jitter_on) {
       ++stats.jitter_draws;
       // Uniform multiple of jitter_max/64 keeps arithmetic exactly rational.
       const auto k = static_cast<std::int64_t>(rng.uniform(0, 64));
       jit = ops.jitter_amount(k);
     }
-    Time flight = ops.prop(wire_propagation(pkt.at, next)) + jit;
+    Tick flight = ops.prop(wire_propagation(pkt.at, next)) + jit;
     if (injector && injector->has_spikes()) {
-      const Time extra = ops.spike_extra(start);
-      if (extra > Ops::zero()) {
+      const Tick extra = ops.spike_extra(start);
+      if (extra > 0) {
         flight += extra;
         ++stats.faults.spikes_applied;
         stats.faults.events.push_back(
@@ -271,21 +224,20 @@ std::vector<NetDelivery> run_net(const Topology& topology, const NetConfig& conf
       // comes out the far end.
       ++stats.faults.drops_loss;
       stats.faults.events.push_back(FaultEvent{FaultEvent::Kind::kDropLoss,
-                                               ops.rat(start + ops.wire()), next,
+                                               ops.rat(start + ops.wire), next,
                                                pkt.at});
       continue;
     }
-    pkt.tail = start + ops.wire() + flight;
-    const Time head = config.switching == Switching::kCutThrough
-                          ? start + ops.header() + flight
+    pkt.tail = start + ops.wire + flight;
+    const Tick head = config.switching == Switching::kCutThrough
+                          ? start + ops.header + flight
                           : pkt.tail;
     pkt.at = next;
     queue.push(head, pkt);
   }
 
   // Busy totals are integer occupancy counts folded exactly at the end --
-  // identical to summing per event (Rational arithmetic is exact), cheaper,
-  // and shared by both engines.
+  // identical to summing per event (Rational arithmetic is exact), cheaper.
   stats.egress_busy_total =
       Rational(static_cast<std::int64_t>(egress_count)) * config.send_overhead;
   stats.ingress_busy_total =
@@ -311,24 +263,19 @@ std::vector<NetDelivery> run_net(const Topology& topology, const NetConfig& conf
   return deliveries;
 }
 
-/// Probe whether the whole run fits one int64 tick grid: fold a common
-/// denominator q over every config time, link propagation, submit time,
-/// and fault-plan time, convert them all (nullopt on any failure), and
-/// check a generous static bound so the hot loop needs no overflow checks.
-std::optional<NetTickPlan> probe_net_ticks(
-    const Topology& topology, const NetConfig& config,
-    const FaultInjector* injector,
-    const std::vector<std::pair<NodeId, Rational>>& submits) {
+/// Put the whole run on one int64 tick grid: fold a common denominator q
+/// over every config time, link propagation, submit time, and fault-plan
+/// time, convert them all, and check a generous static bound so the hot
+/// loop needs no overflow checks. Raises OverflowError when the grid, a
+/// tick count, or the bound does not fit int64.
+NetTickPlan probe_net_ticks(const Topology& topology, const NetConfig& config,
+                            const FaultInjector* injector,
+                            const std::vector<Rational>& submits) {
+  constexpr const char* kSite = "PacketNetwork::run";
   std::int64_t q = 1;
-  auto fold = [&q](const Rational& r) {
-    const std::optional<std::int64_t> folded = TickDomain::fold_denominator(q, r);
-    if (!folded.has_value()) return false;
-    q = *folded;
-    return true;
-  };
-  if (!fold(config.send_overhead) || !fold(config.recv_overhead) ||
-      !fold(config.wire_time) || !fold(config.header_time)) {
-    return std::nullopt;
+  for (const Rational* r : {&config.send_overhead, &config.recv_overhead,
+                            &config.wire_time, &config.header_time}) {
+    q = fold_grid(q, *r, kSite);
   }
   const bool jitter_on = config.jitter_max > Rational(0);
   Rational jitter_quantum(0);
@@ -336,95 +283,79 @@ std::optional<NetTickPlan> probe_net_ticks(
     // Jitter draws are multiples of jitter_max/64; fold that quantum.
     std::int64_t d64 = 0;
     if (__builtin_mul_overflow(config.jitter_max.den(), std::int64_t{64}, &d64)) {
-      return std::nullopt;
+      throw_grid_overflow(kSite, "jitter quantum denominator exceeds int64");
     }
     jitter_quantum = Rational(config.jitter_max.num(), d64);
-    if (!fold(jitter_quantum)) return std::nullopt;
+    q = fold_grid(q, jitter_quantum, kSite);
   }
   const std::uint64_t n = topology.n();
   for (NodeId u = 0; u < n; ++u) {
     for (const NetLink& link : topology.links(u)) {
-      if (!fold(link.propagation)) return std::nullopt;
+      q = fold_grid(q, link.propagation, kSite);
     }
   }
-  for (const auto& s : submits) {
-    if (!fold(s.second)) return std::nullopt;
-  }
+  for (const Rational& t : submits) q = fold_grid(q, t, kSite);
   if (injector) {
     for (NodeId p = 0; p < n; ++p) {
       const auto& c = injector->crash_time(p);
-      if (c.has_value() && !fold(*c)) return std::nullopt;
+      if (c.has_value()) q = fold_grid(q, *c, kSite);
     }
     for (const LatencySpike& s : injector->plan().spikes) {
-      if (!fold(s.from) || !fold(s.until) || !fold(s.extra)) return std::nullopt;
+      q = fold_grid(fold_grid(fold_grid(q, s.from, kSite), s.until, kSite), s.extra,
+                    kSite);
     }
   }
 
   NetTickPlan plan;
   plan.ops.dom = TickDomain(q);
   const TickDomain& dom = plan.ops.dom;
-  const auto so = dom.to_ticks(config.send_overhead);
-  const auto ro = dom.to_ticks(config.recv_overhead);
-  const auto wt = dom.to_ticks(config.wire_time);
-  const auto ht = dom.to_ticks(config.header_time);
-  if (!so || !ro || !wt || !ht) return std::nullopt;
-  plan.ops.send_oh_ = *so;
-  plan.ops.recv_oh_ = *ro;
-  plan.ops.wire_ = *wt;
-  plan.ops.header_ = *ht;
-  if (jitter_on) {
-    const auto jq = dom.to_ticks(jitter_quantum);
-    if (!jq) return std::nullopt;
-    plan.ops.jitter_quantum = *jq;
-  }
+  plan.ops.send_oh = grid_ticks(dom, config.send_overhead, kSite);
+  plan.ops.recv_oh = grid_ticks(dom, config.recv_overhead, kSite);
+  plan.ops.wire = grid_ticks(dom, config.wire_time, kSite);
+  plan.ops.header = grid_ticks(dom, config.header_time, kSite);
+  if (jitter_on) plan.ops.jitter_quantum = grid_ticks(dom, jitter_quantum, kSite);
 
   __extension__ using int128 = __int128;
   int128 max_prop = 0;
   for (NodeId u = 0; u < n; ++u) {
     for (const NetLink& link : topology.links(u)) {
-      const auto p = dom.to_ticks(link.propagation);
-      if (!p) return std::nullopt;
-      if (*p > max_prop) max_prop = *p;
+      max_prop = std::max<int128>(max_prop, grid_ticks(dom, link.propagation, kSite));
     }
   }
   int128 max_submit = 0;
   plan.submit.reserve(submits.size());
-  for (const auto& s : submits) {
-    const auto t = dom.to_ticks(s.second);
-    if (!t) return std::nullopt;
-    plan.submit.push_back(*t);
-    if (*t > max_submit) max_submit = *t;
+  for (const Rational& t : submits) {
+    plan.submit.push_back(grid_ticks(dom, t, kSite));
+    max_submit = std::max<int128>(max_submit, plan.submit.back());
   }
   int128 extra_sum = 0;
   if (injector) {
     plan.ops.crash.resize(n);
     for (NodeId p = 0; p < n; ++p) {
       const auto& c = injector->crash_time(p);
-      if (!c.has_value()) continue;
-      const auto ct = dom.to_ticks(*c);
-      if (!ct) return std::nullopt;
-      plan.ops.crash[p] = *ct;
+      if (c.has_value()) plan.ops.crash[p] = grid_ticks(dom, *c, kSite);
     }
     for (const LatencySpike& s : injector->plan().spikes) {
-      const auto from = dom.to_ticks(s.from);
-      const auto until = dom.to_ticks(s.until);
-      const auto extra = dom.to_ticks(s.extra);
-      if (!from || !until || !extra) return std::nullopt;
-      plan.ops.spikes.push_back(NetSpikeTicks{*from, *until, *extra});
-      extra_sum += *extra;
+      plan.ops.spikes.push_back(NetSpikeTicks{grid_ticks(dom, s.from, kSite),
+                                              grid_ticks(dom, s.until, kSite),
+                                              grid_ticks(dom, s.extra, kSite)});
+      extra_sum += plan.ops.spikes.back().extra;
     }
   }
 
   // Every packet advances some clock by at most `step` per queue event and
-  // visits at most n nodes, so all times stay below this product; admit
-  // only when it leaves int64 headroom (then the hot loop's raw adds
+  // visits at most n nodes, so all times stay below this product; only
+  // runs that leave int64 headroom proceed (then the hot loop's raw adds
   // cannot overflow).
-  const int128 step = static_cast<int128>(q) + *so + *ro + *wt + max_prop +
+  const int128 step = static_cast<int128>(q) + plan.ops.send_oh + plan.ops.recv_oh +
+                      plan.ops.wire + max_prop +
                       64 * static_cast<int128>(plan.ops.jitter_quantum) + extra_sum;
   const int128 bound =
       max_submit + (static_cast<int128>(submits.size()) + 1) *
                        (static_cast<int128>(n) + 4) * step;
-  if (bound >= (int128{1} << 62)) return std::nullopt;
+  if (bound >= (int128{1} << 62)) {
+    throw_grid_overflow(kSite, "tick bound for the traffic exceeds int64");
+  }
   return plan;
 }
 
@@ -432,6 +363,10 @@ std::optional<NetTickPlan> probe_net_ticks(
 
 std::vector<NetDelivery> PacketNetwork::run() {
   stats_ = NetRunStats();
+  std::vector<Rational> submits;
+  submits.reserve(pending_.size());
+  for (const Pending& p : pending_) submits.push_back(p.t);
+  const NetTickPlan plan = probe_net_ticks(topology_, config_, injector_.get(), submits);
   if (injector_) {
     injector_->reset();
     for (NodeId p = 0; p < topology_.n(); ++p) {
@@ -444,38 +379,14 @@ std::vector<NetDelivery> PacketNetwork::run() {
     }
   }
 
-  std::optional<NetTickPlan> plan;
-  if (config_.time_path == TimePath::kAuto) {
-    std::vector<std::pair<NodeId, Rational>> submits;
-    submits.reserve(pending_.size());
-    for (const Pending& p : pending_) submits.emplace_back(p.src, p.t);
-    plan = probe_net_ticks(topology_, config_, injector_.get(), submits);
+  TickNetQueue queue;
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    const Pending& p = pending_[i];
+    const Tick t = plan.submit[i];
+    queue.push(t, Traveling{p.src, p.src, p.dst, p.msg, t, t, /*injected=*/false});
   }
-
-  std::vector<NetDelivery> deliveries;
-  if (plan.has_value()) {
-    stats_.tick_domain = true;
-    TickNetQueue queue;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      const Pending& p = pending_[i];
-      const Tick t = plan->submit[i];
-      queue.push(t, Traveling<Tick>{p.src, p.src, p.dst, p.msg, t, t,
-                                    /*injected=*/false});
-    }
-    pending_.clear();
-    deliveries = run_net(topology_, config_, injector_.get(), plan->ops, queue,
-                         stats_);
-  } else {
-    RationalNetQueue queue;
-    for (const Pending& p : pending_) {
-      queue.push(p.t, Traveling<Rational>{p.src, p.src, p.dst, p.msg, p.t, p.t,
-                                          /*injected=*/false});
-    }
-    pending_.clear();
-    const RationalNetOps ops{&config_, injector_.get()};
-    deliveries = run_net(topology_, config_, injector_.get(), ops, queue, stats_);
-  }
-  return deliveries;
+  pending_.clear();
+  return run_net(topology_, config_, injector_.get(), plan.ops, queue, stats_);
 }
 
 Rational net_makespan(const std::vector<NetDelivery>& deliveries) {

@@ -39,7 +39,6 @@
 #include "sched/schedule.hpp"
 #include "support/prng.hpp"
 #include "support/rational.hpp"
-#include "support/ticks.hpp"
 
 namespace postal {
 
@@ -62,13 +61,6 @@ struct NetConfig {
   Rational jitter_max{0};      ///< max per-hop jitter (0 disables; >= 0)
   Switching switching = Switching::kStoreAndForward;
   std::uint64_t jitter_seed = 0x9e3779b9;
-
-  /// Time representation (docs/PERFORMANCE.md). kAuto (default) runs each
-  /// run() on int64 ticks when every config time, submit time, link
-  /// propagation, and fault-plan time folds onto one 1/q grid and a static
-  /// bound rules out tick overflow; kRational forces the reference engine.
-  /// Deliveries and stats are identical either way (differential-tested).
-  TimePath time_path = TimePath::kAuto;
 
   void validate() const;
 };
@@ -94,10 +86,6 @@ struct NetRunStats {
   Rational makespan;                    ///< latest delivery time (0 when idle)
   std::vector<WireUse> wires;           ///< per-wire use, sorted by (from, to)
   FaultStats faults;                    ///< faults applied (zero without a plan)
-  /// True iff this run executed on the tick fast path
-  /// (docs/PERFORMANCE.md). Informational: both paths produce identical
-  /// deliveries and stats, so equality checks should ignore it.
-  bool tick_domain = false;
 };
 
 /// One completed end-to-end packet delivery.
@@ -141,7 +129,10 @@ class PacketNetwork {
 
   /// Process all submitted traffic; returns deliveries sorted by delivery
   /// time. Resets submitted traffic afterwards (the network object can be
-  /// reused).
+  /// reused). The run executes on int64 ticks at the resolution 1/q that
+  /// represents every config, link, submit and fault-plan time exactly
+  /// (docs/PERFORMANCE.md); throws OverflowError, leaving the submitted
+  /// traffic in place, when that grid cannot fit int64.
   [[nodiscard]] std::vector<NetDelivery> run();
 
   /// Stats of the most recent run() (empty before the first run).

@@ -20,14 +20,14 @@ std::string escape(const std::string& text) {
   return out;
 }
 
-enum Kind { kCounter = 0, kGauge, kRational, kTimer };
+enum Kind { kCounter = 0, kGauge, kAccum, kTimer };
 
 }  // namespace
 
 void MetricsRegistry::require_unique(const std::string& name, int kind) const {
   const bool clash = (kind != kCounter && counters_.count(name) != 0) ||
                      (kind != kGauge && gauges_.count(name) != 0) ||
-                     (kind != kRational && rationals_.count(name) != 0) ||
+                     (kind != kAccum && rationals_.count(name) != 0) ||
                      (kind != kTimer && timers_.count(name) != 0);
   POSTAL_REQUIRE(!clash,
                  "MetricsRegistry: metric '" + name + "' already has another kind");
@@ -44,7 +44,7 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
 }
 
 RationalAccum& MetricsRegistry::rational(const std::string& name) {
-  require_unique(name, kRational);
+  require_unique(name, kAccum);
   return rationals_[name];
 }
 

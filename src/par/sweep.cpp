@@ -40,7 +40,7 @@ std::vector<SweepPointResult> sweep_grid(const std::vector<std::uint64_t>& ns,
     double dp_table_ms = 0.0;
     if (options.with_dp) {
       const auto t0 = std::chrono::steady_clock::now();
-      dp_table = optimal_broadcast_dp_table(n_max, lambda, options.time_path);
+      dp_table = optimal_broadcast_dp_table(n_max, lambda);
       dp_table_ms = elapsed_ms(t0);
     }
     for (std::size_t ni = 0; ni < ns.size(); ++ni) {
@@ -50,12 +50,10 @@ std::vector<SweepPointResult> sweep_grid(const std::vector<std::uint64_t>& ns,
       r.n = n;
       r.lambda = lambda;
       r.f = genfib.f(lambda, n);
-      r.greedy = optimal_broadcast_greedy(n, lambda, options.time_path);
+      r.greedy = optimal_broadcast_greedy(n, lambda);
       const PostalParams params(n, lambda);
       const std::shared_ptr<const Schedule> schedule = schedules.bcast(params);
-      ValidatorOptions vopts;
-      vopts.time_path = options.time_path;
-      const SimReport report = validate_schedule(*schedule, params, vopts);
+      const SimReport report = validate_schedule(*schedule, params);
       r.makespan = report.makespan;
       r.sends = schedule->size();
       r.dp = options.with_dp ? dp_table[static_cast<std::size_t>(n)] : r.f;

@@ -25,7 +25,7 @@
 #include "par/schedule_cache.hpp"
 #include "par/thread_pool.hpp"
 #include "support/rational.hpp"
-#include "support/ticks.hpp"
+#include "support/rational.hpp"
 
 namespace postal::par {
 
@@ -54,11 +54,6 @@ struct SweepOptions {
   bool with_dp = true;  ///< include the O(n^2) exhaustive-DP cross-check
   GenFibCache* genfib_cache = nullptr;      ///< nullptr = GenFibCache::global()
   ScheduleCache* schedule_cache = nullptr;  ///< nullptr = ScheduleCache::global()
-  /// Time representation for the DP table, greedy search, and validator
-  /// (docs/PERFORMANCE.md). kAuto takes the int64 tick fast path wherever a
-  /// point is exactly representable; kRational forces the reference loops.
-  /// Every result field except the wall times is identical either way.
-  TimePath time_path = TimePath::kAuto;
 };
 
 /// Cross-check every point of the full lambda x n grid. Throws

@@ -6,12 +6,11 @@ namespace postal {
 
 namespace {
 
-// bcast_emit on int64 ticks (docs/PERFORMANCE.md): identical recursion,
-// identical fib.bcast_split choices (those are pure integer arithmetic),
-// only the send times are carried as ticks and converted exactly when the
-// event is recorded. Every time is a multiple of 1/q bounded by
-// f_lambda(n) <= n * lambda, so the admission bound in bcast_schedule
-// makes the raw adds overflow-free.
+// The BCAST emitter on int64 ticks (docs/PERFORMANCE.md): iterative form
+// of the paper's recursion -- the holder keeps sending into its shrinking
+// range every unit of time; each recipient's sub-broadcast is recursed
+// explicitly. fib.bcast_split is pure integer arithmetic; send times are
+// carried as ticks and converted exactly when the event is recorded.
 void bcast_emit_ticks(Schedule& schedule, GenFib& fib, const TickDomain& dom,
                       Tick lambda_ticks, ProcId base, std::uint64_t count,
                       Tick start, MsgId msg) {
@@ -22,6 +21,9 @@ void bcast_emit_ticks(Schedule& schedule, GenFib& fib, const TickDomain& dom,
   while (remaining >= 2) {
     const std::uint64_t j = fib.bcast_split(remaining);
     POSTAL_CHECK(j >= 1 && j <= remaining - 1);
+    // The holder keeps the first j processors [holder, holder+j) and hands
+    // the trailing n'-j processors [holder+j, holder+n') to the recipient,
+    // which receives at now + lambda and then runs BCAST on its sub-range.
     const ProcId recipient = holder + static_cast<ProcId>(j);
     schedule.add(holder, recipient, msg, dom.to_rational(now));
     const Tick recipient_start = now + lambda_ticks;
@@ -30,65 +32,45 @@ void bcast_emit_ticks(Schedule& schedule, GenFib& fib, const TickDomain& dom,
       bcast_emit_ticks(schedule, fib, dom, lambda_ticks, recipient,
                        recipient_count, recipient_start, msg);
     }
+    // The holder continues one unit later on its own sub-range of size j.
     now += one;
     remaining = j;
   }
+}
+
+// Grid of one emission: ticks at the resolution 1/q representing lambda
+// and `start` exactly. Every emitted time is start plus a multiple of 1/q
+// bounded by f_lambda(count) <= count * lambda, so (start + (count + 2) *
+// (lambda + 1)) far inside int64 makes the emitter's raw adds
+// overflow-free; otherwise OverflowError names `site`.
+void emit_on_grid(Schedule& schedule, GenFib& fib, ProcId base, std::uint64_t count,
+                  const Rational& start, MsgId msg, const char* site) {
+  const TickDomain dom(fold_grid(fib.lambda().den(), start, site));
+  const Tick lambda_ticks = grid_ticks(dom, fib.lambda(), site);
+  const Tick start_ticks = grid_ticks(dom, start, site);
+  __extension__ using int128 = __int128;
+  if (static_cast<int128>(start_ticks) +
+          (static_cast<int128>(count) + 2) *
+              (static_cast<int128>(lambda_ticks) + dom.q()) >=
+      (int128{1} << 62)) {
+    throw_grid_overflow(site, "tick bound for n * lambda exceeds int64");
+  }
+  bcast_emit_ticks(schedule, fib, dom, lambda_ticks, base, count, start_ticks, msg);
 }
 
 }  // namespace
 
 void bcast_emit(Schedule& schedule, GenFib& fib, ProcId base, std::uint64_t count,
                 const Rational& start, MsgId msg) {
-  // Iterative form of the paper's recursion: the holder keeps sending into
-  // its shrinking range every unit of time; each recipient's sub-broadcast
-  // is recursed explicitly.
-  ProcId holder = base;
-  std::uint64_t remaining = count;
-  Rational now = start;
-  while (remaining >= 2) {
-    const std::uint64_t j = fib.bcast_split(remaining);
-    POSTAL_CHECK(j >= 1 && j <= remaining - 1);
-    // The holder keeps the first j processors [holder, holder+j) and hands
-    // the trailing n'-j processors [holder+j, holder+n') to the recipient.
-    const ProcId recipient = holder + static_cast<ProcId>(j);
-    schedule.add(holder, recipient, msg, now);
-    // Recurse for the recipient: it receives at now + lambda and then runs
-    // BCAST on its own sub-range.
-    const Rational recipient_start = now + fib.lambda();
-    const std::uint64_t recipient_count = remaining - j;
-    if (recipient_count >= 2) {
-      bcast_emit(schedule, fib, recipient, recipient_count, recipient_start, msg);
-    }
-    // The holder continues one unit later on its own sub-range of size j.
-    now += Rational(1);
-    remaining = j;
-  }
+  emit_on_grid(schedule, fib, base, count, start, msg, "bcast_emit");
 }
 
 Schedule bcast_schedule(const PostalParams& params, GenFib& fib) {
   POSTAL_REQUIRE(fib.lambda() == params.lambda(),
                  "bcast_schedule: GenFib lambda differs from params lambda");
   Schedule schedule;
-  // Tick fast path: all emit times are multiples of 1/q bounded by
-  // f_lambda(n) <= n * lambda, so (n + 2) * (lambda_ticks + q) far inside
-  // int64 admits raw tick arithmetic. Otherwise (huge n * lambda, or a
-  // lambda whose tick count overflows) the Rational reference emit runs;
-  // both produce the identical schedule (differential-tested).
-  const Rational& lambda = params.lambda();
-  const TickDomain dom(lambda.den());
-  const std::optional<Tick> lambda_ticks = dom.to_ticks(lambda);
-  __extension__ using int128 = __int128;
-  const bool ticks_ok =
-      lambda_ticks.has_value() &&
-      (static_cast<int128>(params.n()) + 2) *
-              (static_cast<int128>(*lambda_ticks) + dom.q()) <
-          (int128{1} << 62);
-  if (ticks_ok) {
-    bcast_emit_ticks(schedule, fib, dom, *lambda_ticks, /*base=*/0, params.n(),
-                     /*start=*/0, /*msg=*/0);
-  } else {
-    bcast_emit(schedule, fib, /*base=*/0, params.n(), Rational(0), /*msg=*/0);
-  }
+  emit_on_grid(schedule, fib, /*base=*/0, params.n(), Rational(0), /*msg=*/0,
+               "bcast_schedule");
   schedule.sort();
   return schedule;
 }

@@ -19,7 +19,9 @@ namespace postal {
 
 /// Generate the BCAST schedule for broadcasting one message (id 0) from
 /// p_0 in MPS(n, lambda). `fib` must have been constructed with the same
-/// lambda. The returned schedule is sorted by time.
+/// lambda. The returned schedule is sorted by time. Emission runs on int64
+/// ticks at resolution 1/q (lambda = p/q); throws OverflowError when
+/// n * lambda leaves no int64 headroom on that grid.
 [[nodiscard]] Schedule bcast_schedule(const PostalParams& params, GenFib& fib);
 
 /// Convenience overload constructing its own GenFib.
@@ -32,7 +34,9 @@ namespace postal {
 /// Internal building block shared with the multi-message generators:
 /// emit BCAST send events for the contiguous range [base, base+count) with
 /// the range's first processor holding the message and free to send from
-/// `start`. Message id is `msg`.
+/// `start`. Message id is `msg`. Runs the same tick emitter on the grid
+/// representing lambda and `start`; throws OverflowError like
+/// bcast_schedule.
 void bcast_emit(Schedule& schedule, GenFib& fib, ProcId base, std::uint64_t count,
                 const Rational& start, MsgId msg);
 

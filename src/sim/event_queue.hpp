@@ -8,7 +8,7 @@
 // This makes every simulation in this library reproducible independent of
 // heap internals -- std::priority_queue gives no guarantee about equal
 // keys, so the seq is load-bearing, not cosmetic. The contract is what the
-// tick-keyed twin (sim/tick_queue.hpp) is verified against: both queues,
+// tick-keyed queue (sim/tick_queue.hpp) is verified against: both queues,
 // fed the same (time, payload) pushes, pop the same payloads in the same
 // order (tests/sim/event_queue_test.cpp).
 #pragma once
@@ -28,17 +28,6 @@ class EventQueue {
  public:
   void push(Rational time, Payload payload) {
     heap_.push(Entry{std::move(time), seq_++, std::move(payload)});
-  }
-
-  /// Insert with an explicit sequence number, keeping later push() stamps
-  /// strictly larger. This is the transplant hook for the tick-domain fast
-  /// path (sim/machine.cpp): when a tick run falls back to the Rational
-  /// engine mid-run, every pending event is re-inserted here with its
-  /// original seq, so the merged queue pops in exactly the order the
-  /// single-engine run would have used.
-  void push_at_seq(Rational time, std::uint64_t seq, Payload payload) {
-    heap_.push(Entry{std::move(time), seq, std::move(payload)});
-    if (seq >= seq_) seq_ = seq + 1;
   }
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }

@@ -18,20 +18,17 @@
 // guarded by a null injector test, so runs without a plan execute the
 // historical code path byte-for-byte (regression-tested).
 //
-// Tick-domain fast path (docs/PERFORMANCE.md): with lambda = p/q every
-// event time the paper's protocols produce is a multiple of 1/q, so by
-// default each run probes whether it can execute on int64 ticks -- plain
-// integer arithmetic, a bucketed monotone queue (sim/tick_queue.hpp), and
-// a recycled event arena -- instead of Rational-keyed heap events. The
-// probe admits a run only when lambda, every fault-plan time, and a static
-// overflow bound all check out; protocols may still arm timers at times
-// off the 1/q grid mid-run, in which case the pending event set is
-// transplanted exactly into the Rational engine (shared sequence numbers
-// preserve the global pop order) and the run finishes there. Either way
-// the observable result -- schedule, trace, stats, fault timeline -- is
-// event-for-event identical to the Rational reference (differential- and
-// chaos-tested); MachineStats::tick_domain reports which engine finished
-// the run, and set_time_path(TimePath::kRational) forces the reference.
+// Time (docs/PERFORMANCE.md): with lambda = p/q every event time the
+// paper's protocols produce is a multiple of 1/q, so each run executes on
+// int64 ticks -- plain integer arithmetic, a bucketed monotone queue
+// (sim/tick_queue.hpp), and a recycled event arena. The run's grid folds
+// lambda and every fault-plan time (sim/tick_setup.hpp). A protocol may
+// still arm a timer off that grid mid-run: the timer is parked, and before
+// the next event pops the whole run is rescaled exactly onto the finer
+// grid lcm(q, q') -- every pending tick, port free time, lambda, crash and
+// spike tick multiplied by lcm(q, q')/q -- so the event order is unchanged.
+// A grid or tick count that cannot fit int64 raises OverflowError; there
+// is no second engine.
 //
 // The Machine enforces nothing else by itself -- the resulting schedule is
 // meant to be passed through validate_schedule, which certifies all model
@@ -48,7 +45,6 @@
 #include "faults/injector.hpp"
 #include "model/params.hpp"
 #include "sched/schedule.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/tick_queue.hpp"
 #include "sim/tick_setup.hpp"
 #include "sim/trace.hpp"
@@ -83,10 +79,9 @@ class ContextSink {
 
  private:
   friend class MachineContext;
-  virtual void sink_send(ProcId self, ProcId dst, const Packet& packet,
-                         const Rational& now, Tick now_ticks) = 0;
-  virtual void sink_timer(ProcId self, const Rational& now, Tick now_ticks,
-                          const Rational& delay, std::uint64_t token) = 0;
+  virtual void sink_send(ProcId self, ProcId dst, const Packet& packet, Tick now) = 0;
+  virtual void sink_timer(ProcId self, Tick now, const Rational& delay,
+                          std::uint64_t token) = 0;
   [[nodiscard]] virtual const PostalParams& sink_params() const noexcept = 0;
 };
 
@@ -105,7 +100,7 @@ class MachineContext {
   void set_timer(const Rational& delay, std::uint64_t token);
 
   /// Current simulation time of the handler invocation.
-  [[nodiscard]] const Rational& now() const noexcept { return now_; }
+  [[nodiscard]] const Rational& now() const;
   /// The processor this handler runs on.
   [[nodiscard]] ProcId self() const noexcept { return self_; }
   /// System parameters.
@@ -114,13 +109,14 @@ class MachineContext {
  private:
   friend class Machine;
   friend class ParShard;  // sim/par_machine.cpp: ParMachine's shard engine
-  MachineContext(ContextSink& sink, ProcId self, Rational now, Tick now_ticks = 0)
-      : sink_(sink), self_(self), now_(std::move(now)), now_ticks_(now_ticks) {}
+  MachineContext(ContextSink& sink, ProcId self, Tick now, std::int64_t q)
+      : sink_(sink), self_(self), now_ticks_(now), q_(q) {}
 
   ContextSink& sink_;
   ProcId self_;
-  Rational now_;
-  Tick now_ticks_;  ///< now_ in ticks while a tick engine runs; else unused
+  Tick now_ticks_;  ///< handler time in ticks of the running engine's grid
+  std::int64_t q_;  ///< that grid's resolution denominator
+  mutable std::optional<Rational> now_;  ///< now() converted on first use
 };
 
 /// Per-processor behavior. Handlers must be deterministic.
@@ -163,11 +159,6 @@ struct MachineStats {
   std::uint64_t max_fifo_depth = 0;
   /// Per-processor output-port busy time (exact; one unit per send), sized n.
   std::vector<Rational> port_busy;
-  /// True iff the run executed on the tick-domain fast path end to end
-  /// (docs/PERFORMANCE.md); false for the Rational reference path and for
-  /// runs that transplanted mid-way. Informational: results are identical
-  /// either way, so equality checks should ignore it.
-  bool tick_domain = false;
 };
 
 /// Result of a machine run.
@@ -194,12 +185,6 @@ class Machine : private ContextSink {
   /// True iff a (non-empty) plan is attached.
   [[nodiscard]] bool has_faults() const noexcept { return injector_ != nullptr; }
 
-  /// Time representation of subsequent runs (docs/PERFORMANCE.md): kAuto
-  /// (default) probes each run for the tick fast path, kRational forces
-  /// the reference engine. Results are identical either way.
-  void set_time_path(TimePath path) noexcept { time_path_ = path; }
-  [[nodiscard]] TimePath time_path() const noexcept { return time_path_; }
-
   /// Trace retention of subsequent runs (sim/trace.hpp): kFull (default)
   /// materializes every Delivery; kCounters keeps first arrivals, the
   /// delivery count, and the makespan only. Schedule, stats, and fault
@@ -209,16 +194,17 @@ class Machine : private ContextSink {
 
   /// Run `protocol` to quiescence (no in-flight packets or timers left).
   /// Throws InvalidArgument if a handler misbehaves (bad processor/message
-  /// ids) and LogicError if the run exceeds `max_events` queue events.
+  /// ids), LogicError if the run exceeds `max_events` queue events, and
+  /// OverflowError if the run's time grid cannot fit int64 ticks (also
+  /// when an off-grid timer's rescale would not fit).
   [[nodiscard]] MachineResult run(Protocol& protocol,
                                   std::uint64_t max_events = 1ULL << 22);
 
  private:
-  // ContextSink: route a handler's request to whichever engine is running.
-  void sink_send(ProcId self, ProcId dst, const Packet& packet,
-                 const Rational& now, Tick now_ticks) override;
-  void sink_timer(ProcId self, const Rational& now, Tick now_ticks,
-                  const Rational& delay, std::uint64_t token) override;
+  // ContextSink: a handler's requests, in ticks of the current grid.
+  void sink_send(ProcId self, ProcId dst, const Packet& packet, Tick now) override;
+  void sink_timer(ProcId self, Tick now, const Rational& delay,
+                  std::uint64_t token) override;
   [[nodiscard]] const PostalParams& sink_params() const noexcept override;
 
   struct Pending {
@@ -231,78 +217,48 @@ class Machine : private ContextSink {
     ProcId src = 0;
     ProcId dst = 0;
     Packet packet;
-    Rational send_start;
-    std::uint64_t token = 0;
-  };
-
-  /// Tick-engine twin of Pending (send_start in ticks).
-  struct PendingTicks {
-    Pending::Kind kind = Pending::Kind::kFlight;
-    ProcId src = 0;
-    ProcId dst = 0;
-    Packet packet;
     Tick send_start = 0;
     std::uint64_t token = 0;
   };
 
-  /// A timer whose fire time is off the 1/q grid (or out of tick range),
-  /// parked Rational-keyed with its global seq until the transplant.
-  struct ParkedEvent {
-    Rational time;
+  /// A timer whose fire time is off the run's 1/q grid (or beyond
+  /// kTickCap), parked with its global seq until the loop top rescales.
+  struct ParkedTimer {
+    Rational at;
     std::uint64_t seq = 0;
-    Pending event;
+    ProcId owner = 0;
+    std::uint64_t token = 0;
   };
 
-  // Rational engine.
-  void enqueue_send(ProcId src, ProcId dst, const Packet& packet, const Rational& now);
-  void enqueue_timer(ProcId owner, const Rational& at, std::uint64_t token);
-  void deliver(Protocol& protocol, const Rational& time, const Pending& flight,
+  void adopt(TickRunSetup setup);
+  void deliver(Protocol& protocol, Tick time, const Pending& flight,
                std::uint64_t& delivered);
-
-  // Tick engine (docs/PERFORMANCE.md).
-  bool try_tick_setup(std::uint64_t max_events);
-  void enqueue_send_ticks(ProcId src, ProcId dst, const Packet& packet, Tick now);
-  void enqueue_timer_ticks(ProcId owner, Tick now_ticks, const Rational& now,
-                           const Rational& delay, std::uint64_t token);
-  void deliver_ticks(Protocol& protocol, Tick time, const PendingTicks& flight,
-                     std::uint64_t& delivered);
-  void run_tick_loop(Protocol& protocol, std::uint64_t max_events,
-                     std::uint64_t& steps, std::uint64_t& delivered);
-  void transplant_to_rational();
-  void fold_tick_port_busy();
-  [[nodiscard]] bool crashed_ticks(ProcId p, Tick t) const {
+  void run_loop(Protocol& protocol, std::uint64_t max_events,
+                std::uint64_t& delivered);
+  void rescale(std::uint64_t max_events);
+  [[nodiscard]] bool crashed(ProcId p, Tick t) const {
     const auto& c = crash_ticks_[p];
     return c.has_value() && t >= *c;
   }
-  [[nodiscard]] Rational tick_rational(Tick t) const {
-    return Rational(t, tick_q_);
-  }
+  [[nodiscard]] Rational tick_rational(Tick t) const { return Rational(t, q_); }
 
   PostalParams params_;
   std::uint32_t messages_;
   std::unique_ptr<FaultInjector> injector_;
-  TimePath time_path_ = TimePath::kAuto;
   TraceMode trace_mode_ = TraceMode::kFull;
 
-  // Per-run state (Rational engine; also the post-transplant target).
-  std::vector<Rational> port_free_;
-  std::vector<Rational> recv_free_;
+  // Per-run state (SpikeTicks/TickRunSetup in tick_setup.hpp).
   Schedule schedule_;
-  EventQueue<Pending> queue_;
   MachineStats stats_;
   FaultStats fault_stats_;
   Trace* trace_ = nullptr;
-
-  // Per-run state (tick engine; SpikeTicks/TickRunSetup in tick_setup.hpp).
-  // tick_mode_ flips off at transplant.
-  bool tick_mode_ = false;
-  std::int64_t tick_q_ = 1;         ///< resolution denominator of this run
+  std::int64_t q_ = 1;              ///< resolution denominator of this run
   Tick lambda_ticks_ = 0;           ///< lambda in ticks
-  std::uint64_t seq_ = 0;           ///< shared push counter (tick queue + parked)
-  TickEventQueue<PendingTicks> tick_queue_;
-  std::vector<ParkedEvent> parked_;         ///< off-grid timers awaiting transplant
-  std::vector<Tick> port_free_ticks_;
-  std::vector<Tick> recv_free_ticks_;
+  std::uint64_t seq_ = 0;           ///< push counter (queue + parked timers)
+  TickEventQueue<Pending> queue_;
+  std::vector<ParkedTimer> parked_;  ///< off-grid timers awaiting the rescale
+  std::vector<Tick> port_free_;
+  std::vector<Tick> recv_free_;
   std::vector<std::uint64_t> port_busy_units_;  ///< sends per port (exact units)
   std::vector<std::optional<Tick>> crash_ticks_;
   std::vector<SpikeTicks> spike_ticks_;

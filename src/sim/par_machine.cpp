@@ -1,7 +1,7 @@
 // The sharded engine and its determinism machinery. Three pieces:
 //
 //  1. ParShard -- the per-lane event loop. An exact transliteration of
-//     Machine's tick-domain hot path (same branch structure, same fault
+//     Machine's tick hot path (same branch structure, same fault
 //     hook order, same REQUIRE messages), except that instead of writing
 //     to the global trace/fault-timeline/sequence-counter directly it
 //     *logs* what each pop produced.
@@ -87,11 +87,11 @@ constexpr Tick kNoTick = std::numeric_limits<Tick>::max();
 /// runs fall back to a comparison sort (counted in flush_fallback_sorts).
 constexpr std::uint64_t kSealSpanCap = std::uint64_t{1} << 14;
 
-/// Raised by a shard when a handler arms a timer the tick engine cannot
-/// key (off the 1/q grid or out of range). The sequential Machine
-/// transplants to the Rational engine mid-run; the sharded engine cannot
-/// (shards have already diverged from sequential state), so the whole run
-/// restarts on a fresh sequential Machine.
+/// Raised by a shard when a handler arms a timer the run's grid cannot
+/// key (off the 1/q grid or out of range). The sequential Machine rescales
+/// its grid mid-run; the sharded engine cannot (shards have already
+/// diverged from sequential state), so the whole run restarts on a fresh
+/// sequential Machine.
 struct ParFallbackError : std::exception {
   [[nodiscard]] const char* what() const noexcept override {
     return "ParMachine: off-grid timer; rerunning sequentially";
@@ -188,7 +188,6 @@ class ParShard final : public ContextSink {
     q.clear();
     sends.clear();
     stats = MachineStats();
-    stats.tick_domain = true;
     faults = FaultStats();
     steps = 0;
     stalled_windows = 0;
@@ -214,8 +213,8 @@ class ParShard final : public ContextSink {
   void start_rank(ProcId p) {
     window_end_ = 0;
     cur_ = PopEntry{0, p, 0, 0, 0};
-    if (injector != nullptr && injector->crashed(p, Rational(0))) return;
-    MachineContext ctx(*this, p, Rational(0), 0);
+    if (injector != nullptr && crashed_at(p, 0)) return;
+    MachineContext ctx(*this, p, 0, tick_q);
     protocol->on_start(ctx);
     commit_log();
   }
@@ -266,11 +265,9 @@ class ParShard final : public ContextSink {
   }
 
  private:
-  // ContextSink: the tick-domain images of Machine::enqueue_send_ticks /
-  // enqueue_timer_ticks, logging instead of globally sequencing.
-  void sink_send(ProcId self, ProcId dst, const Packet& packet,
-                 const Rational& now, Tick now_ticks) override {
-    static_cast<void>(now);
+  // ContextSink: the images of Machine::sink_send / sink_timer, logging
+  // instead of globally sequencing.
+  void sink_send(ProcId self, ProcId dst, const Packet& packet, Tick now_ticks) override {
     POSTAL_REQUIRE(dst < params->n(), "Machine: send destination out of range");
     POSTAL_REQUIRE(dst != self, "Machine: a processor cannot send to itself");
     POSTAL_REQUIRE(packet.msg < messages, "Machine: message id out of range");
@@ -313,9 +310,8 @@ class ParShard final : public ContextSink {
                Ev{Ev::Kind::kFlight, self, dst, packet, start, 0});
   }
 
-  void sink_timer(ProcId self, const Rational& now, Tick now_ticks,
-                  const Rational& delay, std::uint64_t token) override {
-    static_cast<void>(now);
+  void sink_timer(ProcId self, Tick now_ticks, const Rational& delay,
+                  std::uint64_t token) override {
     ++stats.timers_set;
     const std::optional<Tick> d = TickDomain(tick_q).to_ticks(delay);
     Tick fire = 0;
@@ -330,7 +326,7 @@ class ParShard final : public ContextSink {
     return *params;
   }
 
-  /// One pop: Machine::run_tick_loop's switch, against the window log.
+  /// One pop: Machine::run_loop's switch, against the window log.
   void process(Tick time, std::uint64_t stamp, Ev&& ev) {
     if (++steps > max_events) {
       throw LogicError("ParMachine::run: exceeded max_events; runaway protocol?");
@@ -340,7 +336,7 @@ class ParShard final : public ContextSink {
       case Ev::Kind::kTimer: {
         if (injector != nullptr && crashed_at(ev.dst, time)) break;
         ++stats.timers_fired;
-        MachineContext ctx(*this, ev.dst, tick_rational(time), time);
+        MachineContext ctx(*this, ev.dst, time, tick_q);
         protocol->on_timer(ctx, ev.token);
         break;
       }
@@ -386,7 +382,7 @@ class ParShard final : public ContextSink {
       trace->counters_note(ev.dst, ev.packet.msg, tick_rational(time));
       if (time > max_delivery_tick) max_delivery_tick = time;
     }
-    MachineContext ctx(*this, ev.dst, tick_rational(time), time);
+    MachineContext ctx(*this, ev.dst, time, tick_q);
     protocol->on_receive(ctx, ev.packet);
   }
 
@@ -680,36 +676,28 @@ MachineResult ParMachine::run(ShardProtocolFactory& factory,
                               std::uint64_t max_events) {
   info_ = ParRunInfo();
   info_.trace_mode = trace_mode_;
-  if (time_path_ == TimePath::kRational) {
-    return run_sequential(factory, max_events, "rational time path forced");
-  }
-  const std::optional<TickRunSetup> setup =
-      plan_tick_run(params_, injector_.get(), max_events);
-  if (!setup.has_value()) {
-    return run_sequential(factory, max_events, "tick-domain admission failed");
-  }
+  const TickRunSetup setup =
+      plan_tick_run(params_, injector_.get(), max_events, "ParMachine::run");
   try {
-    return run_windowed(factory, *setup, max_events);
+    return run_windowed(factory, setup, max_events);
   } catch (const ParFallbackError&) {
     info_ = ParRunInfo();
     info_.trace_mode = trace_mode_;
-    return run_sequential(factory, max_events, "off-grid timer armed mid-run");
+    return run_sequential(factory, max_events);
   }
 }
 
 MachineResult ParMachine::run_sequential(ShardProtocolFactory& factory,
-                                         std::uint64_t max_events,
-                                         std::string reason) {
+                                         std::uint64_t max_events) {
   Machine machine(params_, messages_);
   if (injector_ != nullptr) machine.attach_faults(injector_->plan());
-  machine.set_time_path(time_path_);
   machine.set_trace_mode(trace_mode_);
   std::unique_ptr<Protocol> protocol = factory.make(0, 1);
   POSTAL_CHECK(protocol != nullptr);
   MachineResult result = machine.run(*protocol, max_events);
   factory.reclaim(0, std::move(protocol));
   info_.parallel_engine = false;
-  info_.fallback_reason = std::move(reason);
+  info_.fallback_reason = "off-grid timer armed mid-run";
   info_.shards = 1;
   return result;
 }
@@ -893,7 +881,6 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
   }
 
   // Merge run accumulators into the sequential result shape.
-  result.stats.tick_domain = true;
   result.stats.port_busy.assign(n, Rational(0));
   Schedule schedule;
   for (ParShard& sh : shards) {

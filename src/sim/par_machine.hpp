@@ -25,10 +25,10 @@
 // enforces this across the protocol families, fault plans, and thread
 // counts.
 //
-// Runs the sharded engine only where the tick-domain fast path is
-// admitted (sim/tick_setup.hpp); Rational-time runs and runs that arm
-// off-grid timers mid-flight fall back to a fresh sequential Machine run,
-// reported in last_run_info().
+// Shares its tick grid with Machine (sim/tick_setup.hpp): a grid that
+// cannot fit int64 raises OverflowError. A run that arms a timer off the
+// grid mid-flight cannot rescale across diverged shards, so it reruns on a
+// fresh sequential Machine (which rescales), reported in last_run_info().
 #pragma once
 
 #include <cstdint>
@@ -157,11 +157,6 @@ class ParMachine {
   void detach_faults() noexcept { injector_.reset(); }
   [[nodiscard]] bool has_faults() const noexcept { return injector_ != nullptr; }
 
-  /// Time representation (docs/PERFORMANCE.md). kRational forces the
-  /// sequential reference engine: the sharded loops are tick-domain only.
-  void set_time_path(TimePath path) noexcept { time_path_ = path; }
-  [[nodiscard]] TimePath time_path() const noexcept { return time_path_; }
-
   /// Trace retention for subsequent runs (sim/trace.hpp): kFull (default)
   /// keeps every Delivery byte-identical to the sequential Machine;
   /// kCounters elides the delivery list (first arrivals, delivery count,
@@ -192,12 +187,11 @@ class ParMachine {
   MachineResult run_windowed(ShardProtocolFactory& factory,
                              const TickRunSetup& setup, std::uint64_t max_events);
   MachineResult run_sequential(ShardProtocolFactory& factory,
-                               std::uint64_t max_events, std::string reason);
+                               std::uint64_t max_events);
 
   PostalParams params_;
   std::uint32_t messages_;
   std::unique_ptr<FaultInjector> injector_;
-  TimePath time_path_ = TimePath::kAuto;
   TraceMode trace_mode_ = TraceMode::kFull;
   unsigned threads_ = 1;
   ParRunInfo info_;

@@ -245,7 +245,6 @@ ReliableBcastReport run_reliable_bcast(const PostalParams& params,
   ReliableBcastReport report;
   if (options.threads > 1) {
     ParMachine machine(params, /*messages=*/1);
-    machine.set_time_path(options.time_path);
     machine.set_threads(options.threads);
     machine.set_trace_mode(options.trace_mode);
     if (plan != nullptr) machine.attach_faults(*plan);
@@ -254,7 +253,6 @@ ReliableBcastReport run_reliable_bcast(const PostalParams& params,
     report.counters = factory.counters();
   } else {
     Machine machine(params, /*messages=*/1);
-    machine.set_time_path(options.time_path);
     machine.set_trace_mode(options.trace_mode);
     if (plan != nullptr) machine.attach_faults(*plan);
     ReliableBcastProtocol protocol(params, options);
@@ -298,7 +296,6 @@ ReliableBcastReport run_reliable_bcast(const PostalParams& params,
   ValidatorOptions vopts;
   vopts.messages = 1;
   vopts.fifo_receive = true;
-  vopts.time_path = options.time_path;
   if (plan != nullptr) vopts.crashes = plan->crashes;
   report.validation =
       validate_schedule(report.result.schedule, params, vopts);

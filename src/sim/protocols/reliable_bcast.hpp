@@ -48,17 +48,11 @@ struct ReliableBcastOptions {
   std::uint32_t max_attempts = 4;
   /// Extra slack added to every ack timeout (model time units, >= 0).
   Rational timeout_slack{2};
-  /// Time representation for the Machine run and the validation pass
-  /// (docs/PERFORMANCE.md). kAuto takes the int64 tick fast path when the
-  /// run is exactly representable; kRational forces the reference engine.
-  /// Reports are identical either way (chaos-differential-tested).
-  TimePath time_path = TimePath::kAuto;
   /// Simulation lanes (docs/SIMULATION.md). 0 = inherit the caller's
   /// setting (Communicator::set_threads; the standalone runner treats it
   /// as 1). Values > 1 run the sharded ParMachine; the report is
-  /// byte-identical at every setting. Note the ack timers are on the tick
-  /// grid only when f_lambda values are (integer lambda): off-grid runs
-  /// fall back to the sequential engine automatically.
+  /// byte-identical at every setting. A run that arms a timer off the
+  /// tick grid reruns on the sequential engine automatically.
   unsigned threads = 0;
   /// Trace retention (sim/trace.hpp). kCounters elides the per-delivery
   /// trace; completion, counters, and validation are unaffected (they read

@@ -1,14 +1,15 @@
-// The tick-keyed twin of EventQueue: a bucketed monotone integer-time
-// queue with a recycled payload arena (docs/PERFORMANCE.md).
+// The tick-keyed counterpart of EventQueue: a bucketed monotone
+// integer-time queue with a recycled payload arena (docs/PERFORMANCE.md).
 //
 // ## Contract
 //
 // Identical to EventQueue's (time, seq) contract: pops are ordered by
 // (tick, seq) -- strictly earliest tick first, FIFO among events at the
 // same tick. The caller supplies the seq explicitly (the Machine shares
-// one counter between this queue and a Rational side queue so a mid-run
-// engine transplant preserves global order); seqs must be distinct and
-// each push's seq larger than any already-popped event at the same tick.
+// one counter between this queue and its parked off-grid timers, so a
+// mid-run grid rescale re-pushes everything in the original global
+// order); seqs must be distinct and each push's seq larger than any
+// already-popped event at the same tick.
 // tests/sim/event_queue_test.cpp verifies both queues against the same
 // randomized workloads.
 //
@@ -30,7 +31,7 @@
 // Payloads live in a vector recycled through a free list; a run allocates
 // only while growing to its high-water mark, and clear() keeps all
 // capacity for the next run -- this is the "per-run event arena" that
-// removes the per-event heap allocations of the Rational path.
+// avoids per-event heap allocations.
 #pragma once
 
 #include <cstdint>
@@ -138,8 +139,8 @@ class TickEventQueue {
   }
 
   /// Empty the queue through fn(tick, seq, Payload&&), in pop order. Used
-  /// by the Machine's transplant to hand every pending event (with its
-  /// original seq) to the Rational engine.
+  /// by the Machine's grid rescale to re-key every pending event (with its
+  /// original seq) on the finer grid.
   template <typename Fn>
   void drain(Fn&& fn) {
     while (size_ != 0) {

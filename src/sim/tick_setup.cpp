@@ -2,72 +2,52 @@
 
 namespace postal {
 
-std::optional<TickRunSetup> plan_tick_run(const PostalParams& params,
-                                          const FaultInjector* injector,
-                                          std::uint64_t max_events) {
+TickRunSetup plan_tick_run(const PostalParams& params, const FaultInjector* injector,
+                           std::uint64_t max_events, const char* site,
+                           std::int64_t grid) {
   const Rational& lambda = params.lambda();
-  std::int64_t q = lambda.den();
-  auto fold = [&q](const Rational& r) {
-    const std::optional<std::int64_t> folded = TickDomain::fold_denominator(q, r);
-    if (!folded.has_value()) return false;
-    q = *folded;
-    return true;
-  };
-  __extension__ using int128 = __int128;
-  int128 extra_sum = 0;
+  std::int64_t q = fold_grid(grid, lambda, site);
   if (injector != nullptr) {
     for (ProcId p = 0; p < params.n(); ++p) {
       const auto& c = injector->crash_time(p);
-      if (c.has_value() && !fold(*c)) return std::nullopt;
+      if (c.has_value()) q = fold_grid(q, *c, site);
     }
     for (const LatencySpike& s : injector->plan().spikes) {
-      if (!fold(s.from) || !fold(s.until) || !fold(s.extra)) return std::nullopt;
+      q = fold_grid(fold_grid(fold_grid(q, s.from, site), s.until, site), s.extra,
+                    site);
     }
   }
   const TickDomain dom(q);
-  const std::optional<Tick> lambda_ticks = dom.to_ticks(lambda);
-  if (!lambda_ticks.has_value()) return std::nullopt;
+  TickRunSetup setup;
+  setup.q = q;
+  setup.lambda_ticks = grid_ticks(dom, lambda, site);
 
-  std::vector<SpikeTicks> spikes;
+  __extension__ using int128 = __int128;
+  int128 extra_sum = 0;
   if (injector != nullptr) {
     for (const LatencySpike& s : injector->plan().spikes) {
-      const auto from = dom.to_ticks(s.from);
-      const auto until = dom.to_ticks(s.until);
-      const auto extra = dom.to_ticks(s.extra);
-      if (!from || !until || !extra) return std::nullopt;
-      spikes.push_back(SpikeTicks{*from, *until, *extra});
-      extra_sum += *extra;
+      setup.spike_ticks.push_back(SpikeTicks{grid_ticks(dom, s.from, site),
+                                             grid_ticks(dom, s.until, site),
+                                             grid_ticks(dom, s.extra, site)});
+      extra_sum += setup.spike_ticks.back().extra;
+    }
+    setup.crash_ticks.resize(params.n());
+    for (ProcId p = 0; p < params.n(); ++p) {
+      const auto& c = injector->crash_time(p);
+      if (c.has_value()) setup.crash_ticks[p] = grid_ticks(dom, *c, site);
     }
   }
 
   // Static headroom: each queue event advances some clock by at most
   // step_max = 1 + lambda + sum(spike extras) ticks, and there are at most
-  // max_events of them, so admitting only runs with (max_events + 4) *
-  // step_max below kTickCap keeps every tick expression under 2^62 --
+  // max_events of them, so only runs with (max_events + 4) * step_max
+  // below kTickCap proceed: every tick expression then stays under 2^62,
   // overflow-free by construction (timer fire times are additionally
-  // capped at kTickCap on entry; see the enqueue_timer paths).
-  const int128 step_max = static_cast<int128>(q) + *lambda_ticks + extra_sum;
+  // capped at kTickCap on entry; see the timer paths).
+  const int128 step_max = static_cast<int128>(q) + setup.lambda_ticks + extra_sum;
   if ((static_cast<int128>(max_events) + 4) * step_max >= kTickCap) {
-    return std::nullopt;
+    throw_grid_overflow(site, "tick headroom for max_events exceeds int64");
   }
-
-  std::vector<std::optional<Tick>> crash_ticks;
-  if (injector != nullptr) {
-    crash_ticks.resize(params.n());
-    for (ProcId p = 0; p < params.n(); ++p) {
-      const auto& c = injector->crash_time(p);
-      if (!c.has_value()) continue;
-      const std::optional<Tick> ct = dom.to_ticks(*c);
-      if (!ct.has_value()) return std::nullopt;
-      crash_ticks[p] = *ct;
-    }
-  }
-
-  TickRunSetup setup;
-  setup.q = q;
-  setup.lambda_ticks = *lambda_ticks;
-  setup.crash_ticks = std::move(crash_ticks);
-  setup.spike_ticks = std::move(spikes);
   return setup;
 }
 

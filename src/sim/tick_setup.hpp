@@ -1,13 +1,14 @@
-// Shared tick-run admission: the probe that decides whether a simulation
-// can execute on int64 ticks (docs/PERFORMANCE.md, docs/SIMULATION.md).
+// Shared tick-run setup: the probe that puts a simulation on its int64
+// tick grid (docs/PERFORMANCE.md, docs/SIMULATION.md).
 //
 // Both event engines -- the sequential Machine and the sharded ParMachine
-// -- take the integer-time fast path only when every quantity the run can
-// encounter is exactly representable on a common 1/q grid and a static
-// overflow bound holds. Keeping the probe in one place keeps the two
-// engines' admission decisions identical by construction: a run ParMachine
-// shards is exactly a run Machine would have ticked, which is what the
-// shard-count-invariance differential relies on.
+// -- execute on int64 ticks only. A run's grid is the smallest 1/q that
+// represents lambda and every fault-plan time exactly; a static overflow
+// bound against max_events then proves the hot loops' raw tick arithmetic
+// cannot overflow. Keeping the probe in one place keeps the two engines'
+// grids identical by construction, which the shard-count-invariance
+// differential relies on. Machine re-runs the probe with a finer `grid`
+// when a handler arms a timer off the current grid mid-run (the rescale).
 #pragma once
 
 #include <cstdint>
@@ -22,9 +23,8 @@ namespace postal {
 
 // Timer fire times are admitted to a tick queue only up to this cap, and
 // the send paths check their port slot against it, so every tick value in
-// an admitted run stays below kTickCap + the per-event step budget < 2^62:
-// all tick arithmetic in the hot loops is overflow-free without per-op
-// checks.
+// a run stays below kTickCap + the per-event step budget < 2^62: all tick
+// arithmetic in the hot loops is overflow-free without per-op checks.
 inline constexpr Tick kTickCap = Tick{1} << 61;
 
 /// A latency-spike window converted to ticks (faults/fault_plan.hpp).
@@ -34,8 +34,8 @@ struct SpikeTicks {
   Tick extra = 0;
 };
 
-/// Everything a tick-domain run needs beyond the params: the resolution,
-/// lambda in ticks, and the fault plan's times pre-converted.
+/// Everything a tick run needs beyond the params: the resolution, lambda
+/// in ticks, and the fault plan's times pre-converted.
 struct TickRunSetup {
   std::int64_t q = 1;      ///< resolution denominator (tick = 1/q)
   Tick lambda_ticks = 0;   ///< lambda in ticks
@@ -44,12 +44,13 @@ struct TickRunSetup {
   std::vector<SpikeTicks> spike_ticks;
 };
 
-/// Probe one run for tick-domain admission: fold lambda and every time in
-/// the (optional) fault plan onto one 1/q grid, convert, and check the
-/// static overflow headroom against `max_events`. Returns nullopt when the
-/// run must stay on the Rational reference path -- never an approximation.
-[[nodiscard]] std::optional<TickRunSetup> plan_tick_run(
-    const PostalParams& params, const FaultInjector* injector,
-    std::uint64_t max_events);
+/// Put one run on its tick grid: fold `grid`, lambda and every time in the
+/// (optional) fault plan onto one 1/q, convert, and check the static
+/// overflow headroom against `max_events`. Throws OverflowError naming
+/// `site` when the grid, a tick count, or the headroom does not fit int64.
+[[nodiscard]] TickRunSetup plan_tick_run(const PostalParams& params,
+                                         const FaultInjector* injector,
+                                         std::uint64_t max_events, const char* site,
+                                         std::int64_t grid = 1);
 
 }  // namespace postal

@@ -5,6 +5,8 @@
 #include <optional>
 #include <sstream>
 
+#include "support/ticks.hpp"
+
 namespace postal {
 
 std::string SimReport::summary() const {
@@ -17,46 +19,23 @@ std::string SimReport::summary() const {
 
 namespace {
 
-// The validation loop is written once, generic over the time
-// representation (docs/PERFORMANCE.md). Two policies instantiate it:
-//
-//   RationalOps -- the historical reference: Rational times, checked
-//                  arithmetic everywhere.
-//   TickOps     -- int64 ticks at resolution 1/q: plain integer adds and
-//                  compares. Chosen by a static probe (below) only when
-//                  every input time is exactly representable and a 128-bit
-//                  bound proves no tick expression can overflow, so the
-//                  loop needs no per-op checks and cannot invoke UB.
-//
-// Exactness: tick <-> Rational is an order-preserving bijection on the
-// admitted inputs, so both instantiations take identical branches, record
-// identical deliveries, and -- because conversion round-trips reproduce
-// the canonical reduced form -- produce byte-identical violation strings.
+// The validation loop runs on int64 ticks at resolution 1/q
+// (docs/PERFORMANCE.md): plain integer adds and compares. A static probe
+// (below) folds every input time onto one grid and a 128-bit bound proves
+// no tick expression can overflow, so the loop needs no per-op checks and
+// cannot invoke UB. Tick <-> Rational is an order-preserving bijection on
+// the grid, and conversion round-trips reproduce the canonical reduced
+// form, so reported times and violation strings are exactly the ones a
+// Rational computation would print.
 
-struct RationalOps {
-  using Time = Rational;
-  Rational lambda;
-  Rational one{1};
-
-  [[nodiscard]] const Time& event_time(const SendEvent& e, std::size_t i) const {
-    static_cast<void>(i);
-    return e.t;
-  }
-  [[nodiscard]] const Rational& rat(const Time& t) const { return t; }
-};
-
-struct TickOps {
-  using Time = Tick;
-  TickDomain dom;
+struct TickPlan {
+  TickDomain dom{1};
   Tick lambda = 0;
   Tick one = 0;
-  const std::vector<Tick>* event_ticks = nullptr;  // pre-converted, by index
+  std::vector<Tick> event_ticks;  ///< pre-converted, by event index
+  std::vector<std::optional<Tick>> crash;
 
-  [[nodiscard]] Time event_time(const SendEvent& e, std::size_t i) const {
-    static_cast<void>(e);
-    return (*event_ticks)[i];
-  }
-  [[nodiscard]] Rational rat(Time t) const { return dom.to_rational(t); }
+  [[nodiscard]] Rational rat(Tick t) const { return dom.to_rational(t); }
 };
 
 // Port exclusivity with one stored window per port. The loop visits events
@@ -73,46 +52,43 @@ struct TickOps {
 // ordered interval set would report. Windows start at t >= 0
 // (Schedule::add) or t + lambda - 1 >= 0 (lambda >= 1), so a free time of
 // 0 marks a port that has accepted nothing.
-template <typename Time>
-bool port_clash(Time& free_at, const Time& lo, const Time& one) {
+bool port_clash(Tick& free_at, Tick lo, Tick one) {
   if (lo < free_at) return true;  // the port keeps its window
   free_at = lo + one;
   return false;
 }
 
-template <typename Ops>
-void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
+void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
                      const std::vector<std::size_t>& order, std::uint64_t n,
                      std::uint32_t messages, const ValidatorOptions& options,
-                     const std::vector<std::optional<typename Ops::Time>>& crash,
                      SimReport& report) {
-  using Time = typename Ops::Time;
+  const std::vector<std::optional<Tick>>& crash = plan.crash;
   auto violate = [&report](const std::string& text) {
     report.violations.push_back(text);
   };
   // A port clash: p's port already holds the unit window ending at `free_at`.
-  auto busy = [&ops](const char* port, ProcId p, const Time& free_at) {
+  auto busy = [&plan](const char* port, ProcId p, Tick free_at) {
     std::ostringstream oss;
-    oss << port << " port of p" << p << " already busy on [" << ops.rat(free_at - ops.one)
-        << ", " << ops.rat(free_at) << ")";
+    oss << port << " port of p" << p << " already busy on ["
+        << plan.rat(free_at - plan.one) << ", " << plan.rat(free_at) << ")";
     return oss.str();
   };
   // Earliest crash of p, or nullptr; `crash` is empty when none is declared.
-  auto crash_of = [&crash](ProcId p) -> const Time* {
+  auto crash_of = [&crash](ProcId p) -> const Tick* {
     return crash.empty() || !crash[p].has_value() ? nullptr : &*crash[p];
   };
 
   // When each port is free again: the end of its last accepted window
   // (under fifo_receive, of its last queued receive).
-  std::vector<Time> send_free(n, Time{});
-  std::vector<Time> recv_free(n, Time{});
+  std::vector<Tick> send_free(n, 0);
+  std::vector<Tick> recv_free(n, 0);
   // holds[p * messages + msg]: earliest time p holds msg (origin: 0).
-  std::vector<std::optional<Time>> holds(n * messages);
+  std::vector<std::optional<Tick>> holds(n * messages);
   if (options.preholds) {
-    for (auto& h : holds) h = Time{};
+    for (auto& h : holds) h = 0;
   } else if (options.origins.empty()) {
     for (MsgId msg = 0; msg < messages; ++msg) {
-      holds[options.origin * messages + msg] = Time{};
+      holds[options.origin * messages + msg] = 0;
     }
   } else {
     POSTAL_REQUIRE(options.origins.size() == messages,
@@ -120,13 +96,13 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
     for (MsgId msg = 0; msg < messages; ++msg) {
       POSTAL_REQUIRE(options.origins[msg] < n,
                      "validate_schedule: message origin out of range");
-      holds[options.origins[msg] * messages + msg] = Time{};
+      holds[options.origins[msg] * messages + msg] = 0;
     }
   }
   report.trace.reserve(events.size());
   // The Rational of the latest arrival recorded: arrivals repeat in runs,
   // so the conversion happens once per distinct arrival time.
-  Time cached_arrive{};
+  Tick cached_arrive = 0;
   Rational cached_arrival(0);
 
   for (std::size_t k = 0; k < events.size(); ++k) {
@@ -146,23 +122,23 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
       violate(who() + "message id out of range");
       continue;
     }
-    const Time t = ops.event_time(e, i);
+    const Tick t = plan.event_ticks[i];
     // A dead processor cannot transmit: such an event proves the schedule
     // was not produced under the declared crashes.
-    if (const Time* dead = crash_of(e.src); dead != nullptr && t >= *dead) {
+    if (const Tick* dead = crash_of(e.src); dead != nullptr && t >= *dead) {
       violate(who() + "p" + std::to_string(e.src) + " crashed at t=" +
-              ops.rat(*dead).str() + " but sends afterwards");
+              plan.rat(*dead).str() + " but sends afterwards");
       continue;
     }
     // Causality: the sender must hold the message when the send starts.
     const auto& held = holds[e.src * messages + e.msg];
     if (!held.has_value() || t < *held) {
       violate(who() + "sender does not hold the message yet" +
-              (held.has_value() ? " (holds it only from t=" + ops.rat(*held).str() + ")"
+              (held.has_value() ? " (holds it only from t=" + plan.rat(*held).str() + ")"
                                 : ""));
     }
     // Send-port exclusivity: [t, t+1).
-    if (port_clash(send_free[e.src], t, ops.one)) {
+    if (port_clash(send_free[e.src], t, plan.one)) {
       violate(who() + busy("send", e.src, send_free[e.src]));
     }
     // Receive port. Strict mode: exclusivity of [t+lambda-1, t+lambda),
@@ -170,17 +146,17 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
     // nominal-arrival order (the Machine's input-port queueing), so overlap
     // delays the arrival instead. Either way a delivery reaching a crashed
     // receiver at or after its crash time is void: no port use, no hold.
-    Time arrive = t + ops.lambda;
-    const Time* dst_dead = crash_of(e.dst);
+    Tick arrive = t + plan.lambda;
+    const Tick* dst_dead = crash_of(e.dst);
     bool voided;
     if (options.fifo_receive) {
-      const Time window = std::max(arrive - ops.one, recv_free[e.dst]);
-      arrive = window + ops.one;
+      const Tick window = std::max(arrive - plan.one, recv_free[e.dst]);
+      arrive = window + plan.one;
       recv_free[e.dst] = arrive;
       voided = dst_dead != nullptr && arrive >= *dst_dead;
     } else {
       voided = dst_dead != nullptr && arrive >= *dst_dead;
-      if (!voided && port_clash(recv_free[e.dst], arrive - ops.one, ops.one)) {
+      if (!voided && port_clash(recv_free[e.dst], arrive - plan.one, plan.one)) {
         violate(who() + busy("receive", e.dst, recv_free[e.dst]));
       }
     }
@@ -189,7 +165,7 @@ void validate_events(const Ops& ops, const std::vector<SendEvent>& events,
     if (!dst_holds.has_value() || arrive < *dst_holds) dst_holds = arrive;
     if (arrive != cached_arrive) {
       cached_arrive = arrive;
-      cached_arrival = ops.rat(arrive);
+      cached_arrival = plan.rat(arrive);
     }
     report.trace.record(Delivery{e.src, e.dst, e.msg, e.t, cached_arrival});
   }
@@ -256,61 +232,46 @@ std::vector<std::size_t> visit_order(const std::vector<SendEvent>& events) {
   return order;
 }
 
-/// Static tick-path probe: fold every time the loop will touch into one
+/// Static tick probe: fold every time the loop will touch into one
 /// resolution q, convert, and bound the largest tick expression the loop
 /// can form (arrive = t + lambda, +- 1 per port window, plus one unit per
-/// event of FIFO receive drift) in 128-bit arithmetic. Any failure --
-/// unrepresentable time, lcm overflow, bound exceeded -- returns nullopt
-/// and validation stays on the Rational reference path.
-struct TickPlan {
-  TickOps ops;
-  std::vector<Tick> event_ticks;
-  std::vector<std::optional<Tick>> crash;
-};
-
-std::optional<TickPlan> probe_ticks(
-    const std::vector<SendEvent>& events, const Rational& lambda,
-    const std::vector<std::optional<Rational>>& crash_times) {
+/// event of FIFO receive drift) in 128-bit arithmetic. Any failure -- lcm
+/// overflow, tick count overflow, bound exceeded -- raises OverflowError.
+TickPlan probe_ticks(const std::vector<SendEvent>& events, const Rational& lambda,
+                     const std::vector<std::optional<Rational>>& crash_times) {
+  constexpr const char* kSite = "validate_schedule";
   std::int64_t q = lambda.den();
-  auto fold = [&q](const Rational& r) {
-    const std::optional<std::int64_t> folded = TickDomain::fold_denominator(q, r);
-    if (!folded.has_value()) return false;
-    q = *folded;
-    return true;
-  };
-  for (const SendEvent& e : events) {
-    if (!fold(e.t)) return std::nullopt;
-  }
+  for (const SendEvent& e : events) q = fold_grid(q, e.t, kSite);
   for (const auto& c : crash_times) {
-    if (c.has_value() && !fold(*c)) return std::nullopt;
+    if (c.has_value()) q = fold_grid(q, *c, kSite);
   }
 
-  const TickDomain dom(q);
-  const std::optional<Tick> lambda_ticks = dom.to_ticks(lambda);
-  if (!lambda_ticks.has_value()) return std::nullopt;
-
-  TickPlan plan{TickOps{dom, *lambda_ticks, q, nullptr}, {}, {}};
+  TickPlan plan;
+  plan.dom = TickDomain(q);
+  plan.lambda = grid_ticks(plan.dom, lambda, kSite);
+  plan.one = q;
   plan.event_ticks.reserve(events.size());
   Tick max_abs = 0;
+  const auto magnitude = [](Tick t) {
+    return t < 0 ? (t == INT64_MIN ? INT64_MAX : -t) : t;
+  };
   for (const SendEvent& e : events) {
-    const std::optional<Tick> t = dom.to_ticks(e.t);
-    if (!t.has_value()) return std::nullopt;
-    plan.event_ticks.push_back(*t);
-    max_abs = std::max(max_abs, *t < 0 ? (*t == INT64_MIN ? INT64_MAX : -*t) : *t);
+    plan.event_ticks.push_back(grid_ticks(plan.dom, e.t, kSite));
+    max_abs = std::max(max_abs, magnitude(plan.event_ticks.back()));
   }
   plan.crash.resize(crash_times.size());
   for (std::size_t p = 0; p < crash_times.size(); ++p) {
     if (!crash_times[p].has_value()) continue;
-    const std::optional<Tick> c = dom.to_ticks(*crash_times[p]);
-    if (!c.has_value()) return std::nullopt;
-    plan.crash[p] = *c;
-    max_abs = std::max(max_abs, *c < 0 ? (*c == INT64_MIN ? INT64_MAX : -*c) : *c);
+    plan.crash[p] = grid_ticks(plan.dom, *crash_times[p], kSite);
+    max_abs = std::max(max_abs, magnitude(*plan.crash[p]));
   }
 
   __extension__ using int128 = __int128;
-  const int128 bound = static_cast<int128>(max_abs) + *lambda_ticks +
+  const int128 bound = static_cast<int128>(max_abs) + plan.lambda +
                        (static_cast<int128>(events.size()) + 2) * q;
-  if (bound >= (int128{1} << 62)) return std::nullopt;
+  if (bound >= (int128{1} << 62)) {
+    throw_grid_overflow(kSite, "tick bound for the schedule exceeds int64");
+  }
   return plan;
 }
 
@@ -340,24 +301,8 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
     if (!slot.has_value() || c.time < *slot) slot = c.time;
   }
 
-  // Both time paths visit the events in this one order, so their reports
-  // are identical.
-  const std::vector<std::size_t> order = visit_order(events);
-  if (options.time_path == TimePath::kAuto) {
-    if (std::optional<TickPlan> plan = probe_ticks(events, lambda, crash)) {
-      plan->ops.event_ticks = &plan->event_ticks;
-      validate_events(plan->ops, events, order, n, messages, options, plan->crash,
-                      report);
-      report.tick_domain = true;
-      report.makespan = report.trace.makespan();
-      report.order_preserving = report.trace.order_preserving();
-      report.ok = report.violations.empty();
-      return report;
-    }
-  }
-
-  validate_events(RationalOps{lambda, Rational(1)}, events, order, n, messages, options,
-                  crash, report);
+  const TickPlan plan = probe_ticks(events, lambda, crash);
+  validate_events(plan, events, visit_order(events), n, messages, options, report);
   report.makespan = report.trace.makespan();
   report.order_preserving = report.trace.order_preserving();
   report.ok = report.violations.empty();

@@ -24,7 +24,6 @@
 #include "model/params.hpp"
 #include "sched/schedule.hpp"
 #include "sim/trace.hpp"
-#include "support/ticks.hpp"
 
 namespace postal {
 
@@ -35,10 +34,6 @@ struct SimReport {
   Trace trace{1, 0};                     ///< all deliveries (even when !ok)
   Rational makespan;                     ///< latest arrival; 0 if none
   bool order_preserving = false;         ///< Section 4's order property
-  /// True iff this validation ran on the int64 tick fast path
-  /// (docs/PERFORMANCE.md). Informational: both paths produce identical
-  /// reports (differential-tested), so equality checks should ignore it.
-  bool tick_domain = false;
 
   /// Joined violation text for test failure messages.
   [[nodiscard]] std::string summary() const;
@@ -92,17 +87,12 @@ struct ValidatorOptions {
   /// deliveries instead of violating; needed for protocols whose receive
   /// times are fault-dependent (reliable_bcast acks under crashes).
   bool fifo_receive = false;
-
-  /// Time representation (docs/PERFORMANCE.md). kAuto (default) validates
-  /// on int64 ticks at resolution 1/q when every event and crash time is
-  /// exactly representable and a static bound rules out tick overflow,
-  /// falling back to the Rational reference otherwise; kRational forces
-  /// the reference. Reports are identical either way -- violations quote
-  /// the same strings because tick<->Rational conversion is exact.
-  TimePath time_path = TimePath::kAuto;
 };
 
-/// Validate `schedule` under MPS(params.n(), params.lambda()).
+/// Validate `schedule` under MPS(params.n(), params.lambda()). The check
+/// runs on int64 ticks at the resolution 1/q that represents lambda, every
+/// send time and every crash time exactly (docs/PERFORMANCE.md); throws
+/// OverflowError when that grid or its tick bound cannot fit int64.
 [[nodiscard]] SimReport validate_schedule(const Schedule& schedule,
                                           const PostalParams& params,
                                           const ValidatorOptions& options = {});

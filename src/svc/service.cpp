@@ -54,7 +54,6 @@ void BroadcastService::init_coordinator() {
     // the exact per-command commit latency every admission will be billed.
     coord::LogOptions lopts;
     lopts.commands = 1;
-    lopts.time_path = options_.time_path;
     lopts.threads = options_.threads;
     const coord::LogReport log = coord::run_log(params, nullptr, lopts);
     POSTAL_CHECK(log.validation.ok && log.check.ok);
@@ -64,7 +63,6 @@ void BroadcastService::init_coordinator() {
     }
   }
   coord::ElectionOptions eopts;
-  eopts.time_path = options_.time_path;
   eopts.threads = options_.threads;
   // Fault-free seat of the initial coordinator. Both elections are judged
   // by the coordination validator; a failure is a library bug.
@@ -148,7 +146,6 @@ Rational BroadcastService::execute_job(const Job& job, const Rational& planned,
                                        JobOutcome& outcome) {
   const PostalParams params(job.n, job.lambda);
   ReliableBcastOptions ropts;
-  ropts.time_path = options_.time_path;
   ropts.threads = options_.threads;
   ropts.trace_mode = options_.trace_mode;
   FaultPlan plan;

@@ -64,8 +64,6 @@ struct ServiceOptions {
   /// the sample when k >= 1.
   std::uint64_t exec_every = 0;
   PlannerPolicy planner = PlannerPolicy::kAuto;
-  /// Time representation for executed runs (docs/PERFORMANCE.md).
-  TimePath time_path = TimePath::kAuto;
   /// Simulation lanes for executed runs (docs/SIMULATION.md); results are
   /// byte-identical at every setting. Clamped to >= 1.
   unsigned threads = 1;

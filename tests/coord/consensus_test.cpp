@@ -1,7 +1,7 @@
 // View-change consensus unit tests (docs/COORDINATION.md): fault-free
 // decisions in view 0, leader-crash view rotation, Paxos value stability,
 // quorum-loss safety, and byte-identical determinism across thread counts
-// and TimePaths.
+// counts.
 #include <cstdint>
 #include <vector>
 
@@ -117,20 +117,17 @@ TEST(Consensus, DerivedViewLengthIsOnTheGrid) {
   EXPECT_GE(resolved.max_views, 1U);
 }
 
-TEST(Consensus, ByteIdenticalAcrossThreadsAndTimePaths) {
+TEST(Consensus, ByteIdenticalAcrossThreads) {
   const PostalParams params(10, Rational(5, 2));
   FaultPlan plan;
   plan.crashes.push_back(CrashFault{0, Rational(9, 2)});
   plan.crashes.push_back(CrashFault{4, Rational(40)});
 
   std::vector<ConsensusReport> reports;
-  for (const unsigned threads : {1U, 4U}) {
-    for (const TimePath path : {TimePath::kAuto, TimePath::kRational}) {
-      ConsensusOptions options;
-      options.threads = threads;
-      options.time_path = path;
-      reports.push_back(run_consensus(params, &plan, options));
-    }
+  for (const unsigned threads : {1U, 2U, 4U}) {
+    ConsensusOptions options;
+    options.threads = threads;
+    reports.push_back(run_consensus(params, &plan, options));
   }
   for (std::size_t i = 1; i < reports.size(); ++i) {
     EXPECT_EQ(reports[i].events, reports[0].events) << "variant " << i;

@@ -8,7 +8,7 @@
 //   * the coordination validator accepts it (election: one live leader and
 //     legitimacy under crash-only plans; consensus: agreement, validity,
 //     integrity, single proposer, guarded liveness);
-//   * a sampled subset re-runs at 4 threads on the Rational TimePath and
+//   * a sampled subset re-runs at 4 threads and
 //     must reproduce byte-identical events and final states.
 //
 // A failing scenario dumps its seed and resolved FaultPlan JSON to stderr
@@ -87,7 +87,6 @@ TEST(CoordChaos, ElectionSafetyHoldsOnEveryScenario) {
     if (s.seed % 6 == 0) {
       ElectionOptions opts;
       opts.threads = 4;
-      opts.time_path = TimePath::kRational;
       const ElectionReport again = run_election(s.params, &s.plan, opts);
       EXPECT_EQ(again.events, report.events) << s.tag;
       EXPECT_EQ(again.beliefs, report.beliefs) << s.tag;
@@ -117,7 +116,6 @@ TEST(CoordChaos, ConsensusSafetyHoldsOnEveryScenario) {
     if (s.seed % 6 == 0) {
       ConsensusOptions opts;
       opts.threads = 4;
-      opts.time_path = TimePath::kRational;
       const ConsensusReport again = run_consensus(s.params, &s.plan, opts);
       EXPECT_EQ(again.events, report.events) << s.tag;
       EXPECT_EQ(again.decisions, report.decisions) << s.tag;

@@ -10,7 +10,7 @@
 //     lease intervals with monotone fencing tokens, counter consistency,
 //     prefix durability + config-epoch/membership consistency, guarded
 //     liveness);
-//   * a sampled subset re-runs at 4 threads on the Rational TimePath and
+//   * a sampled subset re-runs at 4 threads and
 //     must reproduce byte-identical events, rank states, and counters.
 //
 // A failing scenario dumps its seed and resolved FaultPlan JSON to stderr
@@ -113,7 +113,6 @@ TEST(LogChaos, SafetyHoldsOnEveryScenario) {
     if (s.seed % 6 == 0) {
       LogOptions opts = s.options;
       opts.threads = 4;
-      opts.time_path = TimePath::kRational;
       const LogReport again = run_log(s.params, &s.plan, opts);
       EXPECT_EQ(again.events, report.events) << s.tag;
       EXPECT_EQ(again.ranks, report.ranks) << s.tag;

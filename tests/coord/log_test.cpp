@@ -2,7 +2,7 @@
 // view 0 under a single lease, leader-crash rotation with catch-up,
 // quorum-loss safety, reconfiguration (remove / re-add mid-run),
 // lease-boundary ties on the grid (timer wins), stale-token fencing, and
-// byte-identical determinism across thread counts and TimePaths.
+// byte-identical determinism across thread counts.
 #include <cstdint>
 #include <vector>
 
@@ -115,7 +115,7 @@ TEST(Log, DerivedTimingIsOnTheGrid) {
   const PostalParams params(8, Rational(5, 2));
   const LogOptions resolved = resolve_log_options(params, nullptr, LogOptions{});
   // lambda = 5/2: every derived duration must be a multiple of 1/2 so the
-  // tick fast path admits the run on both TimePaths.
+  // run stays on lambda's tick grid (no mid-run rescale).
   for (const Rational& r : {resolved.view_length, resolved.heartbeat_period,
                             resolved.lease_length}) {
     EXPECT_GT(r, Rational(0));
@@ -267,7 +267,7 @@ TEST(Log, StaleTokenWritesAreRejectedAndCounted) {
   EXPECT_EQ(stale_events, report.counters.stale_rejects);
 }
 
-TEST(Log, ByteIdenticalAcrossThreadsAndTimePaths) {
+TEST(Log, ByteIdenticalAcrossThreads) {
   const PostalParams params(9, Rational(5, 2));
   FaultPlan plan;
   plan.crashes.push_back(CrashFault{0, Rational(9, 2)});
@@ -277,13 +277,10 @@ TEST(Log, ByteIdenticalAcrossThreadsAndTimePaths) {
   base.reconfig.push_back(ReconfigRequest{6, Rational(15)});
 
   std::vector<LogReport> reports;
-  for (const unsigned threads : {1U, 4U}) {
-    for (const TimePath path : {TimePath::kAuto, TimePath::kRational}) {
-      LogOptions options = base;
-      options.threads = threads;
-      options.time_path = path;
-      reports.push_back(run_log(params, &plan, options));
-    }
+  for (const unsigned threads : {1U, 2U, 4U}) {
+    LogOptions options = base;
+    options.threads = threads;
+    reports.push_back(run_log(params, &plan, options));
   }
   for (std::size_t i = 1; i < reports.size(); ++i) {
     EXPECT_EQ(reports[i].events, reports[0].events) << "variant " << i;

@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "faults/fault_plan.hpp"
+#include "offgrid_reference.hpp"
+#include "pinned_render.hpp"
 #include "sim/machine.hpp"
 #include "sim/par_machine.hpp"
 #include "sim/protocols/bcast_protocol.hpp"
@@ -36,9 +38,7 @@ std::vector<unsigned> thread_counts() {
   return counts;
 }
 
-/// Everything a MachineResult exposes must match, including the engine
-/// flag: a sharded tick run reports tick_domain exactly like a sequential
-/// tick run would.
+/// Everything a MachineResult exposes must match.
 void expect_identical_runs(const MachineResult& par, const MachineResult& ref,
                            const std::string& tag) {
   EXPECT_EQ(par.schedule.events(), ref.schedule.events()) << tag;
@@ -51,7 +51,6 @@ void expect_identical_runs(const MachineResult& par, const MachineResult& ref,
   EXPECT_EQ(par.stats.receives_queued, ref.stats.receives_queued) << tag;
   EXPECT_EQ(par.stats.max_fifo_depth, ref.stats.max_fifo_depth) << tag;
   EXPECT_EQ(par.stats.port_busy, ref.stats.port_busy) << tag;
-  EXPECT_EQ(par.stats.tick_domain, ref.stats.tick_domain) << tag;
   EXPECT_EQ(par.faults.crashes_applied, ref.faults.crashes_applied) << tag;
   EXPECT_EQ(par.faults.sends_suppressed, ref.faults.sends_suppressed) << tag;
   EXPECT_EQ(par.faults.drops_crash, ref.faults.drops_crash) << tag;
@@ -171,71 +170,45 @@ TEST_P(ParDifferential, FaultInjectedRunsAreByteIdentical) {
   }
 }
 
-TEST_P(ParDifferential, RationalTimePathFallsBackToTheReferenceEngine) {
-  const unsigned threads = GetParam();
-  const PostalParams params(40, Rational(3, 2));
-  Machine machine(params, 1);
-  machine.set_time_path(TimePath::kRational);
-  BcastProtocol protocol(params);
-  const MachineResult ref = machine.run(protocol);
-
+TEST_P(ParDifferential, UnrepresentableGridThrowsOverflowError) {
+  // Crash times at 1/p for four primes near 10^6 have no int64 common
+  // denominator: the run throws before any shard starts, never falling
+  // back to another engine.
+  const PostalParams params(8, Rational(3, 2));
+  FaultPlan plan;
+  const std::int64_t primes[] = {1000003, 1000033, 1000037, 1000039};
+  ProcId proc = 1;
+  for (const std::int64_t p : primes) {
+    plan.crashes.push_back(CrashFault{proc++, Rational(1, p)});
+  }
   ParMachine par(params, 1);
-  par.set_threads(threads);
-  par.set_time_path(TimePath::kRational);
+  par.set_threads(GetParam());
+  par.attach_faults(plan);
   auto factory = make_protocol_factory<BcastProtocol>(params);
-  const MachineResult got = par.run(factory);
-
-  expect_identical_runs(got, ref, "rational fallback");
-  EXPECT_FALSE(par.last_run_info().parallel_engine);
-  EXPECT_EQ(par.last_run_info().fallback_reason, "rational time path forced");
+  EXPECT_THROW(static_cast<void>(par.run(factory)), OverflowError);
 }
 
-/// Arms one off-grid timer mid-run (delay 1/3 with q = 2). The sequential
-/// Machine transplants to the Rational engine; ParMachine must rerun the
-/// whole protocol sequentially and still match byte for byte.
-class OffGridTimerProtocol final : public Protocol {
- public:
-  explicit OffGridTimerProtocol(std::uint64_t n) : n_(n) {}
-
-  void on_start(MachineContext& ctx) override {
-    if (ctx.self() != 0) return;
-    for (ProcId p = 1; p < n_; ++p) ctx.send(p, Packet{0, 0, 0});
-    ctx.set_timer(Rational(1, 3), /*token=*/7);  // off the 1/2 grid
-  }
-
-  void on_receive(MachineContext& ctx, const Packet& packet) override {
-    static_cast<void>(packet);
-    if (ctx.self() == 1 && !echoed_) {
-      echoed_ = true;
-      ctx.send(0, Packet{0, 1, 0});
-    }
-  }
-
-  void on_timer(MachineContext& ctx, std::uint64_t token) override {
-    EXPECT_EQ(token, 7u);
-    ctx.send(static_cast<ProcId>(n_ - 1), Packet{0, 2, 0});
-  }
-
- private:
-  std::uint64_t n_;
-  bool echoed_ = false;
-};
-
 TEST_P(ParDifferential, OffGridTimerFallsBackToSequentialRerun) {
+  // Shards cannot rescale a grid mid-run, so the whole run restarts on a
+  // sequential Machine, which rescales; the result is the pinned reference
+  // (tests/paper/offgrid_reference.hpp).
   const unsigned threads = GetParam();
-  const PostalParams params(6, Rational(3, 2));
-  Machine machine(params, 1);
-  OffGridTimerProtocol protocol(6);
-  const MachineResult ref = machine.run(protocol);
-
-  ParMachine par(params, 1);
-  par.set_threads(threads);
-  auto factory = make_protocol_factory<OffGridTimerProtocol>(std::uint64_t{6});
-  const MachineResult got = par.run(factory);
-
-  expect_identical_runs(got, ref, "off-grid fallback");
-  EXPECT_FALSE(par.last_run_info().parallel_engine);
-  EXPECT_EQ(par.last_run_info().fallback_reason, "off-grid timer armed mid-run");
+  {
+    ParMachine par(PostalParams(6, Rational(3, 2)), 1);
+    par.set_threads(threads);
+    auto factory = make_protocol_factory<offgrid::OneTimerProtocol>(std::uint64_t{6});
+    EXPECT_EQ(pinned::render_run(par.run(factory)), offgrid::kOneTimerReference);
+    EXPECT_FALSE(par.last_run_info().parallel_engine);
+    EXPECT_EQ(par.last_run_info().fallback_reason, "off-grid timer armed mid-run");
+  }
+  {
+    ParMachine par(PostalParams(8, Rational(3, 2)), 1);
+    par.set_threads(threads);
+    par.attach_faults(offgrid::crash_and_spike_plan());
+    auto factory = make_protocol_factory<offgrid::TwoTimersProtocol>(std::uint64_t{8});
+    EXPECT_EQ(pinned::render_run(par.run(factory)), offgrid::kTwoTimersReference);
+    EXPECT_EQ(par.last_run_info().fallback_reason, "off-grid timer armed mid-run");
+  }
 }
 
 /// A timer-heavy protocol whose timers stay on-grid: every rank forwards a

@@ -1,26 +1,34 @@
-// The tick-domain differential gate (docs/PERFORMANCE.md): every hot loop
-// that grew an int64 fast path must be *byte-identical* to its Rational
-// reference on randomized corpora -- same events, same makespans, same
-// validator verdicts and violation strings, same fault timelines. The two
-// engines share the TimePath knob; kAuto takes the tick path whenever the
-// run is exactly representable, kRational forces the reference, and this
-// file asserts the outputs cannot be told apart:
+// The pinned-reference gate of the tick engines (docs/PERFORMANCE.md).
+//
+// Every hot loop runs on int64 ticks only. Its reference is data: each
+// randomized corpus below was run through the retired checked-Rational
+// engines, and the FNV-1a digest of its canonical rendering
+// (tests/paper/pinned_render.hpp) is committed here. The tick engines
+// must reproduce every digest -- same events, same makespans, same
+// validator verdicts and violation strings, same fault timelines:
 //
 //   * dp table / greedy search      (src/brute/optimal_search)
 //   * BCAST schedule emission       (src/sched/bcast)
 //   * the schedule validator        (src/sim/validator), incl. violation
 //                                   strings on deliberately broken input
 //   * the event-driven Machine      (src/sim/machine), incl. fault plans
-//                                   from random_fault_plan and the
-//                                   off-grid-timer mid-run transplant
+//                                   from random_fault_plan
 //   * the reliable broadcast        (sim/protocols/reliable_bcast) under
 //                                   chaos-style crash+loss storms
 //   * the packet network            (src/net/packet_sim), jitter and all
 //   * the sweep engine              (src/par/sweep)
 //
-// scripts/check.sh --sanitize re-runs this binary under TSan and under
-// ASan+UBSan.
+// The off-grid timer runs pin their literal rendering: the Machine must
+// rescale its grid mid-run (pending ticks, port times, lambda, crash and
+// spike ticks) and still match the reference event for event. The
+// OverflowError cases pin the contract for grids that cannot fit int64:
+// each entry point throws and never returns a result.
+//
+// The digests and literals were recorded from the checked-Rational
+// reference engines at commit 3736220, the last commit that had them.
+// scripts/check.sh --sanitize re-runs this binary under ASan+UBSan.
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,7 +37,9 @@
 #include "brute/optimal_search.hpp"
 #include "faults/fault_plan.hpp"
 #include "net/packet_sim.hpp"
+#include "offgrid_reference.hpp"
 #include "par/sweep.hpp"
+#include "pinned_render.hpp"
 #include "sched/bcast.hpp"
 #include "sim/machine.hpp"
 #include "sim/protocols/bcast_protocol.hpp"
@@ -37,9 +47,15 @@
 #include "sim/protocols/reliable_bcast.hpp"
 #include "sim/validator.hpp"
 #include "support/prng.hpp"
+#include "test_util.hpp"
 
 namespace postal {
 namespace {
+
+using pinned::expect_digest;
+using pinned::render_net;
+using pinned::render_report;
+using pinned::render_run;
 
 struct RandomPair {
   std::uint64_t n;
@@ -60,83 +76,54 @@ std::vector<RandomPair> random_pairs(std::uint64_t seed, std::size_t count) {
   return pairs;
 }
 
-/// Everything a MachineResult exposes must match except the engine flag.
-void expect_identical_runs(const MachineResult& tick, const MachineResult& ref,
-                           const std::string& tag) {
-  EXPECT_EQ(tick.schedule.events(), ref.schedule.events()) << tag;
-  EXPECT_EQ(tick.trace.deliveries(), ref.trace.deliveries()) << tag;
-  EXPECT_EQ(tick.stats.events_processed, ref.stats.events_processed) << tag;
-  EXPECT_EQ(tick.stats.sends_enqueued, ref.stats.sends_enqueued) << tag;
-  EXPECT_EQ(tick.stats.sends_deferred, ref.stats.sends_deferred) << tag;
-  EXPECT_EQ(tick.stats.timers_set, ref.stats.timers_set) << tag;
-  EXPECT_EQ(tick.stats.timers_fired, ref.stats.timers_fired) << tag;
-  EXPECT_EQ(tick.stats.receives_queued, ref.stats.receives_queued) << tag;
-  EXPECT_EQ(tick.stats.max_fifo_depth, ref.stats.max_fifo_depth) << tag;
-  EXPECT_EQ(tick.stats.port_busy, ref.stats.port_busy) << tag;
-  EXPECT_EQ(tick.faults.crashes_applied, ref.faults.crashes_applied) << tag;
-  EXPECT_EQ(tick.faults.sends_suppressed, ref.faults.sends_suppressed) << tag;
-  EXPECT_EQ(tick.faults.drops_crash, ref.faults.drops_crash) << tag;
-  EXPECT_EQ(tick.faults.drops_loss, ref.faults.drops_loss) << tag;
-  EXPECT_EQ(tick.faults.spikes_applied, ref.faults.spikes_applied) << tag;
-  EXPECT_EQ(tick.faults.events, ref.faults.events) << tag;
-}
-
-void expect_identical_reports(const SimReport& tick, const SimReport& ref,
-                              const std::string& tag) {
-  EXPECT_EQ(tick.ok, ref.ok) << tag;
-  EXPECT_EQ(tick.violations, ref.violations) << tag;
-  EXPECT_EQ(tick.makespan, ref.makespan) << tag;
-  EXPECT_EQ(tick.order_preserving, ref.order_preserving) << tag;
-  EXPECT_EQ(tick.trace.deliveries(), ref.trace.deliveries()) << tag;
+std::string tag_of(const RandomPair& pair) {
+  return "# n=" + std::to_string(pair.n) + " lambda=" + pair.lambda.str() + "\n";
 }
 
 TEST(TickDifferential, DpTableAndGreedyMatchTheRationalReference) {
+  std::ostringstream out;
   for (const RandomPair& pair : random_pairs(0x71C5u, 60)) {
-    const std::string tag =
-        "n=" + std::to_string(pair.n) + " lambda=" + pair.lambda.str();
-    EXPECT_EQ(optimal_broadcast_dp(pair.n, pair.lambda, TimePath::kAuto),
-              optimal_broadcast_dp(pair.n, pair.lambda, TimePath::kRational))
-        << tag;
-    EXPECT_EQ(optimal_broadcast_greedy(pair.n, pair.lambda, TimePath::kAuto),
-              optimal_broadcast_greedy(pair.n, pair.lambda, TimePath::kRational))
-        << tag;
-    EXPECT_EQ(optimal_broadcast_dp_table(pair.n, pair.lambda, TimePath::kAuto),
-              optimal_broadcast_dp_table(pair.n, pair.lambda, TimePath::kRational))
-        << tag;
+    out << tag_of(pair) << "dp " << optimal_broadcast_dp(pair.n, pair.lambda)
+        << " greedy " << optimal_broadcast_greedy(pair.n, pair.lambda) << "\ntable";
+    for (const Rational& t : optimal_broadcast_dp_table(pair.n, pair.lambda)) {
+      out << " " << t;
+    }
+    out << "\n";
   }
+  expect_digest("dp/greedy", out.str(), 0x01b0a72c3ff64812ULL);
 }
 
 TEST(TickDifferential, BcastScheduleMatchesTheRationalEmit) {
+  std::ostringstream out;
   for (const RandomPair& pair : random_pairs(0xBCA57u, 60)) {
     const PostalParams params(pair.n, pair.lambda);
     GenFib fib(pair.lambda);
-    const Schedule dispatched = bcast_schedule(params, fib);
-    Schedule reference;
-    bcast_emit(reference, fib, /*base=*/0, pair.n, Rational(0), /*msg=*/0);
-    reference.sort();
-    EXPECT_EQ(dispatched.events(), reference.events())
-        << "n=" << pair.n << " lambda=" << pair.lambda;
+    const Schedule emitted = bcast_schedule(params, fib);
+    // The public Rational-start emitter is a wrapper over the same tick
+    // emitter.
+    Schedule wrapped;
+    bcast_emit(wrapped, fib, /*base=*/0, pair.n, Rational(0), /*msg=*/0);
+    wrapped.sort();
+    EXPECT_EQ(wrapped.events(), emitted.events()) << tag_of(pair);
+    out << tag_of(pair);
+    for (const SendEvent& e : emitted.events()) out << e << "\n";
   }
+  expect_digest("bcast emit", out.str(), 0x5cc5f3dc9e37defeULL);
 }
 
 TEST(TickDifferential, ValidatorReportsAreIdenticalOnValidSchedules) {
+  std::ostringstream out;
   for (const RandomPair& pair : random_pairs(0x7A11Du, 40)) {
     const PostalParams params(pair.n, pair.lambda);
     const Schedule schedule = bcast_schedule(params);
-    ValidatorOptions tick_opts;
-    ValidatorOptions ref_opts;
-    ref_opts.time_path = TimePath::kRational;
-    const SimReport tick = validate_schedule(schedule, params, tick_opts);
-    const SimReport ref = validate_schedule(schedule, params, ref_opts);
-    const std::string tag =
-        "n=" + std::to_string(pair.n) + " lambda=" + pair.lambda.str();
-    expect_identical_reports(tick, ref, tag);
-    EXPECT_TRUE(tick.tick_domain) << tag;  // small grids must take the fast path
-    EXPECT_FALSE(ref.tick_domain) << tag;
+    ValidatorOptions vopts;
+    out << tag_of(pair) << render_report(validate_schedule(schedule, params, vopts));
   }
+  expect_digest("validator (valid)", out.str(), 0x11cc11ce7b9c9f41ULL);
 }
 
 TEST(TickDifferential, ValidatorViolationStringsAreIdenticalOnBrokenSchedules) {
+  std::ostringstream out;
   for (const RandomPair& pair : random_pairs(0xBAD5Du, 30)) {
     if (pair.n < 3) continue;
     const PostalParams params(pair.n, pair.lambda);
@@ -147,64 +134,46 @@ TEST(TickDifferential, ValidatorViolationStringsAreIdenticalOnBrokenSchedules) {
     // Causality breach: a processor that holds nothing at t=0 sends at t=0.
     broken.add(static_cast<ProcId>(pair.n - 1), 0, 0, Rational(0));
     broken.sort();
-    ValidatorOptions tick_opts;
-    ValidatorOptions ref_opts;
-    ref_opts.time_path = TimePath::kRational;
-    const SimReport tick = validate_schedule(broken, params, tick_opts);
-    const SimReport ref = validate_schedule(broken, params, ref_opts);
-    const std::string tag =
-        "n=" + std::to_string(pair.n) + " lambda=" + pair.lambda.str();
-    EXPECT_FALSE(ref.ok) << tag;
-    expect_identical_reports(tick, ref, tag);
+    ValidatorOptions vopts;
+    const SimReport report = validate_schedule(broken, params, vopts);
+    EXPECT_FALSE(report.ok) << tag_of(pair);
+    out << tag_of(pair) << render_report(report);
   }
+  expect_digest("validator (broken)", out.str(), 0xbda4755e7f7db1f9ULL);
 }
 
 TEST(TickDifferential, MachineBcastRunsAreByteIdentical) {
+  std::ostringstream out;
   for (const RandomPair& pair : random_pairs(0x3AC41u, 30)) {
     const PostalParams params(pair.n, pair.lambda);
-    Machine tick_machine(params, 1);
-    BcastProtocol tick_protocol(params);
-    const MachineResult tick = tick_machine.run(tick_protocol);
-    Machine ref_machine(params, 1);
-    ref_machine.set_time_path(TimePath::kRational);
-    BcastProtocol ref_protocol(params);
-    const MachineResult ref = ref_machine.run(ref_protocol);
-    const std::string tag =
-        "n=" + std::to_string(pair.n) + " lambda=" + pair.lambda.str();
-    expect_identical_runs(tick, ref, tag);
-    EXPECT_TRUE(tick.stats.tick_domain) << tag;
-    EXPECT_FALSE(ref.stats.tick_domain) << tag;
+    Machine machine(params, 1);
+    BcastProtocol protocol(params);
+    out << tag_of(pair) << render_run(machine.run(protocol));
   }
+  expect_digest("machine bcast", out.str(), 0xd91cfe5745fff76fULL);
 }
 
 TEST(TickDifferential, MachineMultiMessageProtocolsAreByteIdentical) {
   const PostalParams params(24, Rational(5, 2));
-  const auto run_both = [&](auto make_protocol, std::uint32_t m,
-                            const std::string& tag) {
-    Machine tick_machine(params, m);
-    auto tick_protocol = make_protocol(m);
-    const MachineResult tick = tick_machine.run(tick_protocol);
-    Machine ref_machine(params, m);
-    ref_machine.set_time_path(TimePath::kRational);
-    auto ref_protocol = make_protocol(m);
-    const MachineResult ref = ref_machine.run(ref_protocol);
-    expect_identical_runs(tick, ref, tag);
-    EXPECT_TRUE(tick.stats.tick_domain) << tag;
+  std::ostringstream out;
+  const auto run = [&](auto make_protocol, std::uint32_t m, const char* tag) {
+    Machine machine(params, m);
+    auto protocol = make_protocol(m);
+    out << "# " << tag << "\n" << render_run(machine.run(protocol));
   };
-  run_both([&](std::uint32_t m) { return RepeatProtocol(params, m); }, 6, "repeat");
-  run_both([&](std::uint32_t m) { return PackProtocol(params, m); }, 6, "pack");
+  run([&](std::uint32_t m) { return RepeatProtocol(params, m); }, 6, "repeat");
+  run([&](std::uint32_t m) { return PackProtocol(params, m); }, 6, "pack");
   // PIPELINE-1 requires m <= lambda.
-  run_both([&](std::uint32_t m) { return Pipeline1Protocol(params, m); }, 2,
-           "pipeline1");
-  run_both([&](std::uint32_t m) { return Pipeline2Protocol(params, m); }, 6,
-           "pipeline2");
+  run([&](std::uint32_t m) { return Pipeline1Protocol(params, m); }, 2, "pipeline1");
+  run([&](std::uint32_t m) { return Pipeline2Protocol(params, m); }, 6, "pipeline2");
+  expect_digest("machine multi-message", out.str(), 0x6a964227864a04adULL);
 }
 
 TEST(TickDifferential, FaultInjectedMachineRunsAreByteIdentical) {
-  // Crash + loss + spike storms from random_fault_plan: the tick engine
-  // must reproduce the Rational fault timeline event for event (loss draws
-  // consume per-link PRNG state, so even the *order* of checks matters).
-  std::uint64_t tick_runs = 0;
+  // Crash + loss + spike storms from random_fault_plan: the fault timeline
+  // must match event for event (loss draws consume per-link PRNG state, so
+  // even the *order* of checks matters).
+  std::ostringstream out;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     const std::uint64_t n = 8 + (seed % 3) * 12;
     const Rational lambda = seed % 2 == 0 ? Rational(2) : Rational(7, 2);
@@ -216,74 +185,31 @@ TEST(TickDifferential, FaultInjectedMachineRunsAreByteIdentical) {
     fopts.spikes = seed % 3;
     const FaultPlan plan = random_fault_plan(params, seed, fopts);
 
-    Machine tick_machine(params, 1);
-    tick_machine.attach_faults(plan);
-    BcastProtocol tick_protocol(params);
-    const MachineResult tick = tick_machine.run(tick_protocol);
-
-    Machine ref_machine(params, 1);
-    ref_machine.set_time_path(TimePath::kRational);
-    ref_machine.attach_faults(plan);
-    BcastProtocol ref_protocol(params);
-    const MachineResult ref = ref_machine.run(ref_protocol);
-
-    expect_identical_runs(tick, ref, "seed " + std::to_string(seed));
-    if (tick.stats.tick_domain) ++tick_runs;
+    Machine machine(params, 1);
+    machine.attach_faults(plan);
+    BcastProtocol protocol(params);
+    out << "# seed " << seed << "\n" << render_run(machine.run(protocol));
   }
-  // random_fault_plan keeps crash times on the lambda grid, so the fast
-  // path must actually engage on these runs -- no silent fallback.
-  EXPECT_EQ(tick_runs, 24u);
+  expect_digest("machine faulted", out.str(), 0x1e9db0e5e9ad6341ULL);
 }
 
-/// Arms one off-grid timer (delay 1/3 with q = 2) mid-run, forcing the
-/// tick engine to transplant its pending events into the Rational queue.
-class OffGridTimerProtocol final : public Protocol {
- public:
-  explicit OffGridTimerProtocol(std::uint64_t n) : n_(n) {}
-
-  void on_start(MachineContext& ctx) override {
-    if (ctx.self() != 0) return;
-    for (ProcId p = 1; p < n_; ++p) ctx.send(p, Packet{0, 0, 0});
-    ctx.set_timer(Rational(1, 3), /*token=*/7);  // off the 1/2 grid
-  }
-
-  void on_receive(MachineContext& ctx, const Packet& packet) override {
-    static_cast<void>(packet);
-    if (ctx.self() == 1 && !echoed_) {
-      echoed_ = true;
-      ctx.send(0, Packet{0, 1, 0});
-    }
-  }
-
-  void on_timer(MachineContext& ctx, std::uint64_t token) override {
-    EXPECT_EQ(token, 7u);
-    EXPECT_EQ(ctx.now(), Rational(1, 3));
-    // Post-transplant traffic: must interleave exactly as in the pure
-    // Rational run.
-    ctx.send(static_cast<ProcId>(n_ - 1), Packet{0, 2, 0});
-  }
-
- private:
-  std::uint64_t n_;
-  bool echoed_ = false;
-};
-
-TEST(TickDifferential, OffGridTimerTransplantsExactlyMidRun) {
+TEST(TickDifferential, OffGridTimerRescalesExactlyMidRun) {
   const PostalParams params(6, Rational(3, 2));
-  Machine tick_machine(params, 1);
-  OffGridTimerProtocol tick_protocol(6);
-  const MachineResult tick = tick_machine.run(tick_protocol);
-  Machine ref_machine(params, 1);
-  ref_machine.set_time_path(TimePath::kRational);
-  OffGridTimerProtocol ref_protocol(6);
-  const MachineResult ref = ref_machine.run(ref_protocol);
-  expect_identical_runs(tick, ref, "off-grid transplant");
-  // The run *started* on ticks but cannot have finished there.
-  EXPECT_FALSE(tick.stats.tick_domain);
-  EXPECT_GT(tick.stats.timers_fired, 0u);
+  Machine machine(params, 1);
+  offgrid::OneTimerProtocol protocol(6);
+  EXPECT_EQ(render_run(machine.run(protocol)), offgrid::kOneTimerReference);
+}
+
+TEST(TickDifferential, TwoOffGridTimersRescaleCrashAndSpikeTicks) {
+  const PostalParams params(8, Rational(3, 2));
+  Machine machine(params, 1);
+  machine.attach_faults(offgrid::crash_and_spike_plan());
+  offgrid::TwoTimersProtocol protocol(8);
+  EXPECT_EQ(render_run(machine.run(protocol)), offgrid::kTwoTimersReference);
 }
 
 TEST(TickDifferential, ReliableBcastChaosRunsAreIdentical) {
+  std::ostringstream out;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     const std::uint64_t n = 6 + (seed % 4) * 7;
     const Rational lambda = seed % 2 == 0 ? Rational(1) : Rational(5, 2);
@@ -295,55 +221,20 @@ TEST(TickDifferential, ReliableBcastChaosRunsAreIdentical) {
     fopts.max_losses = 3;
     const FaultPlan plan = random_fault_plan(params, seed, fopts);
 
-    ReliableBcastOptions tick_opts;
-    ReliableBcastOptions ref_opts;
-    ref_opts.time_path = TimePath::kRational;
-    const ReliableBcastReport tick = run_reliable_bcast(params, &plan, tick_opts);
-    const ReliableBcastReport ref = run_reliable_bcast(params, &plan, ref_opts);
-
-    const std::string tag = "seed " + std::to_string(seed);
-    expect_identical_runs(tick.result, ref.result, tag);
-    EXPECT_EQ(tick.completion, ref.completion) << tag;
-    EXPECT_EQ(tick.covered, ref.covered) << tag;
-    EXPECT_EQ(tick.uncovered_alive, ref.uncovered_alive) << tag;
-    EXPECT_EQ(tick.counters.data_sends, ref.counters.data_sends) << tag;
-    EXPECT_EQ(tick.counters.retransmissions, ref.counters.retransmissions) << tag;
-    EXPECT_EQ(tick.counters.acks_sent, ref.counters.acks_sent) << tag;
-    EXPECT_EQ(tick.counters.acks_received, ref.counters.acks_received) << tag;
-    EXPECT_EQ(tick.counters.timeouts, ref.counters.timeouts) << tag;
-    EXPECT_EQ(tick.counters.dead_declared, ref.counters.dead_declared) << tag;
-    EXPECT_EQ(tick.counters.repairs, ref.counters.repairs) << tag;
-    expect_identical_reports(tick.validation, ref.validation, tag);
+    ReliableBcastOptions ropts;
+    const ReliableBcastReport r = run_reliable_bcast(params, &plan, ropts);
+    out << "# seed " << seed << "\n"
+        << render_run(r.result) << "completion " << r.completion << " covered "
+        << r.covered << " uncovered_alive";
+    for (const ProcId p : r.uncovered_alive) out << " p" << p;
+    out << "\ncounters data=" << r.counters.data_sends
+        << " retx=" << r.counters.retransmissions << " acks_sent=" << r.counters.acks_sent
+        << " acks_received=" << r.counters.acks_received
+        << " timeouts=" << r.counters.timeouts << " dead=" << r.counters.dead_declared
+        << " repairs=" << r.counters.repairs << "\n"
+        << render_report(r.validation);
   }
-}
-
-void expect_identical_net_runs(const std::vector<NetDelivery>& tick,
-                               const NetRunStats& tick_stats,
-                               const std::vector<NetDelivery>& ref,
-                               const NetRunStats& ref_stats,
-                               const std::string& tag) {
-  ASSERT_EQ(tick.size(), ref.size()) << tag;
-  for (std::size_t i = 0; i < tick.size(); ++i) {
-    EXPECT_EQ(tick[i].src, ref[i].src) << tag << " #" << i;
-    EXPECT_EQ(tick[i].dst, ref[i].dst) << tag << " #" << i;
-    EXPECT_EQ(tick[i].msg, ref[i].msg) << tag << " #" << i;
-    EXPECT_EQ(tick[i].requested, ref[i].requested) << tag << " #" << i;
-    EXPECT_EQ(tick[i].delivered, ref[i].delivered) << tag << " #" << i;
-  }
-  EXPECT_EQ(tick_stats.packets_delivered, ref_stats.packets_delivered) << tag;
-  EXPECT_EQ(tick_stats.hops_total, ref_stats.hops_total) << tag;
-  EXPECT_EQ(tick_stats.jitter_draws, ref_stats.jitter_draws) << tag;
-  EXPECT_EQ(tick_stats.egress_busy_total, ref_stats.egress_busy_total) << tag;
-  EXPECT_EQ(tick_stats.ingress_busy_total, ref_stats.ingress_busy_total) << tag;
-  EXPECT_EQ(tick_stats.makespan, ref_stats.makespan) << tag;
-  ASSERT_EQ(tick_stats.wires.size(), ref_stats.wires.size()) << tag;
-  for (std::size_t i = 0; i < tick_stats.wires.size(); ++i) {
-    EXPECT_EQ(tick_stats.wires[i].from, ref_stats.wires[i].from) << tag;
-    EXPECT_EQ(tick_stats.wires[i].to, ref_stats.wires[i].to) << tag;
-    EXPECT_EQ(tick_stats.wires[i].packets, ref_stats.wires[i].packets) << tag;
-    EXPECT_EQ(tick_stats.wires[i].busy, ref_stats.wires[i].busy) << tag;
-  }
-  EXPECT_EQ(tick_stats.faults.events, ref_stats.faults.events) << tag;
+  expect_digest("reliable bcast chaos", out.str(), 0x6125069325ebeeb9ULL);
 }
 
 TEST(TickDifferential, PacketNetworkRunsAreByteIdentical) {
@@ -358,6 +249,7 @@ TEST(TickDifferential, PacketNetworkRunsAreByteIdentical) {
       {Switching::kStoreAndForward, Rational(1, 2), "saf+jitter"},
       {Switching::kCutThrough, Rational(1, 4), "cut+jitter"},
   };
+  std::ostringstream out;
   for (const auto& c : cases) {
     for (int topo = 0; topo < 2; ++topo) {
       NetConfig config;
@@ -370,28 +262,20 @@ TEST(TickDifferential, PacketNetworkRunsAreByteIdentical) {
       const Topology topology = topo == 0
                                     ? Topology::complete(16, Rational(1, 4))
                                     : Topology::mesh2d(4, 4, Rational(1, 4));
-      const std::string tag = std::string(c.tag) + (topo == 0 ? "/complete" : "/mesh");
-
-      PacketNetwork tick_net(topology, config);
-      tick_net.submit_schedule(traffic);
-      const std::vector<NetDelivery> tick = tick_net.run();
-      EXPECT_TRUE(tick_net.last_run_stats().tick_domain) << tag;
-
-      config.time_path = TimePath::kRational;
-      PacketNetwork ref_net(topology, config);
-      ref_net.submit_schedule(traffic);
-      const std::vector<NetDelivery> ref = ref_net.run();
-      EXPECT_FALSE(ref_net.last_run_stats().tick_domain) << tag;
-
-      expect_identical_net_runs(tick, tick_net.last_run_stats(), ref,
-                                ref_net.last_run_stats(), tag);
+      PacketNetwork net(topology, config);
+      net.submit_schedule(traffic);
+      const std::vector<NetDelivery> deliveries = net.run();
+      out << "# " << c.tag << (topo == 0 ? "/complete" : "/mesh") << "\n"
+          << render_net(deliveries, net.last_run_stats());
     }
   }
+  expect_digest("packet network", out.str(), 0x99078a80d50671d5ULL);
 }
 
 TEST(TickDifferential, FaultedPacketNetworkRunsAreByteIdentical) {
   const PostalParams params(12, Rational(3, 2));
   const Schedule traffic = bcast_schedule(params);
+  std::ostringstream out;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     RandomFaultOptions fopts;
     fopts.crashes = seed % 3;
@@ -401,39 +285,113 @@ TEST(TickDifferential, FaultedPacketNetworkRunsAreByteIdentical) {
     const FaultPlan plan = random_fault_plan(params, seed, fopts);
     NetConfig config;
     config.recv_overhead = Rational(1, 2);
-
-    PacketNetwork tick_net(Topology::mesh2d(3, 4, Rational(1, 2)), config);
-    tick_net.attach_faults(plan);
-    tick_net.submit_schedule(traffic);
-    const std::vector<NetDelivery> tick = tick_net.run();
-
-    config.time_path = TimePath::kRational;
-    PacketNetwork ref_net(Topology::mesh2d(3, 4, Rational(1, 2)), config);
-    ref_net.attach_faults(plan);
-    ref_net.submit_schedule(traffic);
-    const std::vector<NetDelivery> ref = ref_net.run();
-
-    expect_identical_net_runs(tick, tick_net.last_run_stats(), ref,
-                              ref_net.last_run_stats(),
-                              "seed " + std::to_string(seed));
+    PacketNetwork net(Topology::mesh2d(3, 4, Rational(1, 2)), config);
+    net.attach_faults(plan);
+    net.submit_schedule(traffic);
+    const std::vector<NetDelivery> deliveries = net.run();
+    out << "# seed " << seed << "\n" << render_net(deliveries, net.last_run_stats());
   }
+  expect_digest("packet network faulted", out.str(), 0xfa133506bb23758dULL);
 }
 
-TEST(TickDifferential, SweepResultsAreTimePathInvariant) {
+TEST(TickDifferential, SweepResultsMatchThePinnedReference) {
   const std::vector<std::uint64_t> ns = {1, 2, 7, 16, 33, 64};
   const std::vector<Rational> lambdas = {Rational(1), Rational(3, 2),
                                          Rational(5, 2), Rational(4)};
-  par::SweepOptions tick_opts;
-  tick_opts.threads = 1;
-  par::SweepOptions ref_opts;
-  ref_opts.threads = 1;
-  ref_opts.time_path = TimePath::kRational;
-  const auto tick = par::sweep_grid(ns, lambdas, tick_opts);
-  const auto ref = par::sweep_grid(ns, lambdas, ref_opts);
-  EXPECT_TRUE(par::sweep_results_equal_ignoring_wall(tick, ref));
-  for (const par::SweepPointResult& r : tick) {
+  par::SweepOptions sopts;
+  sopts.threads = 1;
+  const auto points = par::sweep_grid(ns, lambdas, sopts);
+  for (const par::SweepPointResult& r : points) {
     EXPECT_TRUE(r.ok) << "n=" << r.n << " lambda=" << r.lambda;
   }
+  expect_digest("sweep", pinned::render_sweep(points), 0x42a040d06be1cf09ULL);
+}
+
+// ---------------------------------------------------------------------------
+// OverflowError contract: a run whose time grid cannot fit int64 ticks
+// throws from its entry point -- it never returns a result.
+// ---------------------------------------------------------------------------
+
+/// Crash times at 1/p for four primes near 10^6: their lcm (~10^24)
+/// cannot be an int64 denominator.
+FaultPlan prime_crash_plan() {
+  FaultPlan plan;
+  const std::int64_t primes[] = {1000003, 1000033, 1000037, 1000039};
+  ProcId proc = 1;
+  for (const std::int64_t p : primes) {
+    plan.crashes.push_back(CrashFault{proc++, Rational(1, p)});
+  }
+  return plan;
+}
+
+TEST(TickOverflow, MachineRunThrowsOnAnUnrepresentableGrid) {
+  const PostalParams params(8, Rational(3, 2));
+  Machine machine(params, 1);
+  machine.attach_faults(prime_crash_plan());
+  BcastProtocol protocol(params);
+  POSTAL_EXPECT_THROW(static_cast<void>(machine.run(protocol)), OverflowError);
+}
+
+TEST(TickOverflow, ValidateScheduleThrowsOnAnUnrepresentableGrid) {
+  const PostalParams params(8, Rational(3, 2));
+  const Schedule schedule = bcast_schedule(params);
+  ValidatorOptions vopts;
+  vopts.crashes = prime_crash_plan().crashes;
+  POSTAL_EXPECT_THROW(static_cast<void>(validate_schedule(schedule, params, vopts)),
+                      OverflowError);
+}
+
+TEST(TickOverflow, PacketNetworkRunThrowsOnAnUnrepresentableGrid) {
+  PacketNetwork net(Topology::complete(8, Rational(1, 4)), NetConfig{});
+  ProcId dst = 1;
+  for (const CrashFault& c : prime_crash_plan().crashes) net.submit(0, dst++, 0, c.time);
+  POSTAL_EXPECT_THROW(static_cast<void>(net.run()), OverflowError);
+}
+
+TEST(TickOverflow, DpTableAndGreedyThrowWhenNTimesLambdaOverflows) {
+  // (n + 2) * (lambda + 1) ticks at q = 2 exceeds 2^62; both routes must
+  // refuse before allocating anything n-sized.
+  const std::uint64_t n = std::uint64_t{1} << 61;
+  POSTAL_EXPECT_THROW(static_cast<void>(optimal_broadcast_dp_table(n, Rational(3, 2))),
+                      OverflowError);
+  POSTAL_EXPECT_THROW(static_cast<void>(optimal_broadcast_greedy(n, Rational(3, 2))),
+                      OverflowError);
+}
+
+TEST(TickOverflow, BcastScheduleThrowsWhenNTimesLambdaOverflows) {
+  const PostalParams params(std::uint64_t{1} << 61, Rational(3, 2));
+  POSTAL_EXPECT_THROW(static_cast<void>(bcast_schedule(params)), OverflowError);
+  // The Rational-start wrapper folds `start` into the grid: 1/p for a
+  // prime p near 2^62 leaves no int64 lcm with lambda's q = 2.
+  GenFib fib(Rational(3, 2));
+  Schedule s;
+  POSTAL_EXPECT_THROW(
+      bcast_emit(s, fib, 0, 4, Rational(1, (std::int64_t{1} << 62) + 135), 0),
+      OverflowError);
+  EXPECT_TRUE(s.events().empty());
+}
+
+/// Arms timers at 1/p for successive large primes: the first rescale
+/// fits, the second would need an lcm beyond int64.
+class PrimeTimerProtocol final : public Protocol {
+ public:
+  void on_start(MachineContext& ctx) override {
+    if (ctx.self() == 0) ctx.set_timer(Rational(1, 2147483647), 0);
+  }
+  void on_receive(MachineContext& ctx, const Packet& packet) override {
+    static_cast<void>(ctx);
+    static_cast<void>(packet);
+  }
+  void on_timer(MachineContext& ctx, std::uint64_t token) override {
+    if (token == 0) ctx.set_timer(Rational(1, 2147483629), 1);
+  }
+};
+
+TEST(TickOverflow, RescaleThrowsWhenTheFinerGridOverflows) {
+  const PostalParams params(4, Rational(3, 2));
+  Machine machine(params, 1);
+  PrimeTimerProtocol protocol;
+  POSTAL_EXPECT_THROW(static_cast<void>(machine.run(protocol)), OverflowError);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 //
 // EventQueue documents that pops are ordered by (time, seq): strictly
 // earliest time first, FIFO among same-time events. These tests pin that
-// contract directly, pin the push_at_seq transplant hook, and then verify
-// the tick-keyed twin (sim/tick_queue.hpp) against the *same* contract --
+// contract directly, then verify the tick-keyed queue
+// (sim/tick_queue.hpp) against the *same* contract --
 // including randomized differential workloads where both queues, fed
 // identical pushes, must pop identical payload sequences.
 #include <algorithm>
@@ -53,21 +53,6 @@ TEST(EventQueue, InterleavedPushPopKeepsGlobalOrder) {
   EXPECT_EQ(q.pop().second, 15);
   EXPECT_EQ(q.pop().second, 20);
   EXPECT_EQ(q.pop().second, 21);
-}
-
-TEST(EventQueue, PushAtSeqMergesIntoGlobalOrder) {
-  // The transplant hook: explicit seqs must interleave with same-time
-  // events exactly as the original stamps dictate, and later push() stamps
-  // must stay strictly larger.
-  EventQueue<int> q;
-  q.push_at_seq(Rational(1), 7, 70);
-  q.push_at_seq(Rational(1), 3, 30);
-  q.push_at_seq(Rational(1, 2), 9, 90);
-  q.push(Rational(1), 100);  // must stamp seq >= 10, i.e. after 30 and 70
-  EXPECT_EQ(q.pop().second, 90);
-  EXPECT_EQ(q.pop().second, 30);
-  EXPECT_EQ(q.pop().second, 70);
-  EXPECT_EQ(q.pop().second, 100);
 }
 
 TEST(TickEventQueue, PopsEarliestTickFirst) {

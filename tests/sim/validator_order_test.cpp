@@ -2,18 +2,22 @@
 // exactly as if its events were first stable-sorted by send time: the same
 // violations in the same order, the same deliveries in the same order, the
 // same makespan and order-preservation verdict. Sorted input is visited in
-// place and unsorted input through a sorted index; both routes, on both
-// time paths, must reproduce stable_sort semantics.
+// place and unsorted input through a sorted index; both routes must
+// reproduce stable_sort semantics, and the reports of the whole shuffled
+// corpus must match the pinned digest of the retired checked-Rational
+// validator's reports (tests/pinned_render.hpp).
 //
 // scripts/check.sh --sanitize re-runs this binary under ASan+UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sched/bcast.hpp"
+#include "pinned_render.hpp"
 #include "sim/validator.hpp"
 #include "support/prng.hpp"
 
@@ -97,32 +101,24 @@ void expect_same_report(const SimReport& got, const SimReport& want) {
   EXPECT_EQ(got.trace.deliveries(), want.trace.deliveries());
   EXPECT_EQ(got.makespan, want.makespan);
   EXPECT_EQ(got.order_preserving, want.order_preserving);
-  EXPECT_EQ(got.tick_domain, want.tick_domain);
 }
 
 TEST(ValidatorOrder, ShuffledEqualsStableSortedOnBothPaths) {
   Xoshiro256 rng(20261016);
   std::size_t broken = 0;
   std::size_t unsorted = 0;
+  std::ostringstream rendering;
   for (int trial = 0; trial < 160; ++trial) {
     const Case c = random_case(rng, trial % 2 == 1);
     const Schedule sorted = stable_sort_by_t(c.schedule);
     if (sorted.events() != c.schedule.events()) ++unsorted;
-    std::vector<SimReport> by_path;
-    for (const TimePath path : {TimePath::kAuto, TimePath::kRational}) {
-      SCOPED_TRACE("trial " + std::to_string(trial) +
-                   (path == TimePath::kAuto ? " kAuto" : " kRational"));
-      ValidatorOptions options = c.options;
-      options.time_path = path;
-      by_path.push_back(validate_schedule(c.schedule, c.params, options));
-      expect_same_report(by_path.back(), validate_schedule(sorted, c.params, options));
-      if (!by_path.back().ok) ++broken;
-    }
-    // The tick path judges the shuffled schedule as the Rational one does.
-    SCOPED_TRACE("trial " + std::to_string(trial) + " kAuto vs kRational");
-    by_path[1].tick_domain = by_path[0].tick_domain;
-    expect_same_report(by_path[0], by_path[1]);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const SimReport report = validate_schedule(c.schedule, c.params, c.options);
+    expect_same_report(report, validate_schedule(sorted, c.params, c.options));
+    if (!report.ok) ++broken;
+    rendering << "# trial " << trial << "\n" << pinned::render_report(report);
   }
+  pinned::expect_digest("validator order", rendering.str(), 0xa647a3237ccdf9dbULL);
   // The corpus must actually exercise the sorting and violation paths.
   EXPECT_GT(unsorted, 150u);
   EXPECT_GT(broken, 100u);

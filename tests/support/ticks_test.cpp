@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "test_util.hpp"
 
@@ -69,8 +70,8 @@ TEST(TickDomain, FoldDenominatorIsLcm) {
 }
 
 TEST(TickDomain, FoldDenominatorReportsOverflow) {
-  // lcm(prime-ish huge, other huge) overflows int64: nullopt, so the probe
-  // that called it falls back to the Rational path.
+  // lcm(prime-ish huge, other huge) overflows int64: nullopt, which the
+  // run probes turn into OverflowError (fold_grid below).
   const std::int64_t big = (std::int64_t{1} << 62) + 1;  // odd
   EXPECT_EQ(TickDomain::fold_denominator(big, Rational(1, 3)), std::nullopt);
   EXPECT_EQ(TickDomain::fold_denominator(3, Rational(1, big)), std::nullopt);
@@ -93,6 +94,20 @@ TEST(TickDomain, FoldThenConvertAlwaysSucceedsOnTheFoldedGrid) {
     ASSERT_TRUE(t.has_value()) << r;
     EXPECT_EQ(dom.to_rational(*t), r);
   }
+}
+
+TEST(TickDomain, GridHelpersThrowOverflowErrorNamingTheSite) {
+  EXPECT_EQ(fold_grid(4, Rational(1, 6), "site"), 12);
+  EXPECT_EQ(grid_ticks(TickDomain(12), Rational(5, 6), "site"), 10);
+  const std::int64_t big = (std::int64_t{1} << 62) + 1;  // odd
+  try {
+    static_cast<void>(fold_grid(3, Rational(1, big), "Probe::run"));
+    ADD_FAILURE() << "fold_grid accepted an lcm beyond int64";
+  } catch (const OverflowError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("Probe::run: ", 0), 0u) << e.what();
+  }
+  POSTAL_EXPECT_THROW(grid_ticks(TickDomain(1000), Rational(kMax), "site"),
+                      OverflowError);
 }
 
 }  // namespace

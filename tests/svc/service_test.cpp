@@ -2,8 +2,7 @@
 // queue's bookkeeping, submit()'s contract, planner selection, and the
 // differential gate -- a single job routed through the service must agree
 // exactly with the direct Communicator::broadcast() /
-// broadcast_oracle() answer, across both TimePaths and thread counts
-// {1, 2, 4}.
+// broadcast_oracle() answer, across thread counts {1, 2, 4}.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -246,25 +245,22 @@ TEST(ServiceDifferential, SingleJobMatchesBroadcastAndOracleAcrossEngines) {
   EXPECT_EQ(comm.broadcast_oracle().makespan(), f);
 
   std::vector<std::string> jsons;
-  for (const TimePath path : {TimePath::kAuto, TimePath::kRational}) {
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      ServiceOptions options;
-      options.exec_every = 1;  // actually run the job on the Machine
-      options.time_path = path;
-      options.threads = threads;
-      const ServiceReport report = Communicator::serve(spec, 7, options);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ServiceOptions options;
+    options.exec_every = 1;  // actually run the job on the Machine
+    options.threads = threads;
+    const ServiceReport report = Communicator::serve(spec, 7, options);
 
-      // The one job starts at its arrival, so sojourn == service time ==
-      // the direct answer, in every time representation and lane count.
-      EXPECT_EQ(report.counters.completed, 1u);
-      EXPECT_EQ(report.counters.exec_runs, 1u);
-      EXPECT_EQ(report.counters.exec_verified, 1u);
-      EXPECT_EQ(report.sojourn_max, f);
-      EXPECT_EQ(report.p50, f);
-      EXPECT_EQ(report.p999, f);
-      EXPECT_EQ(report.horizon, Rational(1, 4) + f);
-      jsons.push_back(report.to_json());
-    }
+    // The one job starts at its arrival, so sojourn == service time ==
+    // the direct answer, at every lane count.
+    EXPECT_EQ(report.counters.completed, 1u);
+    EXPECT_EQ(report.counters.exec_runs, 1u);
+    EXPECT_EQ(report.counters.exec_verified, 1u);
+    EXPECT_EQ(report.sojourn_max, f);
+    EXPECT_EQ(report.p50, f);
+    EXPECT_EQ(report.p999, f);
+    EXPECT_EQ(report.horizon, Rational(1, 4) + f);
+    jsons.push_back(report.to_json());
   }
   // Byte-identical reports across every engine configuration.
   for (const std::string& json : jsons) EXPECT_EQ(json, jsons.front());

@@ -1,8 +1,11 @@
-// Tests for the tooling layer: Gantt rendering, JSON export, and the tree
-// shape histograms.
+// Tests for the tooling layer: Gantt rendering, JSON export, the tree
+// shape histograms, and the postal_cli usage contract.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdlib>
 #include <numeric>
+#include <string>
 
 #include "sched/bcast.hpp"
 #include "sched/broadcast_tree.hpp"
@@ -167,6 +170,27 @@ TEST(TreeShape, StarAndLineHistograms) {
   const BroadcastTree line = BroadcastTree::dary(4, 1);
   EXPECT_EQ(line.depth_histogram(), (std::vector<std::uint64_t>{1, 1, 1, 1}));
   EXPECT_EQ(line.degree_histogram(), (std::vector<std::uint64_t>{1, 3}));
+}
+
+// ---------------------------------------------------------------------------
+// postal_cli usage contract
+// ---------------------------------------------------------------------------
+
+/// Exit status of `postal_cli <args>` with its output discarded.
+int cli_exit_status(const std::string& args) {
+  const std::string cmd =
+      std::string("'") + POSTAL_CLI_PATH + "' " + args + " > /dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Cli, ServeRejectsTheRemovedTimeRepresentationFlag) {
+  const std::string serve = "serve 'poisson;grid=16;rate=1/4;jobs=20;mix=w1:n16:l2:m1' 7";
+  EXPECT_EQ(cli_exit_status(serve), 0);
+  // Ticks are the only engine: --time-path is an unknown flag, so serve
+  // prints its usage and exits 2 for every value it used to take.
+  EXPECT_EQ(cli_exit_status(serve + " --time-path rational"), 2);
+  EXPECT_EQ(cli_exit_status(serve + " --time-path auto"), 2);
 }
 
 }  // namespace
