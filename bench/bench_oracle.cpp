@@ -114,10 +114,6 @@ void throughput_section(std::uint64_t queries, std::uint64_t stream_chunk,
   const oracle::ScheduleOracle oracle(n, Rational(5, 2));
   Xoshiro256 rng(42);
 
-  // Warm the shared split cache once so the measurement reflects the
-  // steady state a query server would run in.
-  (void)oracle.info(n - 1);
-
   const obs::WallClock query_clock;
   std::uint64_t checksum = 0;
   for (std::uint64_t i = 0; i < queries; ++i) {

@@ -264,14 +264,17 @@ if [ "$SANITIZE" -eq 1 ]; then
   # test (which drives the caches from gtest's single thread -- a
   # TSan-clean baseline), plus the service tests that run sampled broadcasts
   # on the sharded engine (the svc differential loops threads 1/2/4; the
-  # soak and chaos sweeps stress the same path under load and faults).
+  # soak and chaos sweeps stress the same path under load and faults), plus
+  # the oracle differential (one thread queries a ScheduleOracle while three
+  # others grow the shared F table it was built from).
   echo "== sanitize: thread"
   cmake -B build-tsan -G Ninja -DPOSTAL_SANITIZE=thread
   cmake --build build-tsan --target test_par test_differential test_chaos \
     test_par_machine test_par_differential \
-    test_svc_service test_svc_soak test_svc_chaos
+    test_svc_service test_svc_soak test_svc_chaos test_oracle_differential
   ./build-tsan/tests/test_par
   ./build-tsan/tests/test_differential
+  ./build-tsan/tests/test_oracle_differential
   ./build-tsan/tests/test_chaos
   ./build-tsan/tests/test_par_machine
   ./build-tsan/tests/test_par_differential

@@ -67,6 +67,13 @@ class GenFib {
   /// Grid resolution: F_lambda is constant on [k/q, (k+1)/q).
   [[nodiscard]] std::int64_t grid_denominator() const noexcept { return q_; }
 
+  /// Every grid value evaluated so far: grid_values()[k] = F_lambda(k/q).
+  /// Nondecreasing; after f_index(n) its last value is >= n. The reference
+  /// is invalidated by the next evaluation that extends the table.
+  [[nodiscard]] const std::vector<std::uint64_t>& grid_values() const noexcept {
+    return memo_;
+  }
+
  private:
   /// F at grid index k (i.e. F_lambda(k/q)); extends the memo as needed.
   [[nodiscard]] std::uint64_t F_at_index(std::int64_t k);

@@ -10,9 +10,10 @@ void record_machine_stats(MetricsRegistry& registry, const MachineStats& stats,
   registry.gauge(prefix + ".max_fifo_depth")
       .set(static_cast<std::int64_t>(stats.max_fifo_depth));
   RationalAccum& total = registry.rational(prefix + ".port_busy.total");
-  for (std::size_t p = 0; p < stats.port_busy.size(); ++p) {
-    registry.rational(prefix + ".port_busy.p" + std::to_string(p))
-        .add(stats.port_busy[p]);
+  const std::span<RationalAccum> ports =
+      registry.rational_series(prefix + ".port_busy.p", stats.port_busy.size());
+  for (std::size_t p = 0; p < ports.size(); ++p) {
+    ports[p].add(stats.port_busy[p]);
     total.add(stats.port_busy[p]);
   }
 }

@@ -19,6 +19,9 @@ namespace postal::obs {
 ///   <prefix>.events_processed, .sends_enqueued, .sends_deferred  (counter)
 ///   <prefix>.max_fifo_depth                                      (gauge)
 ///   <prefix>.port_busy.p<i>  per processor, .port_busy.total     (rational)
+/// The per-processor metrics are one series (MetricsRegistry::
+/// rational_series), filled in a single pass; recording runs of different
+/// sizes under one prefix throws InvalidArgument.
 void record_machine_stats(MetricsRegistry& registry, const MachineStats& stats,
                           const std::string& prefix = "machine");
 

@@ -22,7 +22,11 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
+#include <vector>
 
 #include "support/rational.hpp"
 
@@ -88,6 +92,13 @@ class Timer {
 /// live as long as the registry; repeated access by the same name returns
 /// the same object. A name may be used with only one metric kind (a second
 /// kind under the same name throws InvalidArgument).
+///
+/// Per-processor quantities live in a *series*: one stem such as
+/// "machine.port_busy.p" owns a dense array of RationalAccum, and element i
+/// is the metric named <stem><i> (decimal, no leading zeros) -- rational(),
+/// size() and to_jsonl() see it exactly as if it had been registered under
+/// that name. A series costs one table entry however long it is, which is
+/// what keeps a 10^6-processor snapshot cheap to build.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
@@ -95,8 +106,19 @@ class MetricsRegistry {
   RationalAccum& rational(const std::string& name);
   Timer& timer(const std::string& name);
 
-  /// Number of metrics registered so far (all kinds).
-  [[nodiscard]] std::size_t size() const noexcept;
+  /// The rational series <stem>0 .. <stem><count-1>, created zeroed on
+  /// first use. The stem must be nonempty and must not end in a digit (so
+  /// every element name has exactly one stem). A series' length is fixed
+  /// when it is created: asking again with another count, under a stem
+  /// that names a scalar, or with an element name already taken by a
+  /// scalar throws InvalidArgument. The stem itself is reserved: it is not
+  /// a metric, and no scalar may take its name.
+  std::span<RationalAccum> rational_series(const std::string& stem,
+                                           std::size_t count);
+
+  /// Number of metrics registered so far (all kinds; each series element
+  /// counts once, the series stem not at all).
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Serialize every metric as one JSON object per line, sorted by name:
   ///   {"metric":"machine.events","kind":"counter","value":27}
@@ -110,14 +132,18 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_jsonl() const;
 
  private:
-  // std::map keeps to_jsonl() deterministic (sorted by name) and never
-  // invalidates references on insert, so handed-out metric refs stay valid.
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, RationalAccum> rationals_;
-  std::map<std::string, Timer> timers_;
+  using Series = std::vector<RationalAccum>;
+  using Metric = std::variant<Counter, Gauge, RationalAccum, Timer, Series>;
 
-  void require_unique(const std::string& name, int kind) const;
+  template <class T>
+  T& scalar(const std::string& name);
+  /// The series element `name` denotes, or nullptr if it names none.
+  [[nodiscard]] RationalAccum* element(std::string_view name);
+
+  // One name -> metric table. std::map keeps to_jsonl() a single ordered
+  // walk and never moves a node on insert, so handed-out refs stay valid.
+  std::map<std::string, Metric, std::less<>> metrics_;
+  std::size_t size_ = 0;
 };
 
 /// RAII wall-clock probe: measures from construction to destruction on the

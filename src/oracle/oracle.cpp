@@ -1,5 +1,7 @@
 #include "oracle/oracle.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace postal::oracle {
@@ -24,24 +26,23 @@ ScheduleOracle::ScheduleOracle(std::uint64_t n, Rational lambda,
     : n_(n),
       lambda_(std::move(lambda)),
       q_(lambda_.den()),
-      lambda_ticks_(lambda_.num()),
-      cache_(cache != nullptr ? cache : &par::GenFibCache::global()) {
+      lambda_ticks_(lambda_.num()) {
   POSTAL_REQUIRE(n >= 1, "ScheduleOracle: n must be >= 1");
   POSTAL_REQUIRE(lambda_ >= Rational(1), "ScheduleOracle: lambda must be >= 1");
-}
-
-std::uint64_t ScheduleOracle::split(std::uint64_t count) const {
-  return cache_->bcast_split(lambda_, count);
+  table_ = (cache != nullptr ? *cache : par::GenFibCache::global()).F_table(lambda_, n_);
+  F_ = table_->data();
+  // The table may run past f_lambda(n) (it is shared and grows
+  // geometrically); searches stop at f_lambda(n), the last index any
+  // count <= n can need.
+  makespan_ticks_ = static_cast<Tick>(
+      std::lower_bound(table_->begin(), table_->end(), n_) - table_->begin());
 }
 
 Tick ScheduleOracle::f_ticks(std::uint64_t count) const {
-  if (count <= 1) return 0;
-  const Rational f = cache_->f(lambda_, count);
-  // f is a grid point k/q with f.den() | q, so this is exact.
-  return f.num() * (q_ / f.den());
+  return static_cast<Tick>(std::lower_bound(F_, F_ + makespan_ticks_ + 1, count) - F_);
 }
 
-Rational ScheduleOracle::makespan() const { return tick_time(f_ticks(n_)); }
+Rational ScheduleOracle::makespan() const { return tick_time(makespan_ticks_); }
 
 ScheduleOracle::Cursor ScheduleOracle::locate(Rank rank) const {
   POSTAL_REQUIRE(rank < n_, "ScheduleOracle: rank out of range");
@@ -148,7 +149,7 @@ Rank ScheduleOracle::last_informed_rank() const {
     }
   }
   // Theorem 6: the deepest completion is exactly f_lambda(n).
-  POSTAL_CHECK(inform == f_ticks(n_));
+  POSTAL_CHECK(inform == makespan_ticks_);
   return base;
 }
 

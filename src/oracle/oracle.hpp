@@ -19,10 +19,11 @@
 // inform time's tick index is bounded by f_lambda(n) * q, the size of
 // GenFib's own memo table, so the checks cannot fire for any constructible
 // lambda -- and converts to exact Rational only at the API boundary.
-// Split values come from the process-wide (or caller-owned) sharded
-// par::GenFibCache: a query's chain of range sizes n > j(n) > j(j(n)) ...
-// shares its prefix with every other query at the same lambda, so the
-// cache turns repeated queries into pure hash lookups.
+// Split values come from one flat array: at construction the oracle takes
+// the immutable F_lambda grid table covering f_lambda(n) from the
+// process-wide (or caller-owned) par::GenFibCache -- its only cache
+// access -- and every later split j(m) = F[f_index(m) - q] is a
+// lower_bound plus an index into that table, with no lock and no hashing.
 //
 // The oracle is certified two ways (tests/oracle/): a differential gate
 // proves it reproduces the materialized sched::bcast schedule
@@ -32,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -67,12 +69,18 @@ struct Child {
 /// Per-rank queries against the optimal broadcast schedule of
 /// MPS(n, lambda), without materializing it.
 ///
-/// Thread-safe: all state is immutable after construction except the
-/// shared GenFibCache, which synchronizes internally.
+/// Thread-safe: all state is immutable after construction. The constructor
+/// makes the oracle's one GenFibCache access (which synchronizes
+/// internally) and keeps a shared reference to lambda's F table; queries
+/// only read that table and take no lock. The cache publishes tables
+/// copy-on-grow, so an oracle constructed later with a larger n -- on any
+/// thread -- gets a new, longer table and never changes the one an
+/// earlier oracle is reading. Copies share the table.
 class ScheduleOracle final : public RankScheduleSource {
  public:
-  /// Throws InvalidArgument unless n >= 1 and lambda >= 1.
-  /// `cache` = nullptr uses par::GenFibCache::global().
+  /// Throws InvalidArgument unless n >= 1 and lambda >= 1 (and n is
+  /// below GenFib's saturation cap). `cache` = nullptr uses
+  /// par::GenFibCache::global(); the oracle does not keep the pointer.
   ScheduleOracle(std::uint64_t n, Rational lambda,
                  par::GenFibCache* cache = nullptr);
 
@@ -136,9 +144,6 @@ class ScheduleOracle final : public RankScheduleSource {
     return makespan();
   }
 
-  /// The cache serving this oracle's split/f lookups (never null).
-  [[nodiscard]] par::GenFibCache& cache() const noexcept { return *cache_; }
-
  private:
   /// Descent state at the moment `rank` became the holder of its range.
   struct Cursor {
@@ -151,15 +156,22 @@ class ScheduleOracle final : public RankScheduleSource {
   };
 
   [[nodiscard]] Cursor locate(Rank rank) const;
-  [[nodiscard]] std::uint64_t split(std::uint64_t count) const;
+  /// f_lambda(count) as grid ticks, for 1 <= count <= n: the first index
+  /// whose F value reaches count (0 for count == 1).
   [[nodiscard]] Tick f_ticks(std::uint64_t count) const;
+  /// The BCAST split j = F_lambda(f_lambda(count) - 1) for 2 <= count <= n.
+  [[nodiscard]] std::uint64_t split(std::uint64_t count) const {
+    return F_[static_cast<std::size_t>(f_ticks(count) - q_)];
+  }
   [[nodiscard]] Rational tick_time(Tick t) const { return Rational(t, q_); }
 
   std::uint64_t n_;
   Rational lambda_;
   std::int64_t q_;     ///< grid resolution: times are multiples of 1/q
   Tick lambda_ticks_;  ///< lambda as grid ticks (= its numerator)
-  par::GenFibCache* cache_;
+  std::shared_ptr<const par::GenFibCache::FTable> table_;  ///< shared, immutable
+  const std::uint64_t* F_ = nullptr;  ///< table_->data(): F_[k] = F_lambda(k/q)
+  Tick makespan_ticks_ = 0;           ///< f_lambda(n) in ticks: first k, F_[k] >= n
 
   friend class ChildRange;
 };

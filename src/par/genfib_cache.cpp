@@ -12,17 +12,25 @@ GenFibCache::GenFibCache(std::size_t shards) {
   }
 }
 
-std::shared_ptr<GenFibCache::Entry> GenFibCache::entry(const Rational& lambda) {
-  Shard& shard = *shards_[std::hash<Rational>{}(lambda) % shards_.size()];
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(lambda);
-  if (it != shard.entries.end()) return it->second;
+GenFibCache::Shard& GenFibCache::shard(const Rational& lambda) {
+  return *shards_[std::hash<Rational>{}(lambda) % shards_.size()];
+}
+
+std::shared_ptr<GenFibCache::Entry>& GenFibCache::entry_locked(Shard& s,
+                                                               const Rational& lambda) {
+  auto it = s.entries.find(lambda);
+  if (it != s.entries.end()) return it->second;
   // Constructing GenFib validates lambda >= 1 and seeds the [0, lambda)
   // prefix; it is cheap enough to do under the shard lock.
   auto fresh = std::make_shared<Entry>(lambda);
-  shard.entries.emplace(lambda, fresh);
   tables_.fetch_add(1, std::memory_order_relaxed);
-  return fresh;
+  return s.entries.emplace(lambda, std::move(fresh)).first->second;
+}
+
+std::shared_ptr<GenFibCache::Entry> GenFibCache::entry(const Rational& lambda) {
+  Shard& s = shard(lambda);
+  const std::lock_guard<std::mutex> lock(s.mu);
+  return entry_locked(s, lambda);
 }
 
 Rational GenFibCache::f(const Rational& lambda, std::uint64_t n) {
@@ -45,26 +53,45 @@ std::uint64_t GenFibCache::F(const Rational& lambda, const Rational& t) {
   return e->fib.F(t);
 }
 
-std::uint64_t GenFibCache::bcast_split(const Rational& lambda, std::uint64_t n) {
-  const std::shared_ptr<Entry> e = entry(lambda);
-  const std::lock_guard<std::mutex> lock(e->mu);
-  auto it = e->split_memo.find(n);
-  if (it != e->split_memo.end()) {
-    split_hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+std::shared_ptr<const GenFibCache::FTable> GenFibCache::F_table(const Rational& lambda,
+                                                                std::uint64_t n) {
+  POSTAL_REQUIRE(n >= 1 && n < kSaturated,
+                 "GenFibCache::F_table: n must be in [1, kSaturated)");
+  Shard& s = shard(lambda);
+  std::shared_ptr<Entry> e;
+  {
+    const std::lock_guard<std::mutex> lock(s.mu);
+    const std::shared_ptr<Entry>& slot = entry_locked(s, lambda);
+    if (slot->table != nullptr && slot->table->back() >= n) {
+      table_hits_.fetch_add(1, std::memory_order_relaxed);
+      return slot->table;
+    }
+    e = slot;
   }
-  split_misses_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t value = e->fib.bcast_split(n);
-  e->split_memo.emplace(n, value);
-  return value;
+  // Grow: extend the GenFib memo past f_lambda(n) and freeze a copy of it.
+  // Readers of the previously published table keep their own copy.
+  std::shared_ptr<const FTable> grown;
+  {
+    const std::lock_guard<std::mutex> lock(e->mu);
+    (void)e->fib.f_index(n);
+    grown = std::make_shared<const FTable>(e->fib.grid_values());
+  }
+  const std::lock_guard<std::mutex> lock(s.mu);
+  // A racing grower may have published a longer table meanwhile; both are
+  // prefixes of the same F_lambda, so the longer one covers n as well.
+  if (e->table == nullptr || e->table->size() < grown->size()) {
+    e->table = std::move(grown);
+    table_grows_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return e->table;
 }
 
 GenFibCache::Stats GenFibCache::stats() const noexcept {
   Stats out;
   out.f_hits = f_hits_.load(std::memory_order_relaxed);
   out.f_misses = f_misses_.load(std::memory_order_relaxed);
-  out.split_hits = split_hits_.load(std::memory_order_relaxed);
-  out.split_misses = split_misses_.load(std::memory_order_relaxed);
+  out.table_hits = table_hits_.load(std::memory_order_relaxed);
+  out.table_grows = table_grows_.load(std::memory_order_relaxed);
   out.tables = tables_.load(std::memory_order_relaxed);
   return out;
 }
@@ -76,8 +103,8 @@ void GenFibCache::clear() {
   }
   f_hits_.store(0, std::memory_order_relaxed);
   f_misses_.store(0, std::memory_order_relaxed);
-  split_hits_.store(0, std::memory_order_relaxed);
-  split_misses_.store(0, std::memory_order_relaxed);
+  table_hits_.store(0, std::memory_order_relaxed);
+  table_grows_.store(0, std::memory_order_relaxed);
   tables_.store(0, std::memory_order_relaxed);
 }
 

@@ -7,7 +7,8 @@
 // keeps exactly one GenFib per *exact* Rational lambda -- keys are the
 // reduced p/q pair, so lambda = 5/2 and lambda = 2.5 share one table while
 // 5/2 and 3/2 never collide -- plus a per-lambda memo of finished f(n)
-// answers.
+// answers, plus an immutable snapshot of the F_lambda grid table for
+// readers that want to search it without any lock (the schedule oracle).
 //
 // Concurrency: the lambda -> entry map is sharded by hash(lambda), each
 // shard behind its own mutex, so lookups for different lambdas rarely
@@ -42,20 +43,26 @@ class GenFibCache {
   /// F_lambda(t). Same contract as GenFib::F (the grid memo is shared).
   [[nodiscard]] std::uint64_t F(const Rational& lambda, const Rational& t);
 
-  /// The BCAST split j = F_lambda(f_lambda(n) - 1) (GenFib::bcast_split),
-  /// memoized per (lambda, n). This is the descent cache of the implicit
-  /// schedule oracle (src/oracle): every per-rank query walks a chain of
-  /// range sizes n > j(n) > j(j(n)) > ... whose prefixes are shared between
-  /// ranks, so one oracle query warms the splits every later query on the
-  /// same lambda re-reads.
-  [[nodiscard]] std::uint64_t bcast_split(const Rational& lambda, std::uint64_t n);
+  /// F_lambda on its grid, frozen: (*table)[k] = F_lambda(k/q).
+  using FTable = std::vector<std::uint64_t>;
+
+  /// A shared, immutable F_lambda grid table that covers f_lambda(n): its
+  /// last value is >= n, so f_index(m) for every m <= n is a lower_bound
+  /// on it and the BCAST split j(m) = F_lambda(f_lambda(m) - 1) an index
+  /// into it. One table per lambda is shared by every caller. It is
+  /// published copy-on-grow: a request for a larger n publishes a new,
+  /// longer copy and never touches a table an earlier caller still reads,
+  /// so holders search theirs with no lock. Same contract as GenFib::f_index
+  /// for n (throws InvalidArgument for n == 0 or n >= kSaturated).
+  [[nodiscard]] std::shared_ptr<const FTable> F_table(const Rational& lambda,
+                                                      std::uint64_t n);
 
   /// Cache effectiveness counters (monotone since construction/clear).
   struct Stats {
     std::uint64_t f_hits = 0;    ///< f() answered from the per-lambda memo
     std::uint64_t f_misses = 0;  ///< f() computed (and then memoized)
-    std::uint64_t split_hits = 0;    ///< bcast_split() memo hits
-    std::uint64_t split_misses = 0;  ///< bcast_split() computed + memoized
+    std::uint64_t table_hits = 0;   ///< F_table() served a published table
+    std::uint64_t table_grows = 0;  ///< F_table() published a longer copy
     std::uint64_t tables = 0;    ///< distinct lambda tables materialized
   };
   [[nodiscard]] Stats stats() const noexcept;
@@ -72,20 +79,23 @@ class GenFibCache {
     std::mutex mu;
     GenFib fib;                                      // guarded by mu
     std::unordered_map<std::uint64_t, Rational> f_memo;  // guarded by mu
-    std::unordered_map<std::uint64_t, std::uint64_t> split_memo;  // guarded by mu
+    std::shared_ptr<const FTable> table;  // guarded by the shard's mu
   };
   struct Shard {
     std::mutex mu;
     std::unordered_map<Rational, std::shared_ptr<Entry>> entries;
   };
 
+  [[nodiscard]] Shard& shard(const Rational& lambda);
+  /// The entry for `lambda`, created if absent. Caller holds s.mu.
+  [[nodiscard]] std::shared_ptr<Entry>& entry_locked(Shard& s, const Rational& lambda);
   [[nodiscard]] std::shared_ptr<Entry> entry(const Rational& lambda);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> f_hits_{0};
   std::atomic<std::uint64_t> f_misses_{0};
-  std::atomic<std::uint64_t> split_hits_{0};
-  std::atomic<std::uint64_t> split_misses_{0};
+  std::atomic<std::uint64_t> table_hits_{0};
+  std::atomic<std::uint64_t> table_grows_{0};
   std::atomic<std::uint64_t> tables_{0};
 };
 

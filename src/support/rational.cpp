@@ -62,6 +62,10 @@ std::int64_t Rational::ceil() const {
 std::int64_t Rational::trunc() const { return num_ / den_; }
 
 Rational& Rational::operator+=(const Rational& rhs) {
+  if (den_ == 1 && rhs.den_ == 1) {  // integer sums (e.g. busy units) stay reduced
+    num_ = checked_add(num_, rhs.num_);
+    return *this;
+  }
   // a/b + c/d with a reduced-intermediate form to delay overflow:
   // let g = gcd(b, d); result = (a*(d/g) + c*(b/g)) / (b*(d/g)).
   const std::int64_t g = std::gcd(den_, rhs.den_);

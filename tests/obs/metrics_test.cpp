@@ -6,7 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "net/packet_sim.hpp"
 #include "net/topology.hpp"
@@ -113,6 +116,114 @@ TEST(Metrics, JsonlSnapshotIsSortedValidJson) {
 
 TEST(Metrics, EmptyRegistrySerializesToEmptyString) {
   EXPECT_EQ(MetricsRegistry().to_jsonl(), "");
+}
+
+// ---------------------------------------------------------------------------
+// Series: one stem owning a dense array, element i named <stem><i>
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> metric_names(const MetricsRegistry& reg) {
+  std::vector<std::string> names;
+  std::istringstream in(reg.to_jsonl());
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t start = line.find("\"metric\":\"") + 10;
+    names.push_back(line.substr(start, line.find('"', start) - start));
+  }
+  return names;
+}
+
+TEST(MetricsSeries, ElementLookupByNameReturnsTheSeriesObject) {
+  MetricsRegistry reg;
+  const std::span<obs::RationalAccum> ports = reg.rational_series("m.busy.p", 12);
+  ASSERT_EQ(ports.size(), 12u);
+  EXPECT_EQ(&reg.rational("m.busy.p0"), &ports[0]);
+  EXPECT_EQ(&reg.rational("m.busy.p11"), &ports[11]);
+  reg.rational("m.busy.p7").add(Rational(3, 2));
+  EXPECT_EQ(ports[7].total(), Rational(3, 2));
+  // Asking for the series again returns the same elements.
+  EXPECT_EQ(reg.rational_series("m.busy.p", 12).data(), ports.data());
+  // Past the end, or not in canonical decimal, a name is its own scalar.
+  EXPECT_NE(&reg.rational("m.busy.p12"), &ports[0]);
+  EXPECT_NE(&reg.rational("m.busy.p07"), &ports[7]);
+  EXPECT_EQ(reg.size(), 14u);
+}
+
+TEST(MetricsSeries, ADifferentKindUnderAnElementNameThrows) {
+  MetricsRegistry reg;
+  (void)reg.rational_series("a.p", 4);
+  EXPECT_THROW(reg.counter("a.p3"), InvalidArgument);
+  EXPECT_THROW(reg.gauge("a.p0"), InvalidArgument);
+  EXPECT_THROW(reg.timer("a.p2"), InvalidArgument);
+  // The stem is reserved for the series; its length is fixed.
+  EXPECT_THROW(reg.rational("a.p"), InvalidArgument);
+  EXPECT_THROW(reg.rational_series("a.p", 5), InvalidArgument);
+  // A new series may not swallow a scalar, and stems never end in a digit.
+  reg.counter("b.p2").add();
+  EXPECT_THROW(reg.rational_series("b.p", 3), InvalidArgument);
+  EXPECT_THROW(reg.rational_series("c.p1", 3), InvalidArgument);
+  EXPECT_THROW(reg.rational_series("", 3), InvalidArgument);
+  EXPECT_EQ(reg.size(), 5u);
+}
+
+TEST(MetricsSeries, SizeCountsElements) {
+  MetricsRegistry reg;
+  reg.counter("events").add();
+  (void)reg.rational_series("port.p", 1000);
+  EXPECT_EQ(reg.size(), 1001u);
+  (void)reg.rational_series("port.p", 1000);  // the same series again
+  EXPECT_EQ(reg.size(), 1001u);
+}
+
+TEST(MetricsSeries, EmptySeriesEmitsNoLines) {
+  MetricsRegistry reg;
+  (void)reg.rational_series("empty.p", 0);
+  EXPECT_EQ(reg.size(), 0u);
+  EXPECT_EQ(reg.to_jsonl(), "");
+  reg.counter("x").add();
+  EXPECT_EQ(metric_names(reg), std::vector<std::string>{"x"});
+}
+
+TEST(MetricsSeries, JsonlInterleavesElementsWithScalarsInNameOrder) {
+  // Element names sort as strings: a.p1 < a.p10 < a.p11 < a.p1x < a.p2.
+  MetricsRegistry reg;
+  reg.rational("a.p1x").add(Rational(1));
+  reg.counter("a.p.total").add(2);
+  reg.gauge("a.q").set(1);
+  reg.counter("a.o").add();
+  const std::span<obs::RationalAccum> ps = reg.rational_series("a.p", 12);
+  ps[10].add(Rational(5, 2));
+  const std::vector<std::string> expect = {
+      "a.o",   "a.p.total", "a.p0", "a.p1", "a.p10", "a.p11", "a.p1x", "a.p2",
+      "a.p3",  "a.p4",      "a.p5", "a.p6", "a.p7",  "a.p8",  "a.p9",  "a.q"};
+  EXPECT_EQ(metric_names(reg), expect);
+  const std::string out = reg.to_jsonl();
+  EXPECT_EQ(obs::jsonl_lint(out), std::nullopt) << out;
+  EXPECT_NE(out.find("{\"metric\":\"a.p10\",\"kind\":\"rational\",\"value\":\"5/2\","
+                     "\"value_float\":2.5}\n"),
+            std::string::npos)
+      << out;
+  // The same metrics registered one name at a time serialize identically.
+  MetricsRegistry scalars;
+  scalars.rational("a.p1x").add(Rational(1));
+  scalars.counter("a.p.total").add(2);
+  scalars.gauge("a.q").set(1);
+  scalars.counter("a.o").add();
+  for (std::size_t i = 0; i < 12; ++i) {
+    scalars.rational("a.p" + std::to_string(i)).add(ps[i].total());
+  }
+  EXPECT_EQ(scalars.to_jsonl(), out);
+  EXPECT_EQ(scalars.size(), reg.size());
+}
+
+TEST(MetricsSeries, TwoSeriesWithNestedStemsMergeInNameOrder) {
+  MetricsRegistry reg;
+  (void)reg.rational_series("s.", 11);
+  (void)reg.rational_series("s.1x", 2);
+  const std::vector<std::string> expect = {"s.0",  "s.1", "s.10", "s.1x0",
+                                           "s.1x1", "s.2", "s.3",  "s.4",
+                                           "s.5",  "s.6", "s.7",  "s.8", "s.9"};
+  EXPECT_EQ(metric_names(reg), expect);
 }
 
 // ---------------------------------------------------------------------------

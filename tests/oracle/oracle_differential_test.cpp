@@ -5,14 +5,23 @@
 // reconstructed from that schedule. This is what licenses trusting the
 // oracle's closed forms at n = 10^12, where nothing can double-check them
 // but the streaming validator (whose source is the oracle itself) and the
-// last-informed witness.
+// last-informed witness. Past that range, oracle descents are checked
+// against descents walked with GenFib::bcast_split and exact Rational time
+// -- independent of the oracle's shared F table and tick arithmetic -- up
+// to n = 10^12, including while other oracles grow that table.
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "model/genfib.hpp"
 #include "oracle/oracle.hpp"
+#include "par/genfib_cache.hpp"
 #include "sched/bcast.hpp"
 #include "sched/broadcast_tree.hpp"
 #include "sim/stream_validator.hpp"
@@ -132,6 +141,188 @@ TEST(OracleDifferentialTest, HugeSystemSmoke) {
     EXPECT_TRUE(report.ok) << report.summary();
     EXPECT_EQ(report.events_checked, 1024u);
   }
+}
+
+/// What one descent from the range (0, n) learns about `rank`, walked with
+/// GenFib::bcast_split and exact Rational time.
+struct ReferenceRank {
+  oracle::Rank parent = 0;
+  Rational inform;
+  Rational parent_send;
+  std::uint64_t subtree = 0;
+  std::uint64_t depth = 0;
+  std::vector<oracle::Rank> children;  ///< in send order
+};
+
+ReferenceRank reference_descent(GenFib& fib, std::uint64_t n, oracle::Rank rank) {
+  ReferenceRank out;
+  oracle::Rank base = 0;
+  std::uint64_t count = n;
+  Rational now(0);
+  while (base != rank) {
+    const std::uint64_t j = fib.bcast_split(count);
+    if (rank >= base + j) {
+      out.parent = base;
+      out.parent_send = now;
+      base += j;
+      count -= j;
+      now += fib.lambda();
+      out.inform = now;
+      ++out.depth;
+    } else {
+      count = j;
+      now += Rational(1);
+    }
+  }
+  out.subtree = count;
+  for (std::uint64_t remaining = count; remaining >= 2;) {
+    remaining = fib.bcast_split(remaining);
+    out.children.push_back(base + remaining);
+  }
+  return out;
+}
+
+/// True iff every per-rank answer of `oracle` for `rank` equals the
+/// reference descent's; a difference is reported through gtest.
+bool matches_reference(const oracle::ScheduleOracle& oracle, GenFib& fib,
+                       oracle::Rank rank) {
+  const ReferenceRank ref = reference_descent(fib, oracle.n(), rank);
+  const oracle::RankInfo info = oracle.info(rank);
+  bool ok = info.parent == ref.parent && info.inform_time == ref.inform &&
+            info.parent_send == ref.parent_send && info.subtree == ref.subtree &&
+            info.depth == ref.depth && info.out_degree == ref.children.size() &&
+            oracle.child_at(rank, ref.children.size()) == std::nullopt;
+  for (std::size_t slot = 0; ok && slot < ref.children.size(); ++slot) {
+    ok = oracle.child_at(rank, slot) == ref.children[slot];
+  }
+  if (!ok) {
+    ADD_FAILURE() << "oracle descent differs from the bcast_split chain at n="
+                  << oracle.n() << " lambda=" << oracle.lambda() << " rank=" << rank
+                  << ": parent " << info.parent << " vs " << ref.parent << ", inform "
+                  << info.inform_time << " vs " << ref.inform << ", subtree "
+                  << info.subtree << " vs " << ref.subtree << ", out-degree "
+                  << info.out_degree << " vs " << ref.children.size();
+  }
+  return ok;
+}
+
+/// n log-uniform in [2, 10^12].
+std::uint64_t random_size(Xoshiro256& rng) {
+  std::uint64_t hi = 10;
+  for (std::uint64_t digits = rng.uniform(1, 12); digits > 1; --digits) hi *= 10;
+  return rng.uniform(2, hi);
+}
+
+TEST(OracleDifferentialTest, DescentsMatchGenFibSplitChains) {
+  Xoshiro256 rng(0x5EED5u);
+  for (const Rational& lambda : {Rational(1), Rational(2), Rational(5, 2), Rational(7, 3),
+                                 Rational(1001, 1000), Rational(4099, 1024)}) {
+    GenFib fib(lambda);
+    par::GenFibCache cache;
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::uint64_t n = trial == 0 ? 1000000000000ull : random_size(rng);
+      const oracle::ScheduleOracle oracle(n, lambda, &cache);
+      EXPECT_EQ(oracle.makespan(), fib.f(n)) << "n=" << n << " lambda=" << lambda;
+      std::vector<oracle::Rank> ranks = {0, n - 1, oracle.last_informed_rank()};
+      for (int k = 0; k < 16; ++k) ranks.push_back(rng.uniform(0, n - 1));
+      for (const oracle::Rank rank : ranks) {
+        if (!matches_reference(oracle, fib, rank)) break;
+      }
+    }
+  }
+}
+
+TEST(OracleDifferentialTest, EarlierOracleIsUnchangedWhenTheTableGrows) {
+  // A small-n oracle takes a short table; a later 10^12-rank oracle on the
+  // same cache publishes a longer copy. The first oracle must still answer
+  // every rank exactly, from the table it took.
+  par::GenFibCache cache;
+  const Rational lambda(1001, 1000);
+  GenFib fib(lambda);
+  const std::uint64_t small_n = 1000;
+  const oracle::ScheduleOracle small(small_n, lambda, &cache);
+  const par::GenFibCache::Stats before = cache.stats();
+  const oracle::ScheduleOracle large(1000000000000ull, lambda, &cache);
+  EXPECT_EQ(cache.stats().table_grows, before.table_grows + 1);
+  EXPECT_EQ(small.makespan(), fib.f(small_n));
+  EXPECT_EQ(large.makespan(), fib.f(large.n()));
+  for (oracle::Rank rank = 0; rank < small_n; ++rank) {
+    if (!matches_reference(small, fib, rank)) break;
+  }
+  EXPECT_TRUE(matches_reference(large, fib, large.last_informed_rank()));
+  EXPECT_TRUE(matches_reference(large, fib, large.n() - 1));
+}
+
+TEST(OracleDifferentialTest, OracleServesQueriesWhileOtherThreadsGrowTheTable) {
+  // One thread queries a shared oracle while three others construct
+  // oracles of growing n on the same cache, each growth publishing a new
+  // table. The reader must see the answers of its own, unchanged table.
+  par::GenFibCache cache;
+  const Rational lambda(1001, 1000);
+  const std::uint64_t n = 100000;
+  const oracle::ScheduleOracle shared(n, lambda, &cache);
+
+  GenFib fib(lambda);
+  Xoshiro256 rng(0x7AB1Eu);
+  std::vector<oracle::Rank> ranks;
+  std::vector<ReferenceRank> expect;
+  for (int k = 0; k < 32; ++k) {
+    ranks.push_back(rng.uniform(0, n - 1));
+    expect.push_back(reference_descent(fib, n, ranks.back()));
+  }
+  const Rational shared_makespan = fib.f(n);
+  std::vector<std::uint64_t> sizes;
+  std::vector<Rational> makespans;
+  for (std::uint64_t size = 2 * n; size <= 1000000000000ull; size = size * 3 / 2) {
+    sizes.push_back(size);
+    makespans.push_back(fib.f(size));
+  }
+
+  constexpr std::size_t kBuilders = 3;
+  std::atomic<std::size_t> built{0};
+  std::atomic<int> reader_failures{0};
+  std::atomic<int> builder_failures{0};
+  // Thread bodies count failures (exceptions included) for the main
+  // thread to assert on.
+  std::thread reader([&] {
+    do {
+      try {
+        for (std::size_t k = 0; k < ranks.size(); ++k) {
+          const oracle::RankInfo info = shared.info(ranks[k]);
+          const bool ok = info.parent == expect[k].parent &&
+                          info.inform_time == expect[k].inform &&
+                          info.subtree == expect[k].subtree &&
+                          info.out_degree == expect[k].children.size();
+          if (!ok) reader_failures.fetch_add(1);
+        }
+        if (shared.makespan() != shared_makespan) reader_failures.fetch_add(1);
+      } catch (...) {
+        reader_failures.fetch_add(1);
+      }
+    } while (built.load() < kBuilders);
+  });
+  std::vector<std::thread> builders;
+  for (std::size_t t = 0; t < kBuilders; ++t) {
+    builders.emplace_back([&, t] {
+      for (std::size_t i = t; i < sizes.size(); i += kBuilders) {
+        try {
+          const oracle::ScheduleOracle grown(sizes[i], lambda, &cache);
+          if (grown.makespan() != makespans[i] ||
+              grown.inform_time(grown.last_informed_rank()) != makespans[i]) {
+            builder_failures.fetch_add(1);
+          }
+        } catch (...) {
+          builder_failures.fetch_add(1);
+        }
+      }
+      built.fetch_add(1);
+    });
+  }
+  for (std::thread& b : builders) b.join();
+  reader.join();
+  EXPECT_EQ(reader_failures.load(), 0);
+  EXPECT_EQ(builder_failures.load(), 0);
+  EXPECT_GT(cache.stats().table_grows, 1u);
 }
 
 }  // namespace

@@ -150,15 +150,24 @@ TEST(OracleTest, SubtreeSizesPartitionTheRange) {
   EXPECT_EQ(total, n);
 }
 
-TEST(OracleTest, SharedCacheServesRepeatQueries) {
+TEST(OracleTest, QueriesMakeNoCacheAccessAfterConstruction) {
   par::GenFibCache cache;
   const oracle::ScheduleOracle oracle(100000, Rational(5, 2), &cache);
+  const par::GenFibCache::Stats built = cache.stats();
+  // Construction takes lambda's F table: the oracle's one cache access.
+  EXPECT_EQ(built.table_hits + built.table_grows, 1u);
   (void)oracle.info(99999);
-  const par::GenFibCache::Stats before = cache.stats();
-  (void)oracle.info(99999);  // identical descent: every split is cached
+  (void)oracle.child_at(0, 3);
+  (void)oracle.events(1, 1000);
+  (void)oracle.makespan();
+  (void)oracle.last_informed_rank();
+  for (const oracle::Child& c : oracle.children(0)) (void)c;
   const par::GenFibCache::Stats after = cache.stats();
-  EXPECT_GT(after.split_hits, before.split_hits);
-  EXPECT_EQ(after.split_misses, before.split_misses);
+  EXPECT_EQ(after.f_hits, built.f_hits);
+  EXPECT_EQ(after.f_misses, built.f_misses);
+  EXPECT_EQ(after.table_hits, built.table_hits);
+  EXPECT_EQ(after.table_grows, built.table_grows);
+  EXPECT_EQ(after.tables, built.tables);
 }
 
 }  // namespace

@@ -19,6 +19,9 @@
 // ASan+UBSan (docs/PARALLELISM.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "brute/optimal_search.hpp"
 #include "model/genfib.hpp"
 #include "par/genfib_cache.hpp"
@@ -82,10 +85,17 @@ TEST(DifferentialTest, GenFibCacheIsInvisible) {
     GenFib fresh(pair.lambda);
     EXPECT_EQ(cache.f(pair.lambda, pair.n), fresh.f(pair.n))
         << "n=" << pair.n << " lambda=" << pair.lambda;
-    if (pair.n > 1) {
-      EXPECT_EQ(cache.bcast_split(pair.lambda, pair.n), fresh.bcast_split(pair.n))
-          << "n=" << pair.n << " lambda=" << pair.lambda;
-    }
+    // The frozen F table agrees with a fresh GenFib wherever both are
+    // evaluated, and reaches n.
+    const std::shared_ptr<const par::GenFibCache::FTable> table =
+        cache.F_table(pair.lambda, pair.n);
+    const std::vector<std::uint64_t>& values = fresh.grid_values();
+    EXPECT_GE(table->back(), pair.n);
+    EXPECT_TRUE(std::equal(values.begin(),
+                           values.begin() + static_cast<std::ptrdiff_t>(
+                                                std::min(values.size(), table->size())),
+                           table->begin()))
+        << "n=" << pair.n << " lambda=" << pair.lambda;
   }
   // Re-querying the same pairs must hit the memo and still agree.
   const par::GenFibCache::Stats before = cache.stats();

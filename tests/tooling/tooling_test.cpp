@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <numeric>
 #include <string>
@@ -191,6 +192,65 @@ TEST(Cli, ServeRejectsTheRemovedTimeRepresentationFlag) {
   // prints its usage and exits 2 for every value it used to take.
   EXPECT_EQ(cli_exit_status(serve + " --time-path rational"), 2);
   EXPECT_EQ(cli_exit_status(serve + " --time-path auto"), 2);
+}
+
+/// The stdout of `postal_cli <args>`.
+std::string cli_stdout(const std::string& args) {
+  const std::string cmd =
+      std::string("'") + POSTAL_CLI_PATH + "' " + args + " 2>/dev/null";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return "";
+  std::string out;
+  char buf[4096];
+  for (std::size_t got; (got = std::fread(buf, 1, sizeof buf, pipe)) > 0;) {
+    out.append(buf, got);
+  }
+  pclose(pipe);
+  return out;
+}
+
+TEST(Cli, MetricsSnapshotIsPinned) {
+  // The Figure-1 snapshot of docs/OBSERVABILITY.md, without its two
+  // wall-clock timer lines: machine.port_busy.p0 is 6, the per-processor
+  // series interleaves with the other names in string order.
+  const std::string out = cli_stdout("metrics 14 5/2");
+  std::string deterministic;
+  std::size_t timers = 0;
+  for (std::size_t at = 0; at < out.size();) {
+    const std::size_t end = out.find('\n', at) + 1;
+    const std::string line = out.substr(at, end - at);
+    if (line.find("\"kind\":\"timer\"") == std::string::npos) {
+      deterministic += line;
+    } else {
+      ++timers;
+    }
+    at = end;
+  }
+  EXPECT_EQ(timers, 2u);
+  EXPECT_EQ(deterministic, R"({"metric":"machine.events_processed","kind":"counter","value":13}
+{"metric":"machine.max_fifo_depth","kind":"gauge","value":6,"max":6}
+{"metric":"machine.port_busy.p0","kind":"rational","value":"6","value_float":6}
+{"metric":"machine.port_busy.p1","kind":"rational","value":"0","value_float":0}
+{"metric":"machine.port_busy.p10","kind":"rational","value":"0","value_float":0}
+{"metric":"machine.port_busy.p11","kind":"rational","value":"0","value_float":0}
+{"metric":"machine.port_busy.p12","kind":"rational","value":"1","value_float":1}
+{"metric":"machine.port_busy.p13","kind":"rational","value":"0","value_float":0}
+{"metric":"machine.port_busy.p2","kind":"rational","value":"0","value_float":0}
+{"metric":"machine.port_busy.p3","kind":"rational","value":"0","value_float":0}
+{"metric":"machine.port_busy.p4","kind":"rational","value":"1","value_float":1}
+{"metric":"machine.port_busy.p5","kind":"rational","value":"0","value_float":0}
+{"metric":"machine.port_busy.p6","kind":"rational","value":"2","value_float":2}
+{"metric":"machine.port_busy.p7","kind":"rational","value":"0","value_float":0}
+{"metric":"machine.port_busy.p8","kind":"rational","value":"0","value_float":0}
+{"metric":"machine.port_busy.p9","kind":"rational","value":"3","value_float":3}
+{"metric":"machine.port_busy.total","kind":"rational","value":"13","value_float":13}
+{"metric":"machine.sends_deferred","kind":"counter","value":8}
+{"metric":"machine.sends_enqueued","kind":"counter","value":13}
+{"metric":"validate.makespan","kind":"rational","value":"15/2","value_float":7.5}
+{"metric":"validate.ok","kind":"gauge","value":1,"max":1}
+{"metric":"validate.order_preserving","kind":"gauge","value":1,"max":1}
+{"metric":"validate.violations","kind":"counter","value":0}
+)");
 }
 
 }  // namespace
