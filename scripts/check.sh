@@ -287,7 +287,8 @@ if [ "$SANITIZE" -eq 1 ]; then
   # fault-injection paths (crash truncation exercises every simulator
   # early-exit; the chaos sweep stresses them with random plans), the
   # pinned tick-engine corpora with the mid-run grid rescale and the
-  # OverflowError paths (test_tick_differential), and the
+  # OverflowError paths (test_tick_differential), the counting sorts'
+  # index arithmetic on their count arrays (test_schedule_sort), and the
   # whole service layer (parser edge cases, the 200+-scenario soak, the
   # histogram's bucket math at 2^64 extremes, and the faulted exec tier).
   echo "== sanitize: address,undefined"
@@ -296,7 +297,7 @@ if [ "$SANITIZE" -eq 1 ]; then
     test_validator_order test_par test_machine_faults test_reliable_bcast test_chaos \
     test_ticks test_event_queue test_tick_differential test_par_machine \
     test_par_differential test_svc_workload test_svc_service \
-    test_svc_soak test_svc_percentile test_svc_chaos
+    test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
   ./build-asan/tests/test_validator_order
@@ -314,6 +315,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_svc_soak
   ./build-asan/tests/test_svc_percentile
   ./build-asan/tests/test_svc_chaos
+  ./build-asan/tests/test_schedule_sort
 fi
 
 echo "ALL CHECKS PASSED"

@@ -14,6 +14,7 @@
 
 #include "model/params.hpp"
 #include "support/rational.hpp"
+#include "support/ticks.hpp"
 
 namespace postal {
 
@@ -31,6 +32,19 @@ struct SendEvent {
 
 std::ostream& operator<<(std::ostream& os, const SendEvent& e);
 
+/// One send as an engine records it: `src` starts `msg` to `dst` at tick
+/// `tick` of a run's 1/q grid (time = tick / q). Machine and ParMachine
+/// log these instead of building a Rational per send, and
+/// Schedule::from_tick_log turns the log into the run's schedule.
+struct TickSend {
+  Tick tick = 0;
+  ProcId src = 0;
+  ProcId dst = 0;
+  MsgId msg = 0;
+};
+
+using TickLog = std::vector<TickSend>;
+
 /// An ordered collection of send events plus bookkeeping helpers.
 class Schedule {
  public:
@@ -44,8 +58,19 @@ class Schedule {
   /// message ids offset by `msg_offset`. Used by REPEAT's iteration overlap.
   void append_shifted(const Schedule& other, const Rational& dt, MsgId msg_offset);
 
-  /// Stable-sort events by (t, src, dst, msg) for deterministic output.
+  /// Order events by (t, src, dst, msg). The key is the whole event, so
+  /// the result is unique: equal keys are equal events.
   void sort();
+
+  /// The schedule of an engine run, in (t, src, dst, msg) order and sized
+  /// exactly: `logs` are its sends on the 1/q grid, every src < n. One
+  /// port sends once per unit, so (tick, src) identifies a send; a
+  /// repeated pair is a logic error. The logs are freed as the schedule is
+  /// built.
+  [[nodiscard]] static Schedule from_tick_log(std::vector<TickLog> logs,
+                                              std::int64_t q, std::uint64_t n);
+  [[nodiscard]] static Schedule from_tick_log(TickLog log, std::int64_t q,
+                                              std::uint64_t n);
 
   [[nodiscard]] const std::vector<SendEvent>& events() const noexcept { return events_; }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }

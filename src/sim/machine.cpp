@@ -54,7 +54,8 @@ void Machine::sink_send(ProcId src, ProcId dst, const Packet& packet, Tick now) 
   POSTAL_REQUIRE(dst != src, "Machine: a processor cannot send to itself");
   POSTAL_REQUIRE(packet.msg < messages_, "Machine: message id out of range");
   // The output port transmits one message per unit of time, FIFO.
-  const Tick start = std::max(now, port_free_[src]);
+  RankPorts& ports = ranks_[src];
+  const Tick start = std::max(now, ports.port_free);
   // Unreachable before memory exhaustion (2^61/q sends queued on one
   // port), but keeps the no-overflow guarantee airtight rather than UB.
   POSTAL_CHECK(start <= kTickCap);
@@ -66,17 +67,17 @@ void Machine::sink_send(ProcId src, ProcId dst, const Packet& packet, Tick now) 
         FaultEvent{FaultEvent::Kind::kSendSuppressed, tick_rational(start), src, dst});
     return;
   }
-  port_free_[src] = start + q_;
+  ports.port_free = start + q_;
   ++stats_.sends_enqueued;
   if (start > now) ++stats_.sends_deferred;
-  ++port_busy_units_[src];
+  ++ports.sends;
   // Backlog = transmissions not yet finished on this port, i.e. the busy
   // span [now, port_free) measured in unit-length sends (partial first
   // send rounds up).
   const std::uint64_t depth =
-      static_cast<std::uint64_t>((port_free_[src] - now + q_ - 1) / q_);
+      static_cast<std::uint64_t>((ports.port_free - now + q_ - 1) / q_);
   if (depth > stats_.max_fifo_depth) stats_.max_fifo_depth = depth;
-  schedule_.add(src, dst, packet.msg, tick_rational(start));
+  sends_.push_back(TickSend{start, src, dst, packet.msg});
   Tick latency = lambda_ticks_;
   if (injector_ && injector_->has_spikes()) {
     Tick extra = 0;
@@ -160,9 +161,10 @@ void Machine::run_loop(Protocol& protocol, std::uint64_t max_events,
         // [arrival-1, arrival) exclusively. Simultaneous arrivals queue
         // FIFO; the paper's algorithms never collide, so for them
         // arrival == nominal time and this is a single comparison.
-        const Tick window_start = std::max(time - q_, recv_free_[event.dst]);
+        Tick& recv_free = ranks_[event.dst].recv_free;
+        const Tick window_start = std::max(time - q_, recv_free);
         const Tick arrival = window_start + q_;
-        recv_free_[event.dst] = arrival;
+        recv_free = arrival;
         if (arrival > time) {
           ++stats_.receives_queued;
           Pending requeued = event;
@@ -227,8 +229,11 @@ void Machine::rescale(std::uint64_t max_events) {
   });
   queue_.clear();
   for (Entry& e : pending) queue_.push(e.time, e.seq, std::move(e.event));
-  for (Tick& t : port_free_) t = scaled(t);
-  for (Tick& t : recv_free_) t = scaled(t);
+  for (RankPorts& r : ranks_) {
+    r.port_free = scaled(r.port_free);
+    r.recv_free = scaled(r.recv_free);
+  }
+  for (TickSend& e : sends_) e.tick = scaled(e.tick);
 }
 
 MachineResult Machine::run(Protocol& protocol, std::uint64_t max_events) {
@@ -236,16 +241,13 @@ MachineResult Machine::run(Protocol& protocol, std::uint64_t max_events) {
   // The grid shared with ParMachine (sim/tick_setup.hpp); throws before
   // any per-run state changes when the run cannot fit int64 ticks.
   adopt(plan_tick_run(params_, injector_.get(), max_events, kRunSite));
-  schedule_ = Schedule();
+  sends_.clear();
   stats_ = MachineStats();
-  stats_.port_busy.assign(n, Rational(0));
   fault_stats_ = FaultStats();
   seq_ = 0;
   queue_.clear();
   parked_.clear();
-  port_free_.assign(n, 0);
-  recv_free_.assign(n, 0);
-  port_busy_units_.assign(n, 0);
+  ranks_.assign(n, RankPorts{});
   if (injector_) {
     injector_->reset();
     for (ProcId p = 0; p < n; ++p) {
@@ -269,15 +271,9 @@ MachineResult Machine::run(Protocol& protocol, std::uint64_t max_events) {
 
   std::uint64_t delivered = 0;
   run_loop(protocol, max_events, delivered);
-  for (std::size_t p = 0; p < n; ++p) {
-    if (port_busy_units_[p] == 0) continue;
-    POSTAL_CHECK(port_busy_units_[p] <= static_cast<std::uint64_t>(INT64_MAX));
-    stats_.port_busy[p] = Rational(static_cast<std::int64_t>(port_busy_units_[p]));
-  }
-
+  stats_.port_busy = port_busy_of(ranks_);
   stats_.events_processed = delivered;
-  schedule_.sort();
-  result.schedule = std::move(schedule_);
+  result.schedule = Schedule::from_tick_log(std::move(sends_), q_, n);
   result.stats = std::move(stats_);
   result.faults = std::move(fault_stats_);
   trace_ = nullptr;

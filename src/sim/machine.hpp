@@ -163,7 +163,7 @@ struct MachineStats {
 
 /// Result of a machine run.
 struct MachineResult {
-  Schedule schedule;   ///< all sends performed, sorted by time
+  Schedule schedule;   ///< all sends performed, in (t, src, dst, msg) order
   Trace trace{1, 0};   ///< all deliveries
   MachineStats stats;  ///< occupancy/event counters of this run
   FaultStats faults;   ///< faults applied (all zero without a plan)
@@ -247,8 +247,8 @@ class Machine : private ContextSink {
   std::unique_ptr<FaultInjector> injector_;
   TraceMode trace_mode_ = TraceMode::kFull;
 
-  // Per-run state (SpikeTicks/TickRunSetup in tick_setup.hpp).
-  Schedule schedule_;
+  // Per-run state (SpikeTicks/TickRunSetup/RankPorts in tick_setup.hpp).
+  TickLog sends_;  ///< every send, in request order; the schedule at run end
   MachineStats stats_;
   FaultStats fault_stats_;
   Trace* trace_ = nullptr;
@@ -257,9 +257,7 @@ class Machine : private ContextSink {
   std::uint64_t seq_ = 0;           ///< push counter (queue + parked timers)
   TickEventQueue<Pending> queue_;
   std::vector<ParkedTimer> parked_;  ///< off-grid timers awaiting the rescale
-  std::vector<Tick> port_free_;
-  std::vector<Tick> recv_free_;
-  std::vector<std::uint64_t> port_busy_units_;  ///< sends per port (exact units)
+  std::vector<RankPorts> ranks_;
   std::vector<std::optional<Tick>> crash_ticks_;
   std::vector<SpikeTicks> spike_ticks_;
 };

@@ -45,14 +45,13 @@
 // with B = the global minimum pending tick, so every send started in the
 // window (at start >= B, latency >= lambda ticks) arrives at or after the
 // window's end -- sends *always* route through the barrier, and only
-// timers and input-port requeues can land in-window. Shared per-rank
-// arrays (port_free, recv_free, port_busy_units) are safe unsynchronized:
-// send-side fields are indexed by the handler's own rank and receive-side
-// fields by the delivering event's destination rank, and both ranks
-// belong to the shard doing the write; the pool's batch join publishes
-// them across windows. Loss draws are likewise shard-local per directed
-// link (keyed by the sending rank), so the per-link draw counters consume
-// in sequential order.
+// timers and input-port requeues can land in-window. The shared per-rank
+// RankPorts array is safe unsynchronized: send-side fields are indexed by
+// the handler's own rank and receive-side fields by the delivering
+// event's destination rank, and both ranks belong to the shard doing the
+// write; the pool's batch join publishes them across windows. Loss draws
+// are likewise shard-local per directed link (keyed by the sending rank),
+// so the per-link draw counters consume in sequential order.
 //
 // Arena discipline: every window-local buffer (pop logs, side streams,
 // outbox runs, seal scratch, replay scratch, the shard queues' arenas)
@@ -69,6 +68,7 @@
 #include <limits>
 
 #include "par/thread_pool.hpp"
+#include "support/counting_sort.hpp"
 #include "support/error.hpp"
 
 namespace postal {
@@ -151,9 +151,7 @@ class ParShard final : public ContextSink {
   Tick lambda_ticks = 0;
   const std::vector<std::optional<Tick>>* crash_ticks = nullptr;
   const std::vector<SpikeTicks>* spike_ticks = nullptr;
-  Tick* port_free = nullptr;                 ///< shared, written at own ranks
-  Tick* recv_free = nullptr;                 ///< shared, written at own ranks
-  std::uint64_t* port_busy_units = nullptr;  ///< shared, written at own ranks
+  RankPorts* ranks = nullptr;  ///< shared, written at own ranks
   std::uint64_t max_events = 0;
   std::uint64_t shard_size = 1;  ///< rank -> owning shard divisor
   TraceMode trace_mode = TraceMode::kFull;
@@ -162,8 +160,8 @@ class ParShard final : public ContextSink {
 
   // Run-cumulative accumulators, merged by ParMachine at the end.
   TickEventQueue<Ev> q;
-  std::vector<SendEvent> sends;  ///< this shard's schedule slice, append order
-  MachineStats stats;  ///< port_busy stays empty (folded from the units array)
+  TickLog sends;  ///< this shard's schedule slice, append order
+  MachineStats stats;  ///< port_busy stays empty (folded from the RankPorts)
   FaultStats faults;   ///< counters only; the timeline is built at replay
   std::uint64_t steps = 0;
   std::uint64_t stalled_windows = 0;
@@ -271,7 +269,8 @@ class ParShard final : public ContextSink {
     POSTAL_REQUIRE(dst < params->n(), "Machine: send destination out of range");
     POSTAL_REQUIRE(dst != self, "Machine: a processor cannot send to itself");
     POSTAL_REQUIRE(packet.msg < messages, "Machine: message id out of range");
-    const Tick start = std::max(now_ticks, port_free[self]);
+    RankPorts& ports = ranks[self];
+    const Tick start = std::max(now_ticks, ports.port_free);
     POSTAL_CHECK(start <= kTickCap);
     if (injector != nullptr && crashed_at(self, start)) {
       ++faults.sends_suppressed;
@@ -279,14 +278,14 @@ class ParShard final : public ContextSink {
                            tick_rational(start), self, dst});
       return;
     }
-    port_free[self] = start + tick_q;
+    ports.port_free = start + tick_q;
     ++stats.sends_enqueued;
     if (start > now_ticks) ++stats.sends_deferred;
-    ++port_busy_units[self];
+    ++ports.sends;
     const std::uint64_t depth = static_cast<std::uint64_t>(
-        (port_free[self] - now_ticks + tick_q - 1) / tick_q);
+        (ports.port_free - now_ticks + tick_q - 1) / tick_q);
     if (depth > stats.max_fifo_depth) stats.max_fifo_depth = depth;
-    sends.push_back(SendEvent{self, dst, packet.msg, tick_rational(start)});
+    sends.push_back(TickSend{start, self, dst, packet.msg});
     Tick latency = lambda_ticks;
     if (injector != nullptr && injector->has_spikes()) {
       Tick extra = 0;
@@ -341,9 +340,10 @@ class ParShard final : public ContextSink {
         break;
       }
       case Ev::Kind::kFlight: {
-        const Tick window_start = std::max(time - tick_q, recv_free[ev.dst]);
+        Tick& recv_free = ranks[ev.dst].recv_free;
+        const Tick window_start = std::max(time - tick_q, recv_free);
         const Tick arrival = window_start + tick_q;
-        recv_free[ev.dst] = arrival;
+        recv_free = arrival;
         if (arrival > time) {
           ++stats.receives_queued;
           Ev requeued = ev;
@@ -415,10 +415,10 @@ class ParShard final : public ContextSink {
     }
   }
 
-  /// Counting-bucket sort of one outbox run by (tick, local_seq). Appends
-  /// arrive in local_seq order, so a stable bucket-by-tick pass is a full
-  /// sort; runs spanning more than kSealSpanCap ticks fall back to
-  /// std::stable_sort (stability again supplies the local_seq order).
+  /// Sort one outbox run by (tick, local_seq). Appends arrive in local_seq
+  /// order, so one stable counting pass by tick is a full sort; runs
+  /// spanning more than kSealSpanCap ticks fall back to std::stable_sort
+  /// (stability again supplies the local_seq order).
   void seal_run(std::vector<OutboxEntry>& run) {
     if (run.size() < 2) return;
     Tick lo_t = run[0].tick;
@@ -436,21 +436,14 @@ class ParShard final : public ContextSink {
                        });
       return;
     }
-    seal_counts_.assign(static_cast<std::size_t>(span), 0);
-    for (const OutboxEntry& e : run) {
-      ++seal_counts_[static_cast<std::size_t>(e.tick - lo_t)];
-    }
-    std::uint32_t offset = 0;
-    for (std::uint32_t& c : seal_counts_) {
-      const std::uint32_t count = c;
-      c = offset;
-      offset += count;
-    }
     seal_scratch_.resize(run.size());
-    for (OutboxEntry& e : run) {
-      seal_scratch_[seal_counts_[static_cast<std::size_t>(e.tick - lo_t)]++] =
-          std::move(e);
-    }
+    counting_pass(
+        static_cast<std::size_t>(span), seal_counts_,
+        [&run](const auto& f) {
+          for (OutboxEntry& e : run) f(e);
+        },
+        [lo_t](const OutboxEntry& e) { return static_cast<std::size_t>(e.tick - lo_t); },
+        [this](std::uint32_t slot, OutboxEntry& e) { seal_scratch_[slot] = std::move(e); });
     // Move back instead of swapping: a swap would shuffle capacities between
     // the run and the scratch slot, so a warm rerun of the identical workload
     // could start a vector below its watermark and re-grow it -- breaking the
@@ -647,9 +640,7 @@ class Replay {
 /// storage.
 struct ParMachine::Engine {
   std::vector<ParShard> shards;
-  std::vector<Tick> port_free;
-  std::vector<Tick> recv_free;
-  std::vector<std::uint64_t> port_busy_units;
+  std::vector<RankPorts> ranks;
   Replay replay;
   /// Flat [dest * shards + src] head indexes of the flush merges.
   std::vector<std::size_t> flush_head;
@@ -725,9 +716,7 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
   }
   par::ThreadPool& pool = *eng.pool;
 
-  eng.port_free.assign(n, 0);
-  eng.recv_free.assign(n, 0);
-  eng.port_busy_units.assign(n, 0);
+  eng.ranks.assign(n, RankPorts{});
   eng.flush_head.assign(static_cast<std::size_t>(s_count) * s_count, 0);
   eng.flush_in.assign(s_count, 0);
   eng.flush_cross.assign(s_count, 0);
@@ -748,9 +737,7 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
     sh.lambda_ticks = setup.lambda_ticks;
     sh.crash_ticks = &setup.crash_ticks;
     sh.spike_ticks = &setup.spike_ticks;
-    sh.port_free = eng.port_free.data();
-    sh.recv_free = eng.recv_free.data();
-    sh.port_busy_units = eng.port_busy_units.data();
+    sh.ranks = eng.ranks.data();
     sh.max_events = max_events;
     sh.shard_size = shard_size;
     sh.trace_mode = trace_mode_;
@@ -881,8 +868,8 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
   }
 
   // Merge run accumulators into the sequential result shape.
-  result.stats.port_busy.assign(n, Rational(0));
-  Schedule schedule;
+  std::vector<TickLog> sends;
+  sends.reserve(shards.size());
   for (ParShard& sh : shards) {
     result.stats.events_processed += sh.stats.events_processed;
     result.stats.sends_enqueued += sh.stats.sends_enqueued;
@@ -896,7 +883,7 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
     result.faults.drops_crash += sh.faults.drops_crash;
     result.faults.drops_loss += sh.faults.drops_loss;
     result.faults.spikes_applied += sh.faults.spikes_applied;
-    for (const SendEvent& e : sh.sends) schedule.add(e);
+    sends.push_back(std::move(sh.sends));
   }
   if (trace_mode_ == TraceMode::kCounters) {
     for (const ParShard& sh : shards) {
@@ -904,14 +891,8 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
                                  Rational(sh.max_delivery_tick, setup.q));
     }
   }
-  for (std::uint64_t p = 0; p < n; ++p) {
-    if (eng.port_busy_units[p] == 0) continue;
-    POSTAL_CHECK(eng.port_busy_units[p] <= static_cast<std::uint64_t>(INT64_MAX));
-    result.stats.port_busy[p] +=
-        Rational(static_cast<std::int64_t>(eng.port_busy_units[p]));
-  }
-  schedule.sort();
-  result.schedule = std::move(schedule);
+  result.stats.port_busy = port_busy_of(eng.ranks);
+  result.schedule = Schedule::from_tick_log(std::move(sends), setup.q, n);
 
   info_.parallel_engine = true;
   info_.shards = s_count;

@@ -2,6 +2,16 @@
 
 namespace postal {
 
+std::vector<Rational> port_busy_of(const std::vector<RankPorts>& ranks) {
+  std::vector<Rational> busy;
+  busy.reserve(ranks.size());
+  for (const RankPorts& r : ranks) {
+    POSTAL_CHECK(r.sends <= static_cast<std::uint64_t>(INT64_MAX));
+    busy.emplace_back(static_cast<std::int64_t>(r.sends));
+  }
+  return busy;
+}
+
 TickRunSetup plan_tick_run(const PostalParams& params, const FaultInjector* injector,
                            std::uint64_t max_events, const char* site,
                            std::int64_t grid) {

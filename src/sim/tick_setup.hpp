@@ -44,6 +44,18 @@ struct TickRunSetup {
   std::vector<SpikeTicks> spike_ticks;
 };
 
+/// One rank's port bookkeeping in a tick run. The sharded engine writes a
+/// rank's record only from the shard that owns the rank.
+struct RankPorts {
+  Tick port_free = 0;       ///< output port idle from this tick on
+  Tick recv_free = 0;       ///< input port idle from this tick on
+  std::uint64_t sends = 0;  ///< sends started (one unit of port time each)
+};
+
+/// MachineStats::port_busy of a run: each rank's send count as an exact
+/// Rational, sized like `ranks`.
+[[nodiscard]] std::vector<Rational> port_busy_of(const std::vector<RankPorts>& ranks);
+
 /// Put one run on its tick grid: fold `grid`, lambda and every time in the
 /// (optional) fault plan onto one 1/q, convert, and check the static
 /// overflow headroom against `max_events`. Throws OverflowError naming

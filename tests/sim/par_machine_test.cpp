@@ -57,6 +57,54 @@ TEST(ParMachine, RunInfoDescribesTheShardedRun) {
   EXPECT_EQ(mailbox_in, info.barrier_events);
 }
 
+/// Every rank sends once at start and once more after a timer of
+/// 10^7 + rank units, so a run's send ticks span far past the counting
+/// cap of Schedule::from_tick_log (its comparison path builds the result).
+class LongTimerProtocol final : public Protocol {
+ public:
+  explicit LongTimerProtocol(std::uint64_t n) : n_(n) {}
+  void on_start(MachineContext& ctx) override {
+    ctx.send(neighbour(ctx.self(), 1), Packet{});
+    ctx.set_timer(Rational(kDelay + ctx.self()), 0);
+  }
+  void on_receive(MachineContext& /*ctx*/, const Packet& /*packet*/) override {}
+  void on_timer(MachineContext& ctx, std::uint64_t /*token*/) override {
+    ctx.send(neighbour(ctx.self(), 2), Packet{});
+  }
+
+  static constexpr std::int64_t kDelay = 10'000'000;
+
+ private:
+  [[nodiscard]] ProcId neighbour(ProcId p, std::uint64_t k) const {
+    return static_cast<ProcId>((p + k) % n_);
+  }
+  std::uint64_t n_;
+};
+
+TEST(ParMachine, SchedulesSpanningPastTheCountingCapMatchAddAndSort) {
+  const std::uint64_t n = 48;
+  const PostalParams params(n, Rational(5, 2));
+  Schedule expected;
+  for (ProcId p = static_cast<ProcId>(n); p-- > 0;) {
+    expected.add(p, static_cast<ProcId>((p + 2) % n), 0,
+                 Rational(LongTimerProtocol::kDelay + p));
+    expected.add(p, static_cast<ProcId>((p + 1) % n), 0, Rational(0));
+  }
+  expected.sort();
+
+  Machine machine(params, 1);
+  LongTimerProtocol protocol(n);
+  EXPECT_EQ(machine.run(protocol).schedule.events(), expected.events());
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ParMachine par(params, 1);
+    par.set_threads(threads);
+    auto factory = make_protocol_factory<LongTimerProtocol>(n);
+    const MachineResult result = par.run(factory);
+    EXPECT_TRUE(par.last_run_info().parallel_engine) << threads;
+    EXPECT_EQ(result.schedule.events(), expected.events()) << threads;
+  }
+}
+
 TEST(ParMachine, ThreadCountIsCappedAtTheRankCount) {
   const PostalParams params(3, Rational(2));
   ParMachine par(params, 1);
