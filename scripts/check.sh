@@ -288,16 +288,18 @@ if [ "$SANITIZE" -eq 1 ]; then
   # early-exit; the chaos sweep stresses them with random plans), the
   # pinned tick-engine corpora with the mid-run grid rescale and the
   # OverflowError paths (test_tick_differential), the counting sorts'
-  # index arithmetic on their count arrays (test_schedule_sort), and the
-  # whole service layer (parser edge cases, the 200+-scenario soak, the
-  # histogram's bucket math at 2^64 extremes, and the faulted exec tier).
+  # index arithmetic on their count arrays (test_schedule_sort), the
+  # trace's never-arrived sentinel, cell index and rescale (test_trace),
+  # and the whole service layer (parser edge cases, the 200+-scenario soak,
+  # the histogram's bucket math at 2^64 extremes, and the faulted exec
+  # tier).
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
     test_validator_order test_par test_machine_faults test_reliable_bcast test_chaos \
     test_ticks test_event_queue test_tick_differential test_par_machine \
     test_par_differential test_svc_workload test_svc_service \
-    test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort
+    test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort test_trace
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
   ./build-asan/tests/test_validator_order
@@ -316,6 +318,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_svc_percentile
   ./build-asan/tests/test_svc_chaos
   ./build-asan/tests/test_schedule_sort
+  ./build-asan/tests/test_trace
 fi
 
 echo "ALL CHECKS PASSED"

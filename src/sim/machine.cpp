@@ -130,8 +130,8 @@ void Machine::deliver(Protocol& protocol, Tick time, const Pending& flight,
     return;
   }
   ++delivered;
-  trace_->record(Delivery{flight.src, flight.dst, flight.packet.msg,
-                          tick_rational(flight.send_start), tick_rational(time)});
+  trace_->record(
+      TickDelivery{flight.src, flight.dst, flight.packet.msg, flight.send_start, time});
   MachineContext ctx(*this, flight.dst, time, q_);
   protocol.on_receive(ctx, flight.packet);
 }
@@ -234,6 +234,7 @@ void Machine::rescale(std::uint64_t max_events) {
     r.recv_free = scaled(r.recv_free);
   }
   for (TickSend& e : sends_) e.tick = scaled(e.tick);
+  trace_->rescale(q_);
 }
 
 MachineResult Machine::run(Protocol& protocol, std::uint64_t max_events) {
@@ -260,8 +261,14 @@ MachineResult Machine::run(Protocol& protocol, std::uint64_t max_events) {
   }
 
   MachineResult result;
-  result.trace = Trace(n, messages_, trace_mode_);
+  result.trace = Trace(n, messages_, q_, trace_mode_);
   trace_ = &result.trace;
+  // A broadcast covers every other rank with every message, so it delivers
+  // and sends at least (n - 1) * messages times (BCAST exactly that many);
+  // sizing both logs for it up front leaves the run no regrowth.
+  const std::size_t expected = run_log_capacity(n, messages_, max_events);
+  trace_->reserve(expected);
+  sends_.reserve(expected);
 
   for (ProcId p = 0; p < n; ++p) {
     if (injector_ && crashed(p, 0)) continue;

@@ -174,7 +174,7 @@ class ParShard final : public ContextSink {
   // capacity retained -- see the arena discipline in the file comment).
   std::vector<PopEntry> log;
   std::vector<std::uint8_t> push_kinds;  ///< per push: 0 = in-window, 1 = outbox
-  std::vector<Delivery> deliveries;      ///< kFull only
+  std::vector<TickDelivery> deliveries;  ///< kFull only
   std::vector<FaultEvent> fevents;
   std::vector<std::vector<OutboxEntry>> outbox;  ///< one run per destination shard
   std::uint64_t outbox_seq = 0;  ///< outbox appends this window (all runs)
@@ -371,15 +371,14 @@ class ParShard final : public ContextSink {
     ++stats.events_processed;
     cur_.delivered = 1;
     if (trace_mode == TraceMode::kFull) {
-      deliveries.push_back(Delivery{ev.src, ev.dst, ev.packet.msg,
-                                    tick_rational(ev.send_start),
-                                    tick_rational(time)});
+      deliveries.push_back(
+          TickDelivery{ev.src, ev.dst, ev.packet.msg, ev.send_start, time});
     } else {
       // Elided trace: update the (dst, msg) first-arrival cell directly --
       // dst belongs to this shard, so the cell is ours alone -- and keep
       // count/makespan shard-local until the end-of-run fold. The global
       // pop order is irrelevant to a min and a max, so no replay needed.
-      trace->counters_note(ev.dst, ev.packet.msg, tick_rational(time));
+      trace->counters_note(ev.dst, ev.packet.msg, time);
       if (time > max_delivery_tick) max_delivery_tick = time;
     }
     MachineContext ctx(*this, ev.dst, time, tick_q);
@@ -722,7 +721,8 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
   eng.flush_cross.assign(s_count, 0);
 
   MachineResult result;
-  result.trace = Trace(n, messages_, trace_mode_);
+  result.trace = Trace(n, messages_, setup.q, trace_mode_);
+  result.trace.reserve(run_log_capacity(n, messages_, max_events));
 
   eng.shards.resize(s_count);
   std::vector<ParShard>& shards = eng.shards;
@@ -887,8 +887,7 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
   }
   if (trace_mode_ == TraceMode::kCounters) {
     for (const ParShard& sh : shards) {
-      result.trace.counters_fold(sh.stats.events_processed,
-                                 Rational(sh.max_delivery_tick, setup.q));
+      result.trace.counters_fold(sh.stats.events_processed, sh.max_delivery_tick);
     }
   }
   result.stats.port_busy = port_busy_of(eng.ranks);

@@ -11,6 +11,8 @@
 // when a handler arms a timer off the current grid mid-run (the rescale).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -55,6 +57,15 @@ struct RankPorts {
 /// MachineStats::port_busy of a run: each rank's send count as an exact
 /// Rational, sized like `ranks`.
 [[nodiscard]] std::vector<Rational> port_busy_of(const std::vector<RankPorts>& ranks);
+
+/// Up-front capacity of a run's delivery and send logs: the coverage
+/// minimum of a broadcast, (n - 1) * messages, capped by the run's event
+/// budget (every delivery is one queue event).
+[[nodiscard]] inline std::size_t run_log_capacity(std::uint64_t n, std::uint32_t messages,
+                                                  std::uint64_t max_events) {
+  const std::uint64_t coverage = (n > 0 ? n - 1 : 0) * messages;
+  return static_cast<std::size_t>(std::min(coverage, max_events));
+}
 
 /// Put one run on its tick grid: fold `grid`, lambda and every time in the
 /// (optional) fault plan onto one 1/q, convert, and check the static

@@ -82,13 +82,14 @@ void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
   // (under fifo_receive, of its last queued receive).
   std::vector<Tick> send_free(n, 0);
   std::vector<Tick> recv_free(n, 0);
-  // holds[p * messages + msg]: earliest time p holds msg (origin: 0).
-  std::vector<std::optional<Tick>> holds(n * messages);
+  // holds[arrival_cell(p, messages, msg)]: earliest time p holds msg
+  // (origin: 0; kNeverArrived until it does).
+  std::vector<Tick> holds(arrival_cell(n, messages, 0), kNeverArrived);
   if (options.preholds) {
-    for (auto& h : holds) h = 0;
+    std::fill(holds.begin(), holds.end(), Tick{0});
   } else if (options.origins.empty()) {
     for (MsgId msg = 0; msg < messages; ++msg) {
-      holds[options.origin * messages + msg] = 0;
+      holds[arrival_cell(options.origin, messages, msg)] = 0;
     }
   } else {
     POSTAL_REQUIRE(options.origins.size() == messages,
@@ -96,14 +97,10 @@ void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
     for (MsgId msg = 0; msg < messages; ++msg) {
       POSTAL_REQUIRE(options.origins[msg] < n,
                      "validate_schedule: message origin out of range");
-      holds[options.origins[msg] * messages + msg] = 0;
+      holds[arrival_cell(options.origins[msg], messages, msg)] = 0;
     }
   }
   report.trace.reserve(events.size());
-  // The Rational of the latest arrival recorded: arrivals repeat in runs,
-  // so the conversion happens once per distinct arrival time.
-  Tick cached_arrive = 0;
-  Rational cached_arrival(0);
 
   for (std::size_t k = 0; k < events.size(); ++k) {
     const std::size_t i = order.empty() ? k : order[k];
@@ -131,11 +128,12 @@ void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
       continue;
     }
     // Causality: the sender must hold the message when the send starts.
-    const auto& held = holds[e.src * messages + e.msg];
-    if (!held.has_value() || t < *held) {
+    const Tick held = holds[arrival_cell(e.src, messages, e.msg)];
+    if (t < held) {
       violate(who() + "sender does not hold the message yet" +
-              (held.has_value() ? " (holds it only from t=" + plan.rat(*held).str() + ")"
-                                : ""));
+              (held != kNeverArrived
+                   ? " (holds it only from t=" + plan.rat(held).str() + ")"
+                   : ""));
     }
     // Send-port exclusivity: [t, t+1).
     if (port_clash(send_free[e.src], t, plan.one)) {
@@ -161,13 +159,9 @@ void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
       }
     }
     if (voided) continue;
-    auto& dst_holds = holds[e.dst * messages + e.msg];
-    if (!dst_holds.has_value() || arrive < *dst_holds) dst_holds = arrive;
-    if (arrive != cached_arrive) {
-      cached_arrive = arrive;
-      cached_arrival = plan.rat(arrive);
-    }
-    report.trace.record(Delivery{e.src, e.dst, e.msg, e.t, cached_arrival});
+    Tick& dst_holds = holds[arrival_cell(e.dst, messages, e.msg)];
+    dst_holds = std::min(dst_holds, arrive);
+    report.trace.record(TickDelivery{e.src, e.dst, e.msg, t, arrive});
   }
 
   if (options.require_coverage) {
@@ -179,7 +173,7 @@ void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
         const ProcId msg_origin =
             options.origins.empty() ? options.origin : options.origins[msg];
         if (p == msg_origin || is_crashed(p)) continue;
-        if (!holds[p * messages + msg].has_value()) {
+        if (holds[arrival_cell(p, messages, msg)] == kNeverArrived) {
           violate("p" + std::to_string(p) + " never received required M" +
                   std::to_string(msg + 1));
         }
@@ -190,7 +184,7 @@ void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
         if (is_crashed(p)) continue;
         for (MsgId msg = 0; msg < messages; ++msg) {
           if (p == options.origins[msg]) continue;
-          if (!holds[p * messages + msg].has_value()) {
+          if (holds[arrival_cell(p, messages, msg)] == kNeverArrived) {
             violate("p" + std::to_string(p) + " never received M" +
                     std::to_string(msg + 1));
           }
@@ -286,8 +280,6 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
   const std::vector<SendEvent>& events = schedule.events();
 
   SimReport report;
-  report.trace = Trace(n, messages);
-
   POSTAL_REQUIRE(options.origin < n, "validate_schedule: origin out of range");
 
   // Earliest known crash per processor (docs/FAULTS.md): deliveries at or
@@ -302,6 +294,7 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
   }
 
   const TickPlan plan = probe_ticks(events, lambda, crash);
+  report.trace = Trace(n, messages, plan.dom.q());
   validate_events(plan, events, visit_order(events), n, messages, options, report);
   report.makespan = report.trace.makespan();
   report.order_preserving = report.trace.order_preserving();

@@ -58,11 +58,8 @@ inline void render_faults(std::ostream& os, const FaultStats& f) {
   }
 }
 
-inline void render_deliveries(std::ostream& os, const std::vector<Delivery>& ds) {
-  for (const Delivery& d : ds) {
-    os << "deliver p" << d.src << "->p" << d.dst << " M" << d.msg << " sent "
-       << d.send_start << " arrived " << d.arrival << "\n";
-  }
+inline void render_deliveries(std::ostream& os, const DeliveryView& ds) {
+  for (const Delivery& d : ds) os << "deliver " << d << "\n";
 }
 
 /// Everything a MachineResult exposes.
