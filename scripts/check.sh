@@ -266,11 +266,12 @@ if [ "$SANITIZE" -eq 1 ]; then
   # on the sharded engine (the svc differential loops threads 1/2/4; the
   # soak and chaos sweeps stress the same path under load and faults), plus
   # the oracle differential (one thread queries a ScheduleOracle while three
-  # others grow the shared F table it was built from).
+  # others grow the shared F table it was built from), plus the slot-stepped
+  # reference model, which judges ParMachine at 2 and 4 threads.
   echo "== sanitize: thread"
   cmake -B build-tsan -G Ninja -DPOSTAL_SANITIZE=thread
   cmake --build build-tsan --target test_par test_differential test_chaos \
-    test_par_machine test_par_differential \
+    test_par_machine test_par_differential test_reference_model \
     test_svc_service test_svc_soak test_svc_chaos test_oracle_differential
   ./build-tsan/tests/test_par
   ./build-tsan/tests/test_differential
@@ -278,6 +279,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-tsan/tests/test_chaos
   ./build-tsan/tests/test_par_machine
   ./build-tsan/tests/test_par_differential
+  ./build-tsan/tests/test_reference_model
   ./build-tsan/tests/test_svc_service
   ./build-tsan/tests/test_svc_soak
   ./build-tsan/tests/test_svc_chaos
@@ -290,6 +292,8 @@ if [ "$SANITIZE" -eq 1 ]; then
   # OverflowError paths (test_tick_differential), the counting sorts'
   # index arithmetic on their count arrays (test_schedule_sort), the
   # trace's never-arrived sentinel, cell index and rescale (test_trace),
+  # the queue's inline slots and look-ahead (test_event_queue: moved-from
+  # and reallocated slots) and the reference model's judged engines,
   # and the whole service layer (parser edge cases, the 200+-scenario soak,
   # the histogram's bucket math at 2^64 extremes, and the faulted exec
   # tier).
@@ -298,7 +302,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   cmake --build build-asan --target test_differential test_validator_fuzz \
     test_validator_order test_par test_machine_faults test_reliable_bcast test_chaos \
     test_ticks test_event_queue test_tick_differential test_par_machine \
-    test_par_differential test_svc_workload test_svc_service \
+    test_par_differential test_reference_model test_svc_workload test_svc_service \
     test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort test_trace
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
@@ -312,6 +316,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_tick_differential
   ./build-asan/tests/test_par_machine
   ./build-asan/tests/test_par_differential
+  ./build-asan/tests/test_reference_model
   ./build-asan/tests/test_svc_workload
   ./build-asan/tests/test_svc_service
   ./build-asan/tests/test_svc_soak

@@ -145,6 +145,14 @@ void Machine::run_loop(Protocol& protocol, std::uint64_t max_events,
     if (!parked_.empty()) rescale(max_events);
     if (queue_.empty()) return;
     auto [time, event] = queue_.pop();
+    // The bucket already holds the coming events in pop order: prefetch
+    // the destination ports and first-arrival cell of the event
+    // kLookAhead slots on (both at an effectively random rank) while this
+    // one runs.
+    if (const Pending* next = queue_.ahead(kLookAhead)) {
+      __builtin_prefetch(&ranks_[next->dst], 1);
+      trace_->prefetch(next->dst, next->packet.msg);
+    }
     if (++steps > max_events) {
       throw LogicError("Machine::run: exceeded max_events; runaway protocol?");
     }

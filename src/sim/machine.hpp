@@ -20,8 +20,8 @@
 //
 // Time (docs/PERFORMANCE.md): with lambda = p/q every event time the
 // paper's protocols produce is a multiple of 1/q, so each run executes on
-// int64 ticks -- plain integer arithmetic, a bucketed monotone queue
-// (sim/tick_queue.hpp), and a recycled event arena. The run's grid folds
+// int64 ticks -- plain integer arithmetic and a bucketed monotone queue
+// that stores each event inline (sim/tick_queue.hpp). The run's grid folds
 // lambda and every fault-plan time (sim/tick_setup.hpp). A protocol may
 // still arm a timer off that grid mid-run: the timer is parked, and before
 // the next event pops the whole run is rescaled exactly onto the finer

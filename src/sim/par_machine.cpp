@@ -54,12 +54,16 @@
 // so the per-link draw counters consume in sequential order.
 //
 // Arena discipline: every window-local buffer (pop logs, side streams,
-// outbox runs, seal scratch, replay scratch, the shard queues' arenas)
-// lives in ParMachine::Engine and is *retained* across windows and across
-// run() calls -- cleared, never deallocated. After the first run's
-// high-water mark, steady-state windows allocate nothing;
-// ParRunInfo::arena_growths counts the capacity growths actually observed
-// so benches can prove it (bench_micro's warm-rerun section).
+// outbox runs, seal scratch, replay scratch) lives in ParMachine::Engine
+// and is *retained* across windows and across run() calls -- cleared,
+// never deallocated. After the first run's high-water mark, steady-state
+// windows allocate none of them; ParRunInfo::arena_growths counts the
+// capacity growths actually observed so benches can prove it
+// (bench_micro's warm-rerun section). The shard queues are not part of
+// that certificate and never were: their events live inline in per-tick
+// buckets (sim/tick_queue.hpp), and a drained bucket larger than the
+// queue's kept size gives its storage back, so a busy tick's bucket
+// regrows in every run.
 #include "sim/par_machine.hpp"
 
 #include <algorithm>
@@ -225,6 +229,11 @@ class ParShard final : public ContextSink {
       const Tick t = q.peek_time();
       if (t >= window_end) break;
       q.drain_current_tick([&](std::uint64_t stamp, Ev&& ev) {
+        // Machine::run_loop's look-ahead: the destination's ports of the
+        // event kLookAhead slots on. Every queued event's dst is owned.
+        if (const Ev* next = q.ahead(kLookAhead)) {
+          __builtin_prefetch(&ranks[next->dst], 1);
+        }
         process(t, stamp, std::move(ev));
       });
     }

@@ -1,5 +1,6 @@
 // The tick-keyed counterpart of EventQueue: a bucketed monotone
-// integer-time queue with a recycled payload arena (docs/PERFORMANCE.md).
+// integer-time queue whose buckets hold the events themselves
+// (docs/PERFORMANCE.md).
 //
 // ## Contract
 //
@@ -19,24 +20,34 @@
 // time, so pushes are *monotone*: never earlier than the last pop. That
 // admits a calendar layout with O(1) push/pop instead of a binary heap's
 // O(log n) Rational comparisons: the near future is a ring of per-tick
-// FIFO buckets (vectors of (seq, arena index); appending preserves FIFO
+// FIFO buckets (vectors of {seq, payload} slots; appending preserves FIFO
 // because seqs only grow), and events beyond the ring horizon overflow
 // into a small (tick, seq) min-heap that refills the ring when the cursor
 // reaches them. Pops scan forward from the cursor -- total scan work over
 // a run is bounded by the time span crossed, and in the simulators' dense
 // schedules the next bucket is almost always within a step or two.
 //
-// ## The arena
+// ## Inline slots and look-ahead
 //
-// Payloads live in a vector recycled through a free list; a run allocates
-// only while growing to its high-water mark, and clear() keeps all
-// capacity for the next run -- this is the "per-run event arena" that
-// avoids per-event heap allocations.
+// Each event lives inline in its bucket, next to its seq, and the far
+// heap holds payloads too: a pop reads one contiguous slot, with no
+// side arena and no free-list index to chase. A bucket keeps its storage
+// while it is reused, up to kKeepSlots slots; a drained bucket larger
+// than that gives its storage back, so what the queue holds tracks the
+// events in flight rather than every event a run ever pushed. clear()
+// keeps the (bounded) bucket capacity for the next run.
+//
+// Because a bucket is already in pop order, the events that will pop next
+// are known before they pop. ahead(k) returns the payload k slots past the
+// next pop in the cursor's bucket (nullptr past the bucket's end), so an
+// event loop can prefetch the state the k-th next event will touch while
+// it handles the current one (kLookAhead, below). It is a read-only hint:
+// pop order is unchanged whether or not anyone calls it.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -44,6 +55,12 @@
 #include "support/ticks.hpp"
 
 namespace postal {
+
+/// How many events ahead the simulators' event loops prefetch (Machine,
+/// ParMachine's shards, the validator's in-place visit): far enough to
+/// cover a cache miss, near enough that the line is still resident when
+/// its event arrives.
+inline constexpr std::size_t kLookAhead = 8;
 
 /// Monotone (tick, seq)-ordered queue of payloads; see file comment.
 template <typename Payload>
@@ -54,12 +71,12 @@ class TickEventQueue {
   /// Insert at `time` (>= the last popped time, >= 0) with explicit `seq`.
   void push(Tick time, std::uint64_t seq, Payload payload) {
     POSTAL_CHECK(time >= cursor_);
-    const std::uint32_t idx = alloc(std::move(payload));
     if (time < base_ + static_cast<Tick>(kRingSize)) {
-      ring_[bucket(time)].push_back(Slot{seq, idx});
+      ring_[bucket(time)].push_back(Slot{seq, std::move(payload)});
       ++ring_count_;
     } else {
-      far_.push(Far{time, seq, idx});
+      far_.push_back(Far{time, Slot{seq, std::move(payload)}});
+      std::push_heap(far_.begin(), far_.end(), later);
     }
     ++size_;
   }
@@ -84,7 +101,7 @@ class TickEventQueue {
   /// by the ring size.
   [[nodiscard]] Tick peek_time() const {
     POSTAL_CHECK(size_ != 0);
-    if (ring_count_ == 0) return far_.top().time;
+    if (ring_count_ == 0) return far_.front().time;
     Tick t = cursor_;
     while (true) {
       POSTAL_CHECK(t < base_ + static_cast<Tick>(kRingSize));
@@ -94,12 +111,23 @@ class TickEventQueue {
     }
   }
 
+  /// The payload k slots past the next pop in the cursor's bucket --
+  /// ahead(0) is what the next pop returns when it pops at the cursor --
+  /// or nullptr past that bucket's end. A prefetch hint only: valid until
+  /// the next push, pop or drain step. Inside drain_current_tick's fn it
+  /// looks past the event being handled.
+  [[nodiscard]] const Payload* ahead(std::size_t k) const noexcept {
+    const std::size_t b = bucket(cursor_);
+    const std::size_t i = head_[b] + k;
+    return i < ring_[b].size() ? &ring_[b][i].payload : nullptr;
+  }
+
   /// Remove and return the earliest event; requires !empty().
   std::pair<Tick, Payload> pop() {
-    auto [tick, slot] = take();
-    Payload out = std::move(arena_[slot.idx]);
-    free_.push_back(slot.idx);
-    return {tick, std::move(out)};
+    Slot& slot = front();
+    std::pair<Tick, Payload> out{cursor_, std::move(slot.payload)};
+    consume_front();
+    return out;
   }
 
   /// Batched per-bucket pop: position the cursor on the earliest nonempty
@@ -107,32 +135,30 @@ class TickEventQueue {
   /// order -- including events fn itself pushes back at the same tick while
   /// the batch drains, exactly as repeated pop() calls would order them.
   /// Returns the drained tick. Requires !empty(). fn may push() into this
-  /// queue but must not pop/drain/clear it. Compared to a pop() loop this
-  /// touches the cursor/bucket bookkeeping once per tick instead of once
-  /// per event; slot metadata (seq, arena index) stays separate from the
-  /// payload arena, so the batch walk is a contiguous scan. This is the
-  /// data-oriented hot path of ParMachine's shard loop
-  /// (docs/SIMULATION.md).
+  /// queue and call ahead() but must not pop/drain/clear it. Compared to a
+  /// pop() loop this touches the cursor/bucket bookkeeping once per tick
+  /// instead of once per event, and the walk is a contiguous scan of the
+  /// bucket. This is the data-oriented hot path of ParMachine's shard
+  /// loop (docs/SIMULATION.md).
   template <typename Fn>
   Tick drain_current_tick(Fn&& fn) {
     advance();
     const Tick tick = cursor_;
     const std::size_t b = bucket(tick);
     std::vector<Slot>& slots = ring_[b];
-    std::size_t i = head_[b];
     std::size_t drained = 0;
     // Index-based: fn may push at `tick`, growing (and reallocating) the
     // bucket vector mid-walk; seqs only grow, so appends extend FIFO order.
-    while (i < slots.size()) {
-      const Slot slot = slots[i];
-      ++i;
+    // The payload moves out before fn runs, so a reallocation cannot pull
+    // it from under fn, and head_ already points past it for ahead().
+    while (head_[b] < slots.size()) {
+      Slot& slot = slots[head_[b]++];
+      const std::uint64_t seq = slot.seq;
+      Payload payload = std::move(slot.payload);
       ++drained;
-      Payload payload = std::move(arena_[slot.idx]);
-      free_.push_back(slot.idx);
-      fn(slot.seq, std::move(payload));
+      fn(seq, std::move(payload));
     }
-    slots.clear();
-    head_[b] = 0;
+    retire(b);
     ring_count_ -= drained;
     size_ -= drained;
     return tick;
@@ -144,21 +170,17 @@ class TickEventQueue {
   template <typename Fn>
   void drain(Fn&& fn) {
     while (size_ != 0) {
-      auto [tick, slot] = take();
-      fn(tick, slot.seq, std::move(arena_[slot.idx]));
-      free_.push_back(slot.idx);
+      Slot& slot = front();
+      fn(cursor_, slot.seq, std::move(slot.payload));
+      consume_front();
     }
   }
 
-  /// Reset to empty, keeping arena/bucket capacity for the next run.
+  /// Reset to empty, keeping each bucket's capacity up to kKeepSlots for
+  /// the next run.
   void clear() {
-    for (std::size_t b = 0; b < kRingSize; ++b) {
-      ring_[b].clear();
-      head_[b] = 0;
-    }
-    while (!far_.empty()) far_.pop();
-    arena_.clear();
-    free_.clear();
+    for (std::size_t b = 0; b < kRingSize; ++b) retire(b);
+    far_.clear();
     size_ = 0;
     ring_count_ = 0;
     base_ = 0;
@@ -168,36 +190,38 @@ class TickEventQueue {
  private:
   struct Slot {
     std::uint64_t seq;
-    std::uint32_t idx;
+    Payload payload;
   };
   struct Far {
     Tick time;
-    std::uint64_t seq;
-    std::uint32_t idx;
-    // Min-heap on (time, seq): invert for std::priority_queue's max-heap.
-    friend bool operator<(const Far& a, const Far& b) {
-      if (a.time != b.time) return b.time < a.time;
-      return b.seq < a.seq;
-    }
+    Slot slot;
   };
 
   static constexpr std::size_t kRingSize = 1024;  // power of two (mask below)
+  /// Largest bucket capacity kept once the bucket drains (see file comment).
+  static constexpr std::size_t kKeepSlots = 4096;
 
   static std::size_t bucket(Tick t) noexcept {
     return static_cast<std::size_t>(static_cast<std::uint64_t>(t)) &
            (kRingSize - 1);
   }
 
-  std::uint32_t alloc(Payload&& payload) {
-    if (!free_.empty()) {
-      const std::uint32_t idx = free_.back();
-      free_.pop_back();
-      arena_[idx] = std::move(payload);
-      return idx;
+  /// Heap order for far_: std::push_heap keeps a max-heap, so "less" is
+  /// "pops later" -- the (time, seq) minimum sits at the front.
+  static bool later(const Far& a, const Far& b) noexcept {
+    if (a.time != b.time) return b.time < a.time;
+    return b.slot.seq < a.slot.seq;
+  }
+
+  /// Empty bucket b; a bucket grown past kKeepSlots releases its storage.
+  void retire(std::size_t b) {
+    std::vector<Slot>& slots = ring_[b];
+    if (slots.capacity() > kKeepSlots) {
+      std::vector<Slot>().swap(slots);
+    } else {
+      slots.clear();
     }
-    POSTAL_CHECK(arena_.size() < UINT32_MAX);
-    arena_.push_back(std::move(payload));
-    return static_cast<std::uint32_t>(arena_.size() - 1);
+    head_[b] = 0;
   }
 
   /// Move the cursor to the earliest nonempty bucket; requires !empty().
@@ -208,7 +232,7 @@ class TickEventQueue {
       // All ring buckets are empty here, so rebasing cannot strand slots,
       // and the heap pops in (time, seq) order, so same-bucket appends
       // stay FIFO.
-      base_ = far_.top().time;
+      base_ = far_.front().time;
       cursor_ = base_;
       refill();
     }
@@ -224,33 +248,35 @@ class TickEventQueue {
     }
   }
 
+  /// The earliest event's slot, with the cursor moved to its tick;
+  /// requires !empty().
+  Slot& front() {
+    advance();
+    const std::size_t b = bucket(cursor_);
+    return ring_[b][head_[b]];
+  }
+
+  /// Drop the slot front() returned.
+  void consume_front() {
+    const std::size_t b = bucket(cursor_);
+    if (++head_[b] == ring_[b].size()) retire(b);
+    --ring_count_;
+    --size_;
+  }
+
   void refill() {
-    while (!far_.empty() && far_.top().time < base_ + static_cast<Tick>(kRingSize)) {
-      const Far f = far_.top();
-      far_.pop();
-      ring_[bucket(f.time)].push_back(Slot{f.seq, f.idx});
+    while (!far_.empty() && far_.front().time < base_ + static_cast<Tick>(kRingSize)) {
+      std::pop_heap(far_.begin(), far_.end(), later);
+      Far& f = far_.back();
+      ring_[bucket(f.time)].push_back(std::move(f.slot));
+      far_.pop_back();
       ++ring_count_;
     }
   }
 
-  std::pair<Tick, Slot> take() {
-    advance();
-    const std::size_t b = bucket(cursor_);
-    const Slot slot = ring_[b][head_[b]++];
-    if (head_[b] == ring_[b].size()) {
-      ring_[b].clear();
-      head_[b] = 0;
-    }
-    --ring_count_;
-    --size_;
-    return {cursor_, slot};
-  }
-
   std::vector<std::vector<Slot>> ring_;  ///< per-tick FIFO buckets
   std::vector<std::size_t> head_;        ///< consumed prefix per bucket
-  std::priority_queue<Far> far_;         ///< events at >= base_ + kRingSize
-  std::vector<Payload> arena_;           ///< recycled payload storage
-  std::vector<std::uint32_t> free_;      ///< arena free list
+  std::vector<Far> far_;                 ///< heap of events at >= base_ + kRingSize
   std::size_t size_ = 0;
   std::size_t ring_count_ = 0;  ///< live slots currently in the ring
   Tick base_ = 0;               ///< ring window is [base_, base_ + kRingSize)

@@ -163,6 +163,15 @@ class Trace {
   /// under kCounters).
   void reserve(std::size_t deliveries);
 
+  /// Hint that a coming record() will write the (dst, msg) first-arrival
+  /// cell: prefetch it. Out-of-range ids are ignored, so no address
+  /// outside the table is ever formed.
+  void prefetch(ProcId dst, MsgId msg) const noexcept {
+    if (dst < n_ && msg < messages_) {
+      __builtin_prefetch(first_arrival_.data() + arrival_cell(dst, messages_, msg), 1);
+    }
+  }
+
   /// Move every stored tick onto the finer grid 1/q, where q is a multiple
   /// of q(). Rational values are unchanged. Machine calls this when an
   /// off-grid timer rescales its run.

@@ -8,6 +8,8 @@
 // identical pushes, must pop identical payload sequences.
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -267,6 +269,160 @@ TEST(QueueDifferential, RandomizedWorkloadsPopIdentically) {
     }
     EXPECT_TRUE(tick.empty());
     EXPECT_EQ(ref_order, tick_order) << "seed " << seed;
+  }
+}
+
+// The second differential: single pops checked against ahead(), batched
+// drain_current_tick() walks whose callback pushes at the drained tick
+// (growing, and so reallocating, the bucket mid-walk), and far-heap
+// refills across the 1024-tick ring wrap with many events per far tick.
+// Payloads are heap-allocated strings: a read of a moved-from slot sees an
+// empty string (and a read of a reallocated one trips ASan).
+TEST(QueueDifferential, DrainBatchesLookAheadAndFarRefillsMatchTheReference) {
+  constexpr std::size_t kPeek = 10;  // ahead(0..kPeek) checked around each pop
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256 rng(seed * 0xD1B54A32D192ED03ULL);
+    EventQueue<std::string> ref;
+    TickEventQueue<std::string> tick;
+    std::uint64_t seq = 0;
+    std::uint64_t next_payload = 0;
+    Tick now = 0;
+    Tick far_anchor = 3'000;  // a far tick many pushes share
+    std::size_t ahead_hits = 0;
+    std::size_t grown_batches = 0;
+    const auto label = [&next_payload] {
+      return "payload-" + std::to_string(next_payload++) + "-beyond-the-sso-buffer";
+    };
+    const auto push_both = [&](Tick t) {
+      std::string v = label();
+      ref.push(Rational(t, 3), v);
+      tick.push(t, seq++, std::move(v));
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const std::uint64_t r = rng.uniform(0, 99);
+      if (ref.empty() || r < 50) {
+        const std::uint64_t kind = rng.uniform(0, 99);
+        Tick t = now;
+        if (kind < 35) {
+          t += static_cast<Tick>(rng.uniform(0, 4));  // dense buckets
+        } else if (kind < 65) {
+          t += static_cast<Tick>(rng.uniform(0, 2'000));
+        } else if (kind < 80) {
+          t += static_cast<Tick>(rng.uniform(1'000, 1'100));  // just past the ring
+        } else if (kind < 95) {
+          if (far_anchor <= now) {
+            far_anchor = now + 1'500 + static_cast<Tick>(rng.uniform(0, 600));
+          }
+          t = far_anchor + static_cast<Tick>(rng.uniform(0, 2));  // same-tick far runs
+        } else {
+          t += static_cast<Tick>(rng.uniform(0, 5'000'000));
+        }
+        push_both(t);
+      } else if (r < 75) {
+        // One pop, with ahead(k) against the pops that follow it: commit the
+        // cursor to the next tick, snapshot ahead(0..kPeek), then pop without
+        // pushing. ahead(k) is the k-th next pop while it stays at that
+        // tick, and nullptr past the bucket's end.
+        const Tick at = tick.next_time();
+        std::vector<std::optional<std::string>> peek;
+        for (std::size_t k = 0; k <= kPeek; ++k) {
+          const std::string* p = tick.ahead(k);
+          peek.push_back(p == nullptr ? std::nullopt : std::optional<std::string>(*p));
+        }
+        bool same_tick = true;
+        for (std::size_t k = 0; k <= kPeek; ++k) {
+          if (ref.empty()) {
+            EXPECT_FALSE(peek[k].has_value()) << "seed " << seed << " k " << k;
+            continue;
+          }
+          const auto [rt, rv] = ref.pop();
+          const auto [tt, tv] = tick.pop();
+          ASSERT_EQ(rt, Rational(tt, 3)) << "seed " << seed << " step " << step;
+          ASSERT_EQ(rv, tv) << "seed " << seed << " step " << step;
+          same_tick = same_tick && tt == at;
+          if (same_tick) {
+            ASSERT_TRUE(peek[k].has_value()) << "seed " << seed << " k " << k;
+            EXPECT_EQ(*peek[k], tv) << "seed " << seed << " k " << k;
+            ++ahead_hits;
+          } else {
+            EXPECT_FALSE(peek[k].has_value()) << "seed " << seed << " k " << k;
+          }
+          now = tt;
+        }
+      } else {
+        // One batched drain of the next tick. Callbacks push back at that
+        // tick; the first one pushes a burst, and now and then a burst past
+        // the capacity a bucket keeps (4096 slots), so the bucket
+        // reallocates while the walk holds an index into it. Each callback
+        // snapshots ahead(0..kPeek) before its own pushes.
+        struct Visit {
+          std::string payload;
+          std::size_t pushed_before;  ///< same-tick pushes made before fn ran
+          std::vector<std::optional<std::string>> peek;
+        };
+        const Tick at = tick.next_time();
+        const bool big = grown_batches < 2 && rng.uniform(0, 24) == 0;
+        const std::size_t burst =
+            big ? 4'096 + 64 : static_cast<std::size_t>(rng.uniform(1, 40));
+        std::vector<Visit> visits;
+        std::size_t pushed = 0;
+        const Tick drained = tick.drain_current_tick([&](std::uint64_t, std::string&& v) {
+          Visit visit{std::move(v), pushed, {}};
+          for (std::size_t k = 0; k <= kPeek; ++k) {
+            const std::string* p = tick.ahead(k);
+            visit.peek.push_back(p == nullptr ? std::nullopt
+                                              : std::optional<std::string>(*p));
+          }
+          visits.push_back(std::move(visit));
+          std::size_t extra = visits.size() == 1 ? burst : 0;
+          if (visits.size() > 1 && pushed < 2 * burst && rng.uniform(0, 99) < 20) {
+            extra = 1;
+          }
+          for (std::size_t i = 0; i < extra; ++i) {
+            push_both(at);
+            ++pushed;
+          }
+        });
+        ASSERT_EQ(drained, at) << "seed " << seed << " step " << step;
+        for (const Visit& visit : visits) {
+          ASSERT_FALSE(ref.empty()) << "seed " << seed << " step " << step;
+          const auto [rt, rv] = ref.pop();
+          ASSERT_EQ(rt, Rational(at, 3)) << "seed " << seed << " step " << step;
+          ASSERT_EQ(rv, visit.payload) << "seed " << seed << " step " << step;
+        }
+        EXPECT_TRUE(ref.empty() || Rational(at, 3) < ref.next_time())
+            << "seed " << seed << " step " << step << ": drain left events at its tick";
+        // When visit j ran the bucket held the batch's initial events plus
+        // the pushes made so far, and the walk stood just past event j.
+        const std::size_t initial = visits.size() - pushed;
+        for (std::size_t j = 0; j < visits.size(); ++j) {
+          const std::size_t known = initial + visits[j].pushed_before;
+          for (std::size_t k = 0; k <= kPeek; ++k) {
+            const std::size_t idx = j + 1 + k;
+            if (idx < known) {
+              ASSERT_TRUE(visits[j].peek[k].has_value()) << "seed " << seed << " j " << j;
+              EXPECT_EQ(*visits[j].peek[k], visits[idx].payload) << "seed " << seed;
+              ++ahead_hits;
+            } else {
+              EXPECT_FALSE(visits[j].peek[k].has_value())
+                  << "seed " << seed << " j " << j;
+            }
+          }
+        }
+        if (big) ++grown_batches;
+        now = at;
+      }
+    }
+    while (!ref.empty()) {
+      ASSERT_FALSE(tick.empty());
+      const auto [rt, rv] = ref.pop();
+      const auto [tt, tv] = tick.pop();
+      EXPECT_EQ(rt, Rational(tt, 3)) << "seed " << seed;
+      EXPECT_EQ(rv, tv) << "seed " << seed;
+    }
+    EXPECT_TRUE(tick.empty());
+    EXPECT_GT(ahead_hits, 0u) << "seed " << seed;
+    EXPECT_GT(grown_batches, 0u) << "seed " << seed;
   }
 }
 

@@ -19,12 +19,18 @@
 //                    processor whose receive window overlaps -> receive-
 //                    port exclusivity (coverage checking is disabled for
 //                    this recipe: the abandoned leaf would otherwise add a
-//                    second, unrelated violation).
+//                    second, unrelated violation);
+//   out-of-range ids a send to a leaf with its src, dst or msg id patched
+//                    out of range -> exactly that id error (coverage off:
+//                    the leaf goes uncovered). The schedule stays sorted,
+//                    so the validator visits it in place, and its look-ahead
+//                    meets the patched event before the event's own turn.
 //
 // scripts/check.sh --sanitize re-runs this binary under ASan+UBSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "sched/bcast.hpp"
@@ -199,6 +205,42 @@ TEST(ValidatorFuzzTest, RetargetedSendFlagsExactlyReceivePort) {
     ++mutated;
   }
   EXPECT_GE(mutated, 30);
+}
+
+TEST(ValidatorFuzzTest, OutOfRangeIdsFlagExactlyTheIdError) {
+  constexpr auto kNone = static_cast<std::size_t>(-1);
+  Xoshiro256 rng(0x1D5u);
+  int mutated = 0;
+  for (int iter = 0; iter < 200 && mutated < 60; ++iter) {
+    const Instance inst = random_instance(rng);
+    const std::vector<SendEvent>& events = inst.schedule.events();
+    std::vector<std::size_t> to_leaves;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (nth_send_of(inst.schedule, events[i].dst, 0) == kNone) to_leaves.push_back(i);
+    }
+    const std::size_t index = to_leaves[rng.uniform(0, to_leaves.size() - 1)];
+    SendEvent e = events[index];
+    const std::uint64_t which = rng.uniform(0, 2);
+    const bool just_past = rng.uniform(0, 1) == 0;
+    const auto proc = just_past ? static_cast<ProcId>(inst.params.n())
+                                : std::numeric_limits<ProcId>::max();
+    if (which == 0) e.src = proc;
+    if (which == 1) e.dst = proc;
+    if (which == 2) e.msg = just_past ? 1 : std::numeric_limits<MsgId>::max();
+    const Schedule bad = with_event(inst.schedule, index, e);
+
+    ValidatorOptions options;
+    options.messages = 1;
+    options.require_coverage = false;
+    SimReport report;
+    ASSERT_NO_THROW(report = validate_schedule(bad, inst.params, options));
+    ASSERT_EQ(report.violations.size(), 1u) << report.summary();
+    EXPECT_TRUE(contains(report.violations[0], which == 2 ? "message id out of range"
+                                                          : "processor id out of range"))
+        << report.violations[0];
+    ++mutated;
+  }
+  EXPECT_GE(mutated, 60);
 }
 
 TEST(ValidatorFuzzTest, DroppedSendFlagsCoverage) {
