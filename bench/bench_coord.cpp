@@ -7,8 +7,9 @@
 //   * election latency -- from the leader's crash to the last live rank
 //     adopting the deterministic successor (bully election,
 //     lambda-scaled heartbeat watchdogs);
-//   * view-change recovery -- the extra decision latency consensus pays
-//     when the view-0 leader crashes at t = 0, versus the fault-free
+//   * view-change recovery -- the extra decision latency single-decree
+//     consensus (the replicated log with one command, coord/consensus.hpp)
+//     pays when the view-0 leader crashes at t = 0, versus the fault-free
 //     baseline of the same resolved options.
 //
 // Both are reported as exact multiples of lambda (the postal latency is
@@ -20,13 +21,14 @@
 // gate. Every point must pass:
 //
 //   * the crash-aware machine validation AND the coordination validator
-//     (agreement / validity / integrity / legitimacy) on every run;
+//     (election legitimacy; the log's agreement / validity / prefix
+//     durability / lease exclusion) on every run;
 //   * settled runs (disturbances bounded inside the derived horizon);
 //   * fault-free identity: with no plan, the election keeps the initial
-//     leader with zero latency and consensus decides the leader's value
-//     in view 0 with zero recovery;
+//     leader with zero latency and consensus decides in view 0 with zero
+//     recovery;
 //   * thread invariance: a threads=4 sharded run produces byte-identical
-//     events, beliefs/decisions, and counters.
+//     events, beliefs / per-rank logs, and counters.
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -49,6 +51,7 @@ struct Point {
   // Results.
   Rational elect_latency;      ///< crash -> last live adoption
   Rational elect_over_lambda;  ///< elect_latency / lambda
+  Rational decision_latency;   ///< fault-free consensus decision latency
   Rational recovery;           ///< consensus decision latency - baseline
   Rational recovery_over_lambda;
   double wall_ms = 0.0;
@@ -78,6 +81,7 @@ void run_point(Point& p) {
     p.failure = "fault-free consensus";
     return;
   }
+  p.decision_latency = agree.commit_latency;
 
   // Leader-crash election: kill p0 mid-run (after two heartbeat periods,
   // so the cluster is in steady state when the watchdogs take over).
@@ -114,10 +118,8 @@ void run_point(Point& p) {
     p.failure = "election threads=4 drift";
     return;
   }
-  coord::ConsensusOptions copts;
-  copts.threads = 4;
-  const coord::ConsensusReport cons4 = coord::run_consensus(params, &doa, copts);
-  if (cons4.events != cons.events || cons4.decisions != cons.decisions ||
+  const coord::ConsensusReport cons4 = coord::run_consensus(params, &doa, 4);
+  if (cons4.events != cons.events || cons4.ranks != cons.ranks ||
       cons4.counters != cons.counters) {
     p.failure = "consensus threads=4 drift";
     return;
@@ -147,13 +149,13 @@ int main() {
   points.push_back(integer_lambda);
 
   bool all_ok = true;
-  TextTable table({"n", "lambda", "elect latency", "elect/lambda", "recovery",
-                   "recovery/lambda", "gates"});
+  TextTable table({"n", "lambda", "elect latency", "elect/lambda",
+                   "decision latency", "recovery", "recovery/lambda", "gates"});
   for (Point& p : points) {
     run_point(p);
     table.add_row({std::to_string(p.n), p.lambda.str(), p.elect_latency.str(),
-                   p.elect_over_lambda.str(), p.recovery.str(),
-                   p.recovery_over_lambda.str(),
+                   p.elect_over_lambda.str(), p.decision_latency.str(),
+                   p.recovery.str(), p.recovery_over_lambda.str(),
                    p.gates_ok ? "pass" : "FAIL: " + p.failure});
     all_ok = all_ok && p.gates_ok;
   }
@@ -177,6 +179,8 @@ int main() {
     rec.extra.emplace_back(slug + "_elect_latency", p.elect_latency.str());
     rec.extra.emplace_back(slug + "_elect_over_lambda",
                            p.elect_over_lambda.str());
+    rec.extra.emplace_back(slug + "_decision_latency",
+                           p.decision_latency.str());
     rec.extra.emplace_back(slug + "_recovery", p.recovery.str());
     rec.extra.emplace_back(slug + "_recovery_over_lambda",
                            p.recovery_over_lambda.str());

@@ -34,8 +34,9 @@
 //   postal_cli consensus <n> <lambda> [--seed S [--crashes C]]
 //                    [--plan file.json] [--crash R:T] [--threads T]
 //                    [--trace out.json]
-//                                               broadcast-based view-change
-//                                               consensus; exits non-zero
+//                                               single-decree consensus: the
+//                                               replicated log with one
+//                                               command; exits non-zero
 //                                               unless the coordination
 //                                               validator certifies the run
 //   postal_cli oracle <n> <lambda> makespan     f_lambda(n) + witness rank,
@@ -70,7 +71,6 @@
 #include <vector>
 
 #include "api/communicator.hpp"
-#include "coord/consensus.hpp"
 #include "coord/election.hpp"
 #include "coord/log.hpp"
 #include "coord/metrics.hpp"
@@ -496,7 +496,7 @@ void print_plan_header(const FaultPlan& plan, bool have_plan) {
   }
 }
 
-/// Shared tail of elect/consensus: the judged verdict lines (violations on
+/// Shared tail of elect/log: the judged verdict lines (violations on
 /// stderr), the optional marker-overlaid Chrome trace, one bench record.
 int finish_coord_run(const PostalParams& params, const SimReport& validation,
                      const coord::CoordCheck& check, const Trace& trace,
@@ -583,60 +583,6 @@ int cmd_elect(std::uint64_t n, const Rational& lambda, const FaultPlan& plan,
   return finish_coord_run(params, report.validation, report.check,
                           report.result.trace, report.result.faults,
                           coord::election_markers(report), trace_path,
-                          std::move(rec), wall_ms);
-}
-
-int cmd_consensus(std::uint64_t n, const Rational& lambda, const FaultPlan& plan,
-                  bool have_plan, const std::string& trace_path,
-                  unsigned threads) {
-  const PostalParams params(n, lambda);
-  coord::ConsensusOptions options;
-  options.threads = threads;
-  const obs::WallClock clock;
-  const coord::ConsensusReport report =
-      coord::run_consensus(params, have_plan ? &plan : nullptr, options);
-  const double wall_ms = clock.elapsed_ms();
-
-  print_plan_header(plan, have_plan);
-  std::uint64_t decides = 0;
-  std::string value = "(none)";
-  for (const coord::RankDecision& d : report.decisions) {
-    if (!d.decided) continue;
-    ++decides;
-    value = std::to_string(d.value);
-  }
-  std::cout << "\nview-change consensus on MPS(" << n << ", " << lambda << "):\n";
-  TextTable table({"quantity", "value"});
-  table.add_row({"decided value", value});
-  table.add_row({"ranks decided", std::to_string(decides)});
-  table.add_row({"quorum", std::to_string(report.quorum)});
-  table.add_row({"view length", report.options.view_length.str()});
-  table.add_row({"views used", std::to_string(report.views_used + 1)});
-  table.add_row({"decision latency", report.decision_latency.str()});
-  table.add_row({"fault-free baseline", report.baseline.str()});
-  table.add_row({"recovery time", report.recovery_time.str()});
-  table.add_row({"view-changes", std::to_string(report.counters.view_changes_sent)});
-  table.add_row({"proposals", std::to_string(report.counters.proposals)});
-  table.add_row({"acks", std::to_string(report.counters.acks_sent)});
-  table.add_row({"repairs", std::to_string(report.counters.proposal_repairs)});
-  table.add_row({"heal replies", std::to_string(report.counters.heal_replies)});
-  table.add_row({"settled", report.settled ? "yes" : "no"});
-  table.print(std::cout);
-
-  obs::BenchRecord rec;
-  rec.bench = "postal_cli_consensus";
-  rec.n = n;
-  rec.lambda = lambda;
-  rec.makespan = report.decision_latency;
-  rec.verdict = report.validation.ok && report.check.ok ? "DECIDED" : "FAIL";
-  rec.extra = {{"value", value},
-               {"views", std::to_string(report.views_used + 1)},
-               {"recovery", report.recovery_time.str()},
-               {"seed", std::to_string(plan.seed)},
-               {"threads", std::to_string(threads == 0 ? 1 : threads)}};
-  return finish_coord_run(params, report.validation, report.check,
-                          report.result.trace, report.result.faults,
-                          coord::consensus_markers(report), trace_path,
                           std::move(rec), wall_ms);
 }
 
@@ -953,6 +899,7 @@ int main(int argc, char** argv) {
       std::string policy_arg;
       if (cmd == "elect") policy_arg = take_flag(rest, "--policy");
       coord::LogOptions log_options;
+      if (cmd == "consensus") log_options.commands = 1;
       if (cmd == "log") {
         const std::string commands_arg = take_flag(rest, "--commands");
         if (!commands_arg.empty()) {
@@ -1014,11 +961,8 @@ int main(int argc, char** argv) {
       if (cmd == "elect") {
         return cmd_elect(n, lambda, plan, have_plan, policy, trace_path, threads);
       }
-      if (cmd == "log") {
-        return cmd_log(n, lambda, plan, have_plan, log_options, trace_path,
-                       threads);
-      }
-      return cmd_consensus(n, lambda, plan, have_plan, trace_path, threads);
+      return cmd_log(n, lambda, plan, have_plan, log_options, trace_path,
+                     threads);
     }
     if (cmd == "faults" && args.size() >= 3) {
       const std::uint64_t n = std::stoull(args[0]);

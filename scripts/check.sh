@@ -137,7 +137,7 @@ POSTAL_BENCH_JSON=build/SWEEP_t4.json \
 python3 scripts/compare_sweep_records.py build/SWEEP_t1.json build/SWEEP_t4.json
 
 if [ "$CHAOS" -eq 1 ]; then
-  # The chaos sweep (docs/FAULTS.md): >= 100 seeded fault scenarios against
+  # The chaos sweep (docs/FAULTS.md): 122 seeded fault scenarios against
   # the reliable broadcast protocol, the fault-free byte-identical
   # regression, and the data-model tests -- run explicitly so a chaos
   # failure is loud even if ctest filtering above ever changes. Any failing
@@ -152,19 +152,21 @@ if [ "$CHAOS" -eq 1 ]; then
   ./build/tests/test_reliable_bcast
   ./build/tests/test_chaos
 
-  # The coordination chaos suite (docs/COORDINATION.md): 150+ seeded
-  # scenarios against leader election and view-change consensus, holding
-  # the validator's safety clauses and the guarded liveness clause on
-  # every one, plus the protocol unit suites.
+  # The coordination chaos suite (docs/COORDINATION.md): 168 seeded
+  # scenarios, 84 against leader election and 84 against single-decree
+  # consensus (the replicated log with one command), holding the
+  # validator's safety clauses and the guarded liveness clause on every
+  # one, plus the election unit suite (the single-decree unit suite runs
+  # inside test_coord_log below).
   echo "== chaos: coordination suite"
   ./build/tests/test_coord_election
-  ./build/tests/test_coord_consensus
   ./build/tests/test_coord_chaos
 
-  # The replicated-log chaos suite (docs/COORDINATION.md): 60+ seeded
-  # scenarios against the multi-decree log -- leader crash mid-batch,
-  # lease-boundary races on the grid, reconfig under crash -- holding the
-  # log validator's safety clauses on every one, plus the log unit suite.
+  # The replicated-log chaos suite (docs/COORDINATION.md): 72 seeded
+  # scenarios plus an 8-seed lease-boundary sweep against the
+  # multi-decree log -- leader crash mid-batch, lease-boundary races on
+  # the grid, reconfig under crash -- holding the log validator's safety
+  # clauses on every one, plus the log and single-decree unit suites.
   echo "== chaos: replicated-log suite"
   ./build/tests/test_coord_log
   ./build/tests/test_coord_log_chaos

@@ -60,13 +60,6 @@ coord::ElectionReport Communicator::elect_leader(
   return coord::run_election(params_, plan, effective);
 }
 
-coord::ConsensusReport Communicator::run_consensus(
-    const FaultPlan* plan, const coord::ConsensusOptions& options) {
-  coord::ConsensusOptions effective = options;
-  if (effective.threads == 0) effective.threads = threads_;
-  return coord::run_consensus(params_, plan, effective);
-}
-
 coord::LogReport Communicator::replicate_log(const FaultPlan* plan,
                                              const coord::LogOptions& options) {
   coord::LogOptions effective = options;

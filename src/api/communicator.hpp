@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "coord/consensus.hpp"
 #include "coord/election.hpp"
 #include "coord/log.hpp"
 #include "faults/fault_plan.hpp"
@@ -122,23 +121,14 @@ class Communicator {
       const FaultPlan* plan = nullptr,
       const coord::ElectionOptions& options = {});
 
-  /// Broadcast-based view-change consensus under an optional fault plan
-  /// (docs/COORDINATION.md): epoch-numbered views, tree-disseminated
-  /// proposals, quorum acks; agreement / validity / integrity certified by
-  /// the coordination validator. options.threads == 0 inherits
-  /// set_threads().
-  [[nodiscard]] coord::ConsensusReport run_consensus(
-      const FaultPlan* plan = nullptr,
-      const coord::ConsensusOptions& options = {});
-
   /// Multi-decree replicated log under an optional fault plan
   /// (docs/COORDINATION.md): per-slot consensus instances sharing one
   /// view/leader, batched PROPOSE/COMMIT over the view's BCAST tree,
   /// lambda-scaled leader leases with fencing tokens, catch-up transfer
   /// for stragglers, and membership reconfiguration decided like any
-  /// other slot. The report carries the crash-aware validation and the
-  /// replicated-log validator's verdict. options.threads == 0 inherits
-  /// set_threads().
+  /// other slot. Single-decree consensus is options.commands = 1. The
+  /// report carries the crash-aware validation and the replicated-log
+  /// validator's verdict. options.threads == 0 inherits set_threads().
   [[nodiscard]] coord::LogReport replicate_log(
       const FaultPlan* plan = nullptr, const coord::LogOptions& options = {});
 

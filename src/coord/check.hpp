@@ -1,5 +1,5 @@
 // The coordination validator's verdict type (docs/COORDINATION.md).
-// Split from coord/validator.hpp so the election/consensus reports can
+// Split from coord/validator.hpp so the election/log reports can
 // embed a verdict without a circular include.
 #pragma once
 
@@ -13,7 +13,7 @@ namespace postal::coord {
 struct CoordCheck {
   bool ok = false;
   /// True iff the guarded liveness clauses were applicable (the run was
-  /// settled and, for consensus, a quorum survived) and therefore checked.
+  /// settled and, for the log, a quorum survived) and therefore checked.
   bool liveness_checked = false;
   std::vector<std::string> violations;
 

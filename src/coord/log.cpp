@@ -93,7 +93,7 @@ Rational port_budget(std::uint64_t n, std::uint64_t slots) {
       static_cast<std::int64_t>((slots + 2) * (n + slots)));
 }
 
-// Sharded runner factory (the consensus.cpp pattern): per-rank results
+// Sharded runner factory (the election.cpp pattern): per-rank results
 // harvested on reclaim, written once each because every rank's handlers
 // run on exactly one shard.
 class LogFactory final : public ShardProtocolFactory {
@@ -301,8 +301,8 @@ void LogProtocol::relay_range(MachineContext& ctx, const Config& cfg,
                               std::uint32_t slot, std::uint32_t value,
                               std::uint64_t renamed, std::uint64_t hi) {
   // Algorithm BCAST's generalized-Fibonacci splits of the renamed member
-  // range [renamed, hi) rooted at the view's leader (the consensus relay
-  // loop over the view's configuration instead of all n ranks). hi is
+  // range [renamed, hi) rooted at the view's leader (the reliable_bcast
+  // split loop, re-rooted per view over the view's configuration). hi is
   // clamped defensively: configurations can disagree transiently around
   // an activation view, and a scrambled relay is safe -- commits carry
   // decided values and proposals are re-checked per receiver.

@@ -1,16 +1,17 @@
 // Multi-decree replicated log in the postal model (docs/COORDINATION.md).
 //
-// Per-slot instances of the view-change consensus (coord/consensus.hpp)
-// sharing one view/leader: views occupy the globally synchronized windows
-// [v V, (v+1) V) with leader(v) the v-th member of the view's
-// configuration in round-robin, so every rank's exact clock agrees on who
-// may lead when. The leader of a view collects VIEW-CHANGEs (each carrying
-// the follower's commit prefix and, per undecided slot, its highest
-// accepted (view, value)); on a quorum it acquires a *lease* and proposes
-// a batch: re-proposals of every accepted value it heard (the per-slot
-// Paxos value rule) plus fresh client commands for the free slots, all
-// disseminated over the per-view generalized-Fibonacci BCAST tree (ranks
-// renamed (member index - leader index) mod |members|). Acceptors ACK per
+// Per-slot single-decree Paxos instances sharing one view/leader (with one
+// command the log *is* single-decree consensus, coord/consensus.hpp):
+// views occupy the globally synchronized windows [v V, (v+1) V) with
+// leader(v) the v-th member of the view's configuration in round-robin, so
+// every rank's exact clock agrees on who may lead when. The leader of a
+// view collects VIEW-CHANGEs (each carrying the follower's commit prefix
+// and, per undecided slot, its highest accepted (view, value)); on a
+// quorum it acquires a *lease* and proposes a batch: re-proposals of every
+// accepted value it heard (the per-slot Paxos value rule) plus fresh
+// client commands for the free slots, all disseminated over the per-view
+// generalized-Fibonacci BCAST tree (ranks renamed (member index - leader
+// index) mod |members|). Acceptors ACK per
 // slot; a quorum of ACKs commits the slot and the COMMIT rides the same
 // tree. Crashed relays orphan subtrees, so a within-view repair wave
 // re-sends uncommitted proposals point-to-point, and any rank whose commit

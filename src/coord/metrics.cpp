@@ -24,29 +24,6 @@ void record_election(obs::MetricsRegistry& registry,
       .set(static_cast<std::int64_t>(report.leader));
 }
 
-void record_consensus(obs::MetricsRegistry& registry,
-                      const ConsensusReport& report) {
-  const ConsensusCounters& c = report.counters;
-  registry.counter("coord.consensus.view_changes").add(c.view_changes_sent);
-  registry.counter("coord.consensus.proposals").add(c.proposals);
-  registry.counter("coord.consensus.proposal_relays").add(c.proposal_relays);
-  registry.counter("coord.consensus.proposal_repairs").add(c.proposal_repairs);
-  registry.counter("coord.consensus.acks").add(c.acks_sent);
-  registry.counter("coord.consensus.commits").add(c.commits);
-  registry.counter("coord.consensus.commit_relays").add(c.commit_relays);
-  registry.counter("coord.consensus.heal_replies").add(c.heal_replies);
-  registry.counter("coord.consensus.decides").add(c.decides);
-  registry.counter("coord.consensus.views_used").add(report.views_used);
-  registry.counter("coord.consensus.crashed").add(report.crashed.size());
-  registry.counter("coord.consensus.settled").add(report.settled ? 1 : 0);
-  registry.counter("coord.consensus.check_ok").add(report.check.ok ? 1 : 0);
-  registry.rational("coord.consensus.latency").add(report.decision_latency);
-  registry.rational("coord.consensus.baseline").add(report.baseline);
-  registry.rational("coord.consensus.recovery").add(report.recovery_time);
-  registry.gauge("coord.consensus.quorum")
-      .set(static_cast<std::int64_t>(report.quorum));
-}
-
 std::vector<obs::TraceMarker> election_markers(const ElectionReport& report) {
   std::vector<obs::TraceMarker> out;
   out.reserve(report.events.size());
@@ -107,31 +84,6 @@ void record_log(obs::MetricsRegistry& registry, const LogReport& report) {
       .set(static_cast<std::int64_t>(report.quorum));
   registry.gauge("coord.log.final_members")
       .set(static_cast<std::int64_t>(report.final_members.size()));
-}
-
-std::vector<obs::TraceMarker> consensus_markers(const ConsensusReport& report) {
-  std::vector<obs::TraceMarker> out;
-  out.reserve(report.events.size());
-  for (const ConsensusEvent& e : report.events) {
-    std::string name;
-    switch (e.kind) {
-      case ConsensusEvent::Kind::kViewChange:
-        name = "view-change v" + std::to_string(e.view);
-        break;
-      case ConsensusEvent::Kind::kPropose:
-        name = "propose " + std::to_string(e.value) + " v" +
-               std::to_string(e.view);
-        break;
-      case ConsensusEvent::Kind::kDecide:
-        name = "decide " + std::to_string(e.value);
-        break;
-    }
-    out.push_back(obs::TraceMarker{
-        std::move(name), e.rank, e.time,
-        "\"view\":" + std::to_string(e.view) +
-            ",\"value\":" + std::to_string(e.value)});
-  }
-  return out;
 }
 
 std::vector<obs::TraceMarker> log_markers(const LogReport& report) {

@@ -1,12 +1,12 @@
 // Observability for coordination runs (docs/OBSERVABILITY.md): fold an
-// election or consensus report into a MetricsRegistry under the "coord.*"
-// prefix, in the registry's exactness classes -- counters for traffic and
-// transitions, exact Rational accumulators for the model-time latencies.
+// election or replicated-log report into a MetricsRegistry under the
+// "coord.*" prefix, in the registry's exactness classes -- counters for
+// traffic and transitions, exact Rational accumulators for the model-time
+// latencies.
 #pragma once
 
 #include <vector>
 
-#include "coord/consensus.hpp"
 #include "coord/election.hpp"
 #include "coord/log.hpp"
 #include "obs/metrics.hpp"
@@ -20,12 +20,6 @@ namespace postal::coord {
 void record_election(obs::MetricsRegistry& registry,
                      const ElectionReport& report);
 
-/// Record `report` under "coord.consensus.*": the message counters, the
-/// decide/view tallies, and decision_latency / recovery_time as exact
-/// Rationals.
-void record_consensus(obs::MetricsRegistry& registry,
-                      const ConsensusReport& report);
-
 /// Chrome-trace overlay markers for an election run: one instant event per
 /// suspicion, victory, adoption, and step-down, on the rank's track at its
 /// exact model time (feed to trace_to_chrome_json's marker overload).
@@ -37,11 +31,6 @@ void record_consensus(obs::MetricsRegistry& registry,
 /// the reconfiguration applies, and commit_latency / recovery_time as
 /// exact Rationals.
 void record_log(obs::MetricsRegistry& registry, const LogReport& report);
-
-/// Chrome-trace overlay markers for a consensus run: view changes,
-/// proposals, and decisions.
-[[nodiscard]] std::vector<obs::TraceMarker> consensus_markers(
-    const ConsensusReport& report);
 
 /// Chrome-trace overlay markers for a replicated-log run: view changes,
 /// lease grants/renewals/expiries, per-slot proposals, commits, decides,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 
 #include "oracle/oracle.hpp"
@@ -133,148 +132,6 @@ CoordCheck check_election(const ElectionReport& report,
         std::ostringstream oss;
         oss << "settled crash-only run elected " << *leader
             << " but the legitimate leader is " << expected;
-        add(check, oss.str());
-      }
-    }
-  }
-
-  check.ok = check.violations.empty();
-  return check;
-}
-
-CoordCheck check_consensus(const ConsensusReport& report,
-                           const PostalParams& params, const FaultPlan* plan) {
-  CoordCheck check;
-  const std::uint64_t n = params.n();
-  const auto crashes = crash_times(plan, n);
-  const std::uint32_t base = report.options.value_base;
-
-  if (!report.validation.ok) {
-    add(check, "machine validation failed: " + report.validation.summary());
-  }
-
-  // Integrity: at most one decide per rank, consistent with the harvested
-  // decisions. (Crashed ranks may legitimately have decided pre-crash.)
-  std::vector<std::uint32_t> decide_events(n, 0);
-  std::set<std::uint32_t> proposed_values;
-  std::map<std::uint32_t, const ConsensusEvent*> proposers;  // view -> event
-  std::optional<std::uint32_t> agreed;
-  for (const ConsensusEvent& e : report.events) {
-    if (e.rank >= n) {
-      std::ostringstream oss;
-      oss << "event names rank " << e.rank << " out of range";
-      add(check, oss.str());
-      continue;
-    }
-    const auto it = crashes.find(e.rank);
-    if (it != crashes.end() && e.time >= it->second) {
-      std::ostringstream oss;
-      oss << "rank " << e.rank << " logged an event at t=" << e.time.str()
-          << " at/after its crash at t=" << it->second.str();
-      add(check, oss.str());
-    }
-    switch (e.kind) {
-      case ConsensusEvent::Kind::kViewChange:
-        break;
-      case ConsensusEvent::Kind::kPropose: {
-        // A single legitimate proposer per view: the view's round-robin
-        // leader, proposing some rank's client value, at most once.
-        if (e.rank != e.view % n) {
-          std::ostringstream oss;
-          oss << "rank " << e.rank << " proposed in view " << e.view
-              << " led by rank " << (e.view % n);
-          add(check, oss.str());
-        }
-        auto [pit, inserted] = proposers.emplace(e.view, &e);
-        if (!inserted) {
-          std::ostringstream oss;
-          oss << "view " << e.view << " has two proposals (value "
-              << pit->second->value << " then " << e.value << ")";
-          add(check, oss.str());
-        }
-        if (e.value < base || e.value - base >= n) {
-          std::ostringstream oss;
-          oss << "proposed value " << e.value << " is nobody's client value";
-          add(check, oss.str());
-        }
-        proposed_values.insert(e.value);
-        break;
-      }
-      case ConsensusEvent::Kind::kDecide: {
-        ++decide_events[e.rank];
-        if (decide_events[e.rank] > 1) {
-          std::ostringstream oss;
-          oss << "rank " << e.rank << " decided more than once";
-          add(check, oss.str());
-        }
-        if (!agreed.has_value()) {
-          agreed = e.value;
-        } else if (e.value != *agreed) {
-          std::ostringstream oss;
-          oss << "agreement broken: decided values " << *agreed << " and "
-              << e.value;
-          add(check, oss.str());
-        }
-        // Validity: a decided value must have been proposed (events are in
-        // canonical time order, so the proposal was logged already).
-        if (!proposed_values.contains(e.value)) {
-          std::ostringstream oss;
-          oss << "rank " << e.rank << " decided value " << e.value
-              << " which was never proposed";
-          add(check, oss.str());
-        }
-        break;
-      }
-    }
-  }
-  for (ProcId p = 0; p < n; ++p) {
-    const RankDecision& d = report.decisions[p];
-    if (!d.started) continue;
-    if (d.decided != (decide_events[p] != 0)) {
-      std::ostringstream oss;
-      oss << "rank " << p << " harvested decided=" << (d.decided ? 1 : 0)
-          << " but logged " << decide_events[p] << " decide event(s)";
-      add(check, oss.str());
-    }
-    if (d.decided && agreed.has_value() && d.value != *agreed) {
-      std::ostringstream oss;
-      oss << "rank " << p << " harvested value " << d.value
-          << " but the decided value is " << *agreed;
-      add(check, oss.str());
-    }
-  }
-
-  // Guarded liveness: the disturbances were bounded, the view budget
-  // covered them, and a quorum survived -- so every live rank must have
-  // decided.
-  const std::uint64_t survivors = n - crashes.size();
-  if (report.settled && survivors >= report.quorum) {
-    check.liveness_checked = true;
-    for (ProcId p = 0; p < n; ++p) {
-      if (crashes.contains(p)) continue;
-      const RankDecision& d = report.decisions[p];
-      if (d.started && !d.decided) {
-        std::ostringstream oss;
-        oss << "liveness: live rank " << p << " never decided (settled run, "
-            << survivors << " survivors >= quorum " << report.quorum << ")";
-        add(check, oss.str());
-      }
-    }
-  }
-
-  if (is_fault_free(plan)) {
-    // Undisturbed, view 0's leader (rank 0) must win immediately with its
-    // own client value.
-    for (ProcId p = 0; p < n; ++p) {
-      const RankDecision& d = report.decisions[p];
-      if (!d.started) continue;
-      if (!d.decided || d.value != base || d.view != 0) {
-        std::ostringstream oss;
-        oss << "fault-free run: rank " << p << " should decide value " << base
-            << " in view 0 but "
-            << (d.decided ? "decided value " + std::to_string(d.value) +
-                                " in view " + std::to_string(d.view)
-                          : std::string("never decided"));
         add(check, oss.str());
       }
     }

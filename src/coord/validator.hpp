@@ -1,7 +1,8 @@
 // Crash-aware coordination validator (docs/COORDINATION.md).
 //
-// Judges an election or consensus run against the classic coordination
-// clauses, in sim/validator's violation-string style:
+// Judges an election or replicated-log run against the classic
+// coordination clauses, in sim/validator's violation-string style
+// (single-decree consensus is the one-command log, coord/consensus.hpp):
 //
 //   election   -- the machine validation passed; fault-free runs never
 //                 suspect and keep the initial leader; settled runs leave
@@ -9,16 +10,6 @@
 //                 term; and under crash-only plans that leader is the
 //                 legitimate one (the initial leader if it survives, else
 //                 the best survivor under the configured policy).
-//   consensus  -- the machine validation passed; agreement (no two ranks
-//                 decide different values); validity (every decided value
-//                 was some rank's client value and was actually proposed);
-//                 integrity (each rank decides at most once, and the event
-//                 log matches the harvested decisions); a single legitimate
-//                 proposer per view (rank view mod n, alive at propose
-//                 time, at most one proposal per view); and guarded
-//                 liveness -- when the run settled and a quorum survived,
-//                 every live rank decided. Fault-free runs must decide
-//                 rank 0's client value in view 0.
 //   log        -- the machine validation passed; per-slot agreement (no
 //                 two ranks decide different values for one slot); validity
 //                 (every decided value is a client command or a well-formed
@@ -45,7 +36,6 @@
 #pragma once
 
 #include "coord/check.hpp"
-#include "coord/consensus.hpp"
 #include "coord/election.hpp"
 #include "coord/log.hpp"
 
@@ -55,12 +45,6 @@ namespace postal::coord {
 [[nodiscard]] CoordCheck check_election(const ElectionReport& report,
                                         const PostalParams& params,
                                         const FaultPlan* plan);
-
-/// Check a consensus run's agreement / validity / integrity /
-/// single-proposer clauses and the guarded liveness-under-quorum clause.
-[[nodiscard]] CoordCheck check_consensus(const ConsensusReport& report,
-                                         const PostalParams& params,
-                                         const FaultPlan* plan);
 
 /// Check a replicated-log run's per-slot agreement / validity / prefix
 /// durability / lease mutual-exclusion / reconfiguration-safety clauses

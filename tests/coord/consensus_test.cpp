@@ -1,7 +1,9 @@
-// View-change consensus unit tests (docs/COORDINATION.md): fault-free
-// decisions in view 0, leader-crash view rotation, Paxos value stability,
-// quorum-loss safety, and byte-identical determinism across thread counts
-// counts.
+// Single-decree consensus unit tests (docs/COORDINATION.md): consensus is
+// the replicated log with one command (coord/consensus.hpp), so these pin
+// the one-slot log -- fault-free decisions in view 0, leader-crash view
+// rotation, Paxos value stability, quorum-loss safety, check_log's
+// agreement and proposer clauses, and byte-identical determinism across
+// thread counts.
 #include <cstdint>
 #include <vector>
 
@@ -23,27 +25,28 @@ TEST(Consensus, FaultFreeDecidesLeaderValueInViewZero) {
   EXPECT_TRUE(report.check.liveness_checked);
   EXPECT_TRUE(report.settled);
   EXPECT_EQ(report.views_used, 0U);
+  EXPECT_EQ(report.slots, 1U);
   EXPECT_EQ(report.counters.decides, 8U);
   EXPECT_EQ(report.counters.proposals, 1U);
   EXPECT_EQ(report.counters.proposal_repairs, 0U);
   EXPECT_EQ(report.quorum, 5U);
   for (ProcId p = 0; p < 8; ++p) {
-    ASSERT_TRUE(report.decisions[p].started);
-    ASSERT_TRUE(report.decisions[p].decided) << "rank " << p;
-    EXPECT_EQ(report.decisions[p].value, 1000U);
-    EXPECT_EQ(report.decisions[p].view, 0U);
+    ASSERT_TRUE(report.ranks[p].started);
+    ASSERT_TRUE(report.ranks[p].slots[0].decided) << "rank " << p;
+    EXPECT_EQ(report.ranks[p].slots[0].value, 3000U);
+    EXPECT_EQ(report.ranks[p].slots[0].view, 0U);
   }
   EXPECT_EQ(report.recovery_time, Rational(0));
-  EXPECT_EQ(report.baseline, report.decision_latency);
+  EXPECT_EQ(report.baseline, report.commit_latency);
 }
 
 TEST(Consensus, SingleProcessorDecidesImmediately) {
   const PostalParams params(1, Rational(2));
   const ConsensusReport report = run_consensus(params);
   EXPECT_TRUE(report.check.ok) << report.check.summary();
-  ASSERT_TRUE(report.decisions[0].decided);
-  EXPECT_EQ(report.decisions[0].value, 1000U);
-  EXPECT_EQ(report.decision_latency, Rational(0));
+  ASSERT_TRUE(report.ranks[0].slots[0].decided);
+  EXPECT_EQ(report.ranks[0].slots[0].value, 3000U);
+  EXPECT_EQ(report.commit_latency, Rational(0));
 }
 
 TEST(Consensus, LeaderCrashRotatesToNextView) {
@@ -56,11 +59,12 @@ TEST(Consensus, LeaderCrashRotatesToNextView) {
   EXPECT_TRUE(report.check.liveness_checked);
   EXPECT_GE(report.views_used, 1U);
   for (ProcId p = 1; p < 8; ++p) {
-    ASSERT_TRUE(report.decisions[p].decided) << "rank " << p;
-    EXPECT_EQ(report.decisions[p].value, 1001U);  // view 1's client value
+    ASSERT_TRUE(report.ranks[p].slots[0].decided) << "rank " << p;
+    EXPECT_EQ(report.ranks[p].slots[0].value, 3000U);
+    EXPECT_GE(report.ranks[p].slots[0].view, 1U) << "rank " << p;
   }
   EXPECT_GT(report.recovery_time, Rational(0));
-  EXPECT_GT(report.decision_latency, report.baseline);
+  EXPECT_GT(report.commit_latency, report.baseline);
 }
 
 TEST(Consensus, MidViewLeaderCrashKeepsAgreement) {
@@ -93,30 +97,6 @@ TEST(Consensus, QuorumLossIsSafeButNotLive) {
   EXPECT_EQ(report.counters.decides, 0U);
 }
 
-TEST(Consensus, ValueBaseIsConfigurable) {
-  const PostalParams params(4, Rational(3));
-  ConsensusOptions options;
-  options.value_base = 5000;
-  const ConsensusReport report = run_consensus(params, nullptr, options);
-  EXPECT_TRUE(report.check.ok) << report.check.summary();
-  for (ProcId p = 0; p < 4; ++p) {
-    EXPECT_EQ(report.decisions[p].value, 5000U);
-  }
-}
-
-TEST(Consensus, DerivedViewLengthIsOnTheGrid) {
-  const PostalParams params(8, Rational(5, 2));
-  const ConsensusOptions resolved =
-      resolve_consensus_options(params, nullptr, ConsensusOptions{});
-  EXPECT_GT(resolved.view_length, Rational(0));
-  // lambda = 5/2: every derived time must be a multiple of 1/2 so the tick
-  // fast path admits the run.
-  EXPECT_EQ(resolved.view_length.den() == 1 || resolved.view_length.den() == 2,
-            true)
-      << resolved.view_length.str();
-  EXPECT_GE(resolved.max_views, 1U);
-}
-
 TEST(Consensus, ByteIdenticalAcrossThreads) {
   const PostalParams params(10, Rational(5, 2));
   FaultPlan plan;
@@ -125,13 +105,11 @@ TEST(Consensus, ByteIdenticalAcrossThreads) {
 
   std::vector<ConsensusReport> reports;
   for (const unsigned threads : {1U, 2U, 4U}) {
-    ConsensusOptions options;
-    options.threads = threads;
-    reports.push_back(run_consensus(params, &plan, options));
+    reports.push_back(run_consensus(params, &plan, threads));
   }
   for (std::size_t i = 1; i < reports.size(); ++i) {
     EXPECT_EQ(reports[i].events, reports[0].events) << "variant " << i;
-    EXPECT_EQ(reports[i].decisions, reports[0].decisions) << "variant " << i;
+    EXPECT_EQ(reports[i].ranks, reports[0].ranks) << "variant " << i;
     EXPECT_EQ(reports[i].counters, reports[0].counters) << "variant " << i;
     EXPECT_EQ(reports[i].result.schedule.events(), reports[0].result.schedule.events())
         << "variant " << i;
@@ -144,11 +122,11 @@ TEST(Consensus, ValidatorFlagsFabricatedDisagreement) {
   ConsensusReport report = run_consensus(params);
   ASSERT_TRUE(report.check.ok);
   for (auto& e : report.events) {
-    if (e.kind == ConsensusEvent::Kind::kDecide && e.rank == 2) {
+    if (e.kind == LogEvent::Kind::kDecide && e.rank == 2) {
       e.value = 9999;
     }
   }
-  const CoordCheck tampered = check_consensus(report, params, nullptr);
+  const CoordCheck tampered = check_log(report, params, nullptr);
   EXPECT_FALSE(tampered.ok);
   EXPECT_NE(tampered.summary().find("agreement"), std::string::npos)
       << tampered.summary();
@@ -159,10 +137,14 @@ TEST(Consensus, ValidatorFlagsWrongProposer) {
   ConsensusReport report = run_consensus(params);
   ASSERT_TRUE(report.check.ok);
   for (auto& e : report.events) {
-    if (e.kind == ConsensusEvent::Kind::kPropose) e.rank = 3;
+    if (e.kind == LogEvent::Kind::kPropose) e.rank = 3;
   }
-  const CoordCheck tampered = check_consensus(report, params, nullptr);
+  // check_log judges proposer legitimacy through the lease: rank 3 holds
+  // none, so its proposal falls outside every lease.
+  const CoordCheck tampered = check_log(report, params, nullptr);
   EXPECT_FALSE(tampered.ok);
+  EXPECT_NE(tampered.summary().find("outside its lease"), std::string::npos)
+      << tampered.summary();
 }
 
 }  // namespace

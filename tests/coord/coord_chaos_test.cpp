@@ -1,13 +1,14 @@
 // Coordination chaos suite (docs/COORDINATION.md, docs/FAULTS.md): sweep
 // 150+ seeded random fault scenarios -- leader crashes, quorum-preserving
 // link loss, latency-spike windows, and combinations -- across n, lambda,
-// and both protocols, and hold the coordination safety clauses on every
-// one:
+// and both protocols (leader election, and single-decree consensus: the
+// replicated log with one command), and hold the coordination safety
+// clauses on every one:
 //
 //   * the crash-aware machine validation accepts the run;
 //   * the coordination validator accepts it (election: one live leader and
-//     legitimacy under crash-only plans; consensus: agreement, validity,
-//     integrity, single proposer, guarded liveness);
+//     legitimacy under crash-only plans; consensus: check_log's agreement,
+//     validity, single proposer, lease exclusion, guarded liveness);
 //   * a sampled subset re-runs at 4 threads and
 //     must reproduce byte-identical events and final states.
 //
@@ -104,6 +105,7 @@ TEST(CoordChaos, ConsensusSafetyHoldsOnEveryScenario) {
   const auto scenarios = make_scenarios("consensus");
   ASSERT_GE(scenarios.size(), 84U);
   int checked = 0;
+  int live = 0;
   for (const ChaosScenario& s : scenarios) {
     const int before = test::failure_part_count();
     const ConsensusReport report = run_consensus(s.params, &s.plan);
@@ -114,19 +116,21 @@ TEST(CoordChaos, ConsensusSafetyHoldsOnEveryScenario) {
     EXPECT_LE(report.counters.decides, s.params.n()) << s.tag;
     EXPECT_LE(report.counters.commits, report.counters.proposals) << s.tag;
     if (s.seed % 6 == 0) {
-      ConsensusOptions opts;
-      opts.threads = 4;
-      const ConsensusReport again = run_consensus(s.params, &s.plan, opts);
+      const ConsensusReport again = run_consensus(s.params, &s.plan, 4);
       EXPECT_EQ(again.events, report.events) << s.tag;
-      EXPECT_EQ(again.decisions, report.decisions) << s.tag;
+      EXPECT_EQ(again.ranks, report.ranks) << s.tag;
       EXPECT_EQ(again.counters, report.counters) << s.tag;
     }
     if (test::failure_part_count() != before) {
       test::dump_chaos_artifact(s.tag, s.seed, s.plan);
     }
+    if (report.check.liveness_checked) ++live;
     ++checked;
   }
   EXPECT_GE(checked, 84);
+  // Settled runs in which a quorum survived: the guarded liveness clause
+  // fired and every live rank decided.
+  EXPECT_EQ(live, 76);
 }
 
 }  // namespace

@@ -267,6 +267,32 @@ TEST(Log, StaleTokenWritesAreRejectedAndCounted) {
   EXPECT_EQ(stale_events, report.counters.stale_rejects);
 }
 
+TEST(Log, LeaderCrashAfterAcceptKeepsTheAcceptedValue) {
+  // The per-slot Paxos value rule: view 0's leader proposes the config
+  // command "remove rank 4, active from view 2" and crashes at t = 29/2,
+  // after a quorum accepted it but before every rank learned it. The
+  // config value carries its activation view, so a view-1 leader that
+  // dropped the reported accepted value would propose a fresh "active
+  // from view 3" command for the same slot and break agreement.
+  const PostalParams params(5, Rational(2));
+  LogOptions options;
+  options.commands = 1;
+  options.reconfig.push_back(ReconfigRequest{4, Rational(1)});
+  FaultPlan plan;
+  plan.crashes.push_back(CrashFault{0, Rational(29, 2)});
+  const LogReport report = run_log(params, &plan, options);
+  EXPECT_TRUE(report.validation.ok) << report.validation.summary();
+  EXPECT_TRUE(report.check.ok) << report.check.summary();
+  EXPECT_TRUE(report.check.liveness_checked);
+  EXPECT_GE(report.views_used, 1U);
+  const std::uint32_t accepted = make_config_value(false, 2, 4);
+  for (ProcId p = 1; p < 5; ++p) {
+    ASSERT_EQ(report.ranks[p].commit_prefix, 2U) << "rank " << p;
+    EXPECT_EQ(report.ranks[p].slots[0].value, 3000U) << "rank " << p;
+    EXPECT_EQ(report.ranks[p].slots[1].value, accepted) << "rank " << p;
+  }
+}
+
 TEST(Log, ByteIdenticalAcrossThreads) {
   const PostalParams params(9, Rational(5, 2));
   FaultPlan plan;
