@@ -63,6 +63,7 @@
 // faults appends one "postal_cli_faults" record (faults_injected,
 // retransmissions, repair_time in extra; docs/FAULTS.md), and oracle range
 // appends one "postal_cli_oracle" record (stream verdict in extra).
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -694,19 +695,31 @@ int cmd_oracle_range(std::uint64_t n, const Rational& lambda, std::uint64_t lo,
                      std::uint64_t hi) {
   const oracle::ScheduleOracle oracle(n, lambda);
   const obs::WallClock clock;
-  const std::vector<StreamEvent> events = oracle.events(lo, hi);
+  // Stream fixed chunks: memory stays O(chunk) whatever hi - lo is. The
+  // first kMaxPrinted events are kept for the listing.
+  constexpr std::uint64_t kChunk = 4096;
+  constexpr std::size_t kMaxPrinted = 64;
   StreamingValidator validator(oracle, lo, hi);
-  validator.feed(events);
+  std::vector<StreamEvent> printed;
+  std::uint64_t emitted = 0;
+  for (std::uint64_t c = lo; c < hi;) {
+    const std::uint64_t end = c + std::min(kChunk, hi - c);
+    const std::vector<StreamEvent> chunk = oracle.events(c, end);
+    c = end;
+    validator.feed(chunk);
+    for (std::size_t i = 0; i < chunk.size() && printed.size() < kMaxPrinted; ++i) {
+      printed.push_back(chunk[i]);
+    }
+    emitted += chunk.size();
+  }
   const StreamReport report = validator.finish();
   const double wall_ms = clock.elapsed_ms();
 
-  constexpr std::size_t kMaxPrinted = 64;
-  for (std::size_t i = 0; i < events.size() && i < kMaxPrinted; ++i) {
-    std::cout << "p" << events[i].src << " -> p" << events[i].dst
-              << " at t = " << events[i].t << "\n";
+  for (const StreamEvent& e : printed) {
+    std::cout << "p" << e.src << " -> p" << e.dst << " at t = " << e.t << "\n";
   }
-  if (events.size() > kMaxPrinted) {
-    std::cout << "... " << (events.size() - kMaxPrinted) << " more\n";
+  if (emitted > kMaxPrinted) {
+    std::cout << "... " << (emitted - kMaxPrinted) << " more\n";
   }
   std::cout << "\nranks [" << lo << ", " << hi << ") of MPS(" << n << ", "
             << lambda << "): " << report.events_checked

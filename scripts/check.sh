@@ -296,16 +296,20 @@ if [ "$SANITIZE" -eq 1 ]; then
   # trace's never-arrived sentinel, cell index and rescale (test_trace),
   # the queue's inline slots and look-ahead (test_event_queue: moved-from
   # and reallocated slots) and the reference model's judged engines,
-  # and the whole service layer (parser edge cases, the 200+-scenario soak,
+  # the whole service layer (parser edge cases, the 200+-scenario soak,
   # the histogram's bucket math at 2^64 extremes, and the faulted exec
-  # tier).
+  # tier), and the oracle's rank walk and bucketed f_lambda inverse (the
+  # walk's pending stack, the bucket index arithmetic near saturation, and
+  # the streaming validator's cursor path and fallback: test_oracle,
+  # test_oracle_differential, test_stream_validator).
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
     test_validator_order test_par test_machine_faults test_reliable_bcast test_chaos \
     test_ticks test_event_queue test_tick_differential test_par_machine \
     test_par_differential test_reference_model test_svc_workload test_svc_service \
-    test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort test_trace
+    test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort test_trace \
+    test_oracle test_oracle_differential test_stream_validator
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
   ./build-asan/tests/test_validator_order
@@ -326,6 +330,9 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_svc_chaos
   ./build-asan/tests/test_schedule_sort
   ./build-asan/tests/test_trace
+  ./build-asan/tests/test_oracle
+  ./build-asan/tests/test_oracle_differential
+  ./build-asan/tests/test_stream_validator
 fi
 
 echo "ALL CHECKS PASSED"

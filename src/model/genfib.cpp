@@ -10,6 +10,7 @@ GenFib::GenFib(Rational lambda) : lambda_(std::move(lambda)) {
   q_ = lambda_.den();
   // F_lambda(t) = 1 on [0, lambda), i.e. grid indices 0 .. p-1.
   memo_.assign(static_cast<std::size_t>(p_), 1);
+  buckets_.note(0, 1);
 }
 
 void GenFib::extend_to(std::int64_t k) {
@@ -19,6 +20,7 @@ void GenFib::extend_to(std::int64_t k) {
     const std::uint64_t value =
         sat_add(memo_[static_cast<std::size_t>(i - q_)],
                 memo_[static_cast<std::size_t>(i - p_)]);
+    buckets_.note(memo_.size(), value);
     memo_.push_back(value);
   }
 }
@@ -48,8 +50,7 @@ std::int64_t GenFib::f_index(std::uint64_t n) {
     extend_to(static_cast<std::int64_t>(memo_.size()) * 2 - 1);
   }
   // memo_ is nondecreasing, so the index function is a lower bound.
-  const auto it = std::lower_bound(memo_.begin(), memo_.end(), n);
-  return static_cast<std::int64_t>(it - memo_.begin());
+  return static_cast<std::int64_t>(buckets_.lower_bound(memo_.data(), memo_.size(), n));
 }
 
 std::uint64_t GenFib::bcast_split(std::uint64_t n) {

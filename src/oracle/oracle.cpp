@@ -32,60 +32,70 @@ ScheduleOracle::ScheduleOracle(std::uint64_t n, Rational lambda,
   table_ = (cache != nullptr ? *cache : par::GenFibCache::global()).F_table(lambda_, n_);
   F_ = table_->data();
   // The table may run past f_lambda(n) (it is shared and grows
-  // geometrically); searches stop at f_lambda(n), the last index any
-  // count <= n can need.
-  makespan_ticks_ = static_cast<Tick>(
-      std::lower_bound(table_->begin(), table_->end(), n_) - table_->begin());
-}
-
-Tick ScheduleOracle::f_ticks(std::uint64_t count) const {
-  return static_cast<Tick>(std::lower_bound(F_, F_ + makespan_ticks_ + 1, count) - F_);
+  // geometrically); f_lambda(n) is the last index any count <= n needs.
+  makespan_ticks_ = table_->f_index(n_);
 }
 
 Rational ScheduleOracle::makespan() const { return tick_time(makespan_ticks_); }
 
-ScheduleOracle::Cursor ScheduleOracle::locate(Rank rank) const {
+ScheduleOracle::Holder ScheduleOracle::hand_off(Holder& h, std::uint64_t slot,
+                                                Tick now) const {
+  // The holder keeps [base, base + j) and informs base + j, handing it
+  // [base + j, base + count); the send arrives lambda after it starts.
+  const std::uint64_t j = split(h.count);
+  Holder child;
+  child.frame = RankFrame{h.frame.rank + j, h.frame.rank,   slot,
+                          h.frame.inform,   now, add_ticks(now, lambda_ticks_)};
+  child.count = h.count - j;
+  child.depth = h.depth + 1;
+  h.count = j;
+  return child;
+}
+
+template <class Defer>
+ScheduleOracle::Holder ScheduleOracle::descend(Rank rank, Defer&& defer) const {
   POSTAL_REQUIRE(rank < n_, "ScheduleOracle: rank out of range");
-  Cursor c;
-  c.count = n_;
-  Tick now = 0;  // the current holder's next send start
-  while (c.base != rank) {
+  Holder h;
+  h.count = n_;
+  std::uint64_t slot = 0;  // the holder's next send slot ...
+  Tick now = 0;            // ... and its start
+  while (h.frame.rank != rank) {
     // rank lies strictly inside [base, base + count), so count >= 2 and
-    // the holder splits: it keeps [base, base + j) and informs base + j.
-    const std::uint64_t j = split(c.count);
-    const Rank child = c.base + j;
-    if (rank >= child) {
-      // Descend into the recipient's range [base + j, base + count).
-      c.parent = c.base;
-      c.parent_send = now;
-      c.base = child;
-      c.count -= j;
-      c.inform = add_ticks(now, lambda_ticks_);
-      now = c.inform;
-      ++c.depth;
+    // the holder splits.
+    const Holder child = hand_off(h, slot, now);
+    if (rank >= child.frame.rank) {
+      // Descend into the recipient's range.
+      h = child;
+      slot = 0;
+      now = h.frame.inform;
     } else {
-      // Stay with the holder, whose range shrinks to [base, base + j) and
-      // whose next send starts one unit later.
-      c.count = j;
+      // Stay with the holder, whose next send starts one unit later; the
+      // recipient's range lies wholly above rank.
+      defer(child);
+      ++slot;
       now = add_ticks(now, q_);
     }
   }
-  return c;
+  return h;
+}
+
+ScheduleOracle::Holder ScheduleOracle::locate(Rank rank) const {
+  return descend(rank, [](const Holder&) {});
 }
 
 Rational ScheduleOracle::inform_time(Rank rank) const {
-  return tick_time(locate(rank).inform);
+  return tick_time(locate(rank).frame.inform);
 }
 
-Rank ScheduleOracle::parent(Rank rank) const { return locate(rank).parent; }
+Rank ScheduleOracle::parent(Rank rank) const { return locate(rank).frame.parent; }
 
 RankInfo ScheduleOracle::info(Rank rank) const {
-  const Cursor c = locate(rank);
+  const Holder c = locate(rank);
   RankInfo out;
   out.rank = rank;
-  out.parent = c.parent;
-  out.inform_time = tick_time(c.inform);
-  out.parent_send = tick_time(c.parent_send);
+  out.parent = c.frame.parent;
+  out.inform_time = tick_time(c.frame.inform);
+  out.parent_send = tick_time(c.frame.send);
   out.subtree = c.count;
   out.depth = c.depth;
   // The out-degree is the length of the split chain count > j(count) >
@@ -107,16 +117,16 @@ Rational ScheduleOracle::send_slot(Rank rank, std::uint64_t slot) const {
   POSTAL_REQUIRE(slot < i.out_degree,
                  "ScheduleOracle::send_slot: slot beyond the rank's out-degree");
   return tick_time(
-      add_ticks(locate(rank).inform, static_cast<Tick>(slot) * q_));
+      add_ticks(locate(rank).frame.inform, static_cast<Tick>(slot) * q_));
 }
 
 std::optional<Rank> ScheduleOracle::child_at(Rank rank,
                                              std::uint64_t slot) const {
-  const Cursor c = locate(rank);
+  const Holder c = locate(rank);
   std::uint64_t remaining = c.count;
   for (std::uint64_t k = 0; remaining >= 2; ++k) {
     const std::uint64_t j = split(remaining);
-    if (k == slot) return c.base + j;
+    if (k == slot) return rank + j;
     remaining = j;
   }
   return std::nullopt;
@@ -154,8 +164,8 @@ Rank ScheduleOracle::last_informed_rank() const {
 }
 
 ScheduleOracle::ChildRange ScheduleOracle::children(Rank rank) const {
-  const Cursor c = locate(rank);
-  return ChildRange(this, c.base, c.count, c.inform);
+  const Holder c = locate(rank);
+  return ChildRange(this, rank, c.count, c.frame.inform);
 }
 
 Child ScheduleOracle::ChildRange::iterator::operator*() const {
@@ -183,11 +193,37 @@ std::vector<StreamEvent> ScheduleOracle::events(Rank lo, Rank hi) const {
   const Rank first = lo < 1 ? 1 : lo;
   if (first >= hi) return out;
   out.reserve(static_cast<std::size_t>(hi - first));
-  for (Rank r = first; r < hi; ++r) {
-    const Cursor c = locate(r);
-    out.push_back(StreamEvent{c.parent, r, tick_time(c.parent_send)});
+  Walk walk(*this);
+  for (const RankFrame* f = &walk.seek(first);; f = &walk.next()) {
+    out.push_back(StreamEvent{f->parent, f->rank, tick_time(f->send)});
+    if (f->rank + 1 == hi) break;
   }
   return out;
+}
+
+std::unique_ptr<RankCursor> ScheduleOracle::rank_cursor() const {
+  return std::make_unique<Walk>(*this);
+}
+
+const RankFrame& ScheduleOracle::Walk::seek(std::uint64_t rank) {
+  pending_.clear();
+  current_ = oracle_.descend(rank,
+                             [this](const Holder& child) { pending_.push_back(child); });
+  return current_.frame;
+}
+
+const RankFrame& ScheduleOracle::Walk::next() {
+  // The current rank's children in send order; the last one, rank + 1
+  // when it has any, ends up on top.
+  Tick now = current_.frame.inform;
+  for (std::uint64_t slot = 0; current_.count >= 2; ++slot) {
+    pending_.push_back(oracle_.hand_off(current_, slot, now));
+    now = add_ticks(now, oracle_.q_);
+  }
+  POSTAL_REQUIRE(!pending_.empty(), "ScheduleOracle::Walk: next() past rank n - 1");
+  current_ = pending_.back();
+  pending_.pop_back();
+  return current_.frame;
 }
 
 }  // namespace postal::oracle

@@ -22,8 +22,17 @@
 // Split values come from one flat array: at construction the oracle takes
 // the immutable F_lambda grid table covering f_lambda(n) from the
 // process-wide (or caller-owned) par::GenFibCache -- its only cache
-// access -- and every later split j(m) = F[f_index(m) - q] is a
-// lower_bound plus an index into that table, with no lock and no hashing.
+// access -- and every later split j(m) = F[f_index(m) - q] is a lookup in
+// that table's bit-width buckets (model/genfib.hpp's FIndexBuckets) plus
+// an index, with no lock and no hashing.
+//
+// One descent serves every query. Point queries run it without memory;
+// the rank walk (Walk) runs it once and keeps the children the descent
+// stepped past -- exactly the ranks an ascending walk still has to visit
+// -- on a stack, so it then moves from rank r to r + 1 in amortized O(1):
+// each holder's split chain is expanded once and its children popped in
+// ascending rank order. events() and the streaming validator walk ranks
+// this way.
 //
 // The oracle is certified two ways (tests/oracle/): a differential gate
 // proves it reproduces the materialized sched::bcast schedule
@@ -128,9 +137,16 @@ class ScheduleOracle final : public RankScheduleSource {
   [[nodiscard]] ChildRange children(Rank rank) const;
 
   /// The receive events of ranks [max(lo, 1), hi), one per rank in rank
-  /// order -- the chunk shape StreamingValidator certifies. O(hi - lo)
-  /// memory; throws InvalidArgument unless lo <= hi <= n.
+  /// order -- the chunk shape StreamingValidator certifies. Emitted by one
+  /// Walk: one descent, then amortized O(1) per rank. O(hi - lo) memory
+  /// for the result; throws InvalidArgument unless lo <= hi <= n.
   [[nodiscard]] std::vector<StreamEvent> events(Rank lo, Rank hi) const;
+
+  /// A walk over the receives of ranks 1 .. n-1 in rank order, on the tick
+  /// grid of lambda's denominator. Its state is one descent's pending
+  /// children: O(f_lambda(n)) frames, whatever the number of ranks walked.
+  /// The oracle must outlive it.
+  class Walk;
 
   // RankScheduleSource (the streaming validator's closed-form source).
   [[nodiscard]] Rational rank_inform_time(std::uint64_t rank) const override {
@@ -143,22 +159,31 @@ class ScheduleOracle final : public RankScheduleSource {
   [[nodiscard]] Rational schedule_makespan() const override {
     return makespan();
   }
+  /// A Walk over this oracle.
+  [[nodiscard]] std::unique_ptr<RankCursor> rank_cursor() const override;
 
  private:
-  /// Descent state at the moment `rank` became the holder of its range.
-  struct Cursor {
-    Rank base = 0;             ///< == the queried rank on return
-    std::uint64_t count = 1;   ///< size of the range it holds
-    Tick inform = 0;           ///< when it was informed (grid ticks)
-    Tick parent_send = 0;      ///< start of the send that informed it
-    Rank parent = 0;
-    std::uint64_t depth = 0;
+  /// A rank at the moment it became the holder of its range.
+  struct Holder {
+    RankFrame frame;          ///< its receive; the origin's is all zero
+    std::uint64_t count = 1;  ///< size of the range it holds
+    std::uint64_t depth = 0;  ///< receive hops from the origin
   };
 
-  [[nodiscard]] Cursor locate(Rank rank) const;
+  /// The descent from (0, n) to `rank`. Each child the descent steps past
+  /// -- one whose rank exceeds `rank` -- goes to `defer`, in decreasing
+  /// rank order. locate() defers nothing; Walk::seek keeps them.
+  template <class Defer>
+  [[nodiscard]] Holder descend(Rank rank, Defer&& defer) const;
+  [[nodiscard]] Holder locate(Rank rank) const;
+  /// The rank `h` informs by its send in `slot`, starting at `now`, while
+  /// it holds h.count >= 2 ranks; h.count shrinks to the part it keeps.
+  [[nodiscard]] Holder hand_off(Holder& h, std::uint64_t slot, Tick now) const;
   /// f_lambda(count) as grid ticks, for 1 <= count <= n: the first index
   /// whose F value reaches count (0 for count == 1).
-  [[nodiscard]] Tick f_ticks(std::uint64_t count) const;
+  [[nodiscard]] Tick f_ticks(std::uint64_t count) const {
+    return table_->f_index(count);
+  }
   /// The BCAST split j = F_lambda(f_lambda(count) - 1) for 2 <= count <= n.
   [[nodiscard]] std::uint64_t split(std::uint64_t count) const {
     return F_[static_cast<std::size_t>(f_ticks(count) - q_)];
@@ -174,6 +199,25 @@ class ScheduleOracle final : public RankScheduleSource {
   Tick makespan_ticks_ = 0;           ///< f_lambda(n) in ticks: first k, F_[k] >= n
 
   friend class ChildRange;
+  friend class Walk;
+};
+
+/// See ScheduleOracle::rank_cursor. seek() is one descent; next() expands
+/// the current rank's split chain (its children, pushed in send order, so
+/// the smallest rank is on top) and pops the top. Every rank is pushed and
+/// popped once, so a walk over k consecutive ranks costs one descent plus
+/// O(k) splits.
+class ScheduleOracle::Walk final : public RankCursor {
+ public:
+  explicit Walk(const ScheduleOracle& oracle) : oracle_(oracle) {}
+
+  const RankFrame& seek(std::uint64_t rank) override;
+  const RankFrame& next() override;
+
+ private:
+  const ScheduleOracle& oracle_;
+  Holder current_;
+  std::vector<Holder> pending_;  ///< ranks still to visit; top = smallest
 };
 
 /// Input range over a rank's children; see ScheduleOracle::children.

@@ -1,8 +1,15 @@
 #include "par/genfib_cache.hpp"
 
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace postal::par {
+
+GenFibCache::FTable::FTable(std::vector<std::uint64_t> values)
+    : values_(std::move(values)) {
+  for (std::size_t k = 0; k < values_.size(); ++k) buckets_.note(k, values_[k]);
+}
 
 GenFibCache::GenFibCache(std::size_t shards) {
   POSTAL_REQUIRE(shards >= 1, "GenFibCache: shards must be >= 1");

@@ -43,13 +43,33 @@ class GenFibCache {
   /// F_lambda(t). Same contract as GenFib::F (the grid memo is shared).
   [[nodiscard]] std::uint64_t F(const Rational& lambda, const Rational& t);
 
-  /// F_lambda on its grid, frozen: (*table)[k] = F_lambda(k/q).
-  using FTable = std::vector<std::uint64_t>;
+  /// F_lambda on its grid, frozen: data()[k] = F_lambda(k/q), with the
+  /// buckets of its index function, built once when it is published.
+  class FTable {
+   public:
+    explicit FTable(std::vector<std::uint64_t> values);
+
+    [[nodiscard]] const std::uint64_t* data() const noexcept { return values_.data(); }
+    [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
+    [[nodiscard]] std::uint64_t back() const { return values_.back(); }
+    [[nodiscard]] auto begin() const noexcept { return values_.begin(); }
+    [[nodiscard]] auto end() const noexcept { return values_.end(); }
+
+    /// f_lambda(m) as a grid index: the first k with data()[k] >= m, for
+    /// 1 <= m <= back(). Same answer as a lower_bound, in O(1) expected.
+    [[nodiscard]] std::int64_t f_index(std::uint64_t m) const noexcept {
+      return static_cast<std::int64_t>(buckets_.lower_bound(data(), size(), m));
+    }
+
+   private:
+    std::vector<std::uint64_t> values_;
+    FIndexBuckets buckets_;
+  };
 
   /// A shared, immutable F_lambda grid table that covers f_lambda(n): its
-  /// last value is >= n, so f_index(m) for every m <= n is a lower_bound
-  /// on it and the BCAST split j(m) = F_lambda(f_lambda(m) - 1) an index
-  /// into it. One table per lambda is shared by every caller. It is
+  /// last value is >= n, so f_index(m) for every m <= n is answered by
+  /// its buckets and the BCAST split j(m) = F_lambda(f_lambda(m) - 1) is
+  /// an index into it. One table per lambda is shared by every caller. It is
   /// published copy-on-grow: a request for a larger n publishes a new,
   /// longer copy and never touches a table an earlier caller still reads,
   /// so holders search theirs with no lock. Same contract as GenFib::f_index

@@ -30,6 +30,15 @@
 //  * completion          -- no arrival may exceed the certified makespan,
 //                           and a full-range stream must attain it.
 //
+// Retained state: the source's rank cursor (RankCursor), whose stack is
+// bounded by one root-to-rank descent -- O(f_lambda(n)) frames -- and not
+// by the range length, plus O(1) counters and the capped violation list.
+// Events in receiver order are checked against the cursor's frame for the
+// expected rank with integer compares on the tick grid (support/ticks);
+// an event that disagrees with its frame -- or any event when the source
+// has no cursor -- is re-checked through the per-rank queries below,
+// which produce every violation string.
+//
 // What this buys and what it assumes: the per-rank closed forms
 // (RankScheduleSource, implemented by oracle::ScheduleOracle) are
 // *cross-checked* against the stream, so a corrupted event -- wrong time,
@@ -40,11 +49,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "support/rational.hpp"
+#include "support/ticks.hpp"
 
 namespace postal {
 
@@ -57,6 +68,31 @@ struct StreamEvent {
   Rational t;
 
   friend bool operator==(const StreamEvent&, const StreamEvent&) = default;
+};
+
+/// One rank's receive in a broadcast tree, on the tick grid of lambda's
+/// denominator q (support/ticks).
+struct RankFrame {
+  std::uint64_t rank = 0;    ///< the receiver
+  std::uint64_t parent = 0;  ///< the rank whose send informs it
+  std::uint64_t slot = 0;    ///< that send's unit slot at the parent
+  Tick parent_inform = 0;    ///< when the parent was informed
+  Tick send = 0;             ///< the send's start: parent_inform + slot * q
+  Tick inform = 0;           ///< its arrival: send + lambda
+};
+
+/// A walk over a broadcast tree's receives in increasing rank order.
+class RankCursor {
+ public:
+  virtual ~RankCursor() = default;
+
+  /// Move to `rank` (1 <= rank < n) and return its frame. The reference
+  /// stays valid until the next seek() or next().
+  virtual const RankFrame& seek(std::uint64_t rank) = 0;
+
+  /// Move to the rank after the current one (which must be below n - 1)
+  /// and return its frame.
+  virtual const RankFrame& next() = 0;
 };
 
 /// The per-rank closed-form answers a streaming validation certifies the
@@ -84,6 +120,14 @@ class RankScheduleSource {
 
   /// The certified completion time of the whole schedule.
   [[nodiscard]] virtual Rational schedule_makespan() const = 0;
+
+  /// A cursor over the same answers in rank order, or nullptr when the
+  /// source has none; the validator then checks every event through the
+  /// per-rank queries above. A source with a cursor keeps its makespan on
+  /// the tick grid of lambda's denominator.
+  [[nodiscard]] virtual std::unique_ptr<RankCursor> rank_cursor() const {
+    return nullptr;
+  }
 };
 
 /// Result of a streaming validation.
@@ -103,7 +147,8 @@ struct StreamReport {
 /// Feed any number of chunks (possibly empty, any chunk sizes) whose
 /// concatenation lists, in increasing receiver order, the receive event of
 /// every rank in [first, last); then call finish() exactly once. Memory is
-/// O(1) beyond the violation list, which is capped at kMaxViolations.
+/// the source cursor's stack -- O(f_lambda(n)), independent of the range
+/// length -- plus the violation list, which is capped at kMaxViolations.
 class StreamingValidator {
  public:
   /// Certify the receiver range [max(first, 1), last). Throws
@@ -132,12 +177,26 @@ class StreamingValidator {
 
  private:
   void violation(std::string text);
+  /// Accept `e` if it is the receive the cursor holds for next_; false
+  /// leaves every check to check().
+  [[nodiscard]] bool accept_from_cursor(const StreamEvent& e);
+  /// Check `e` through the source's per-rank queries, recording each
+  /// violation it commits.
+  void check(const StreamEvent& e);
 
   const RankScheduleSource& source_;
   std::uint64_t next_;        ///< next receiver rank expected
   std::uint64_t last_;        ///< one past the final receiver certified
   bool full_range_;           ///< stream covers every non-origin rank
   bool finished_ = false;
+  Rational lambda_;
+  Rational makespan_;
+  std::unique_ptr<RankCursor> cursor_;  ///< nullptr: check() every event
+  const RankFrame* frame_ = nullptr;    ///< the cursor's frame, once it moved
+  std::int64_t q_ = 1;                  ///< tick resolution: lambda's denominator
+  Tick lambda_ticks_ = 0;
+  Tick makespan_ticks_ = 0;
+  Tick last_arrival_ticks_ = 0;  ///< latest arrival accepted from the cursor
   StreamReport report_;
 };
 

@@ -8,10 +8,14 @@
 // last-informed witness. Past that range, oracle descents are checked
 // against descents walked with GenFib::bcast_split and exact Rational time
 // -- independent of the oracle's shared F table and tick arithmetic -- up
-// to n = 10^12, including while other oracles grow that table.
+// to n = 10^12, including while other oracles grow that table. The two
+// primitives under every descent have their own differentials: the
+// bucketed f_lambda inverse against std::lower_bound, and the rank walk
+// against one locate() per rank.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -26,7 +30,9 @@
 #include "sched/broadcast_tree.hpp"
 #include "sim/stream_validator.hpp"
 #include "sim/validator.hpp"
+#include "support/error.hpp"
 #include "support/prng.hpp"
+#include "support/saturating.hpp"
 
 namespace postal {
 namespace {
@@ -323,6 +329,165 @@ TEST(OracleDifferentialTest, OracleServesQueriesWhileOtherThreadsGrowTheTable) {
   EXPECT_EQ(reader_failures.load(), 0);
   EXPECT_EQ(builder_failures.load(), 0);
   EXPECT_GT(cache.stats().table_grows, 1u);
+}
+
+const std::vector<Rational>& inverse_lambdas() {
+  static const std::vector<Rational> lambdas = {
+      Rational(1),    Rational(2),          Rational(5, 2),       Rational(7, 3),
+      Rational(100),  Rational(1001, 1000), Rational(4099, 1024)};
+  return lambdas;
+}
+
+/// Queries for the f_lambda inverse: every m <= 2^16, every power of two
+/// and its neighbours, and the values just below the saturation cap.
+std::vector<std::uint64_t> inverse_queries() {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t m = 1; m <= (std::uint64_t{1} << 16); ++m) out.push_back(m);
+  for (unsigned b = 1; b < 64; ++b) {
+    const std::uint64_t p = std::uint64_t{1} << b;
+    for (const std::uint64_t m : {p - 1, p, p + 1}) out.push_back(m);
+  }
+  for (std::uint64_t d = 1; d <= 4; ++d) out.push_back(kSaturated - d);
+  return out;
+}
+
+/// Counts queries m (1 <= m <= last value, m < kSaturated) where `got(m)`
+/// differs from std::lower_bound over `values`, reporting the first few.
+template <class Got>
+int inverse_mismatches(const std::vector<std::uint64_t>& values,
+                       const std::vector<std::uint64_t>& queries, Got&& got,
+                       const Rational& lambda) {
+  int bad = 0;
+  for (const std::uint64_t m : queries) {
+    if (m == 0 || m >= kSaturated || m > values.back()) continue;
+    const auto expect = static_cast<std::int64_t>(
+        std::lower_bound(values.begin(), values.end(), m) - values.begin());
+    const std::int64_t actual = got(m);
+    if (actual != expect && ++bad <= 5) {
+      ADD_FAILURE() << "lambda=" << lambda << " m=" << m << ": bucketed " << actual
+                    << ", lower_bound " << expect;
+    }
+  }
+  return bad;
+}
+
+/// Every table value and its two neighbours.
+std::vector<std::uint64_t> value_queries(const std::vector<std::uint64_t>& values) {
+  std::vector<std::uint64_t> out;
+  for (const std::uint64_t v : values) {
+    for (const std::uint64_t m : {v - 1, v, v + 1}) out.push_back(m);
+  }
+  return out;
+}
+
+TEST(FInverseDifferentialTest, GenFibBucketsMatchLowerBoundAsTheMemoGrows) {
+  const std::vector<std::uint64_t> queries = inverse_queries();
+  for (const Rational& lambda : inverse_lambdas()) {
+    GenFib fib(lambda);
+    // Ascending queries grow the memo step by step; each is checked on the
+    // memo as it stands right after its own growth.
+    int bad = 0;
+    for (const std::uint64_t m : queries) {
+      const std::int64_t got = fib.f_index(m);
+      bad += inverse_mismatches(fib.grid_values(), {m},
+                                [got](std::uint64_t) { return got; }, lambda);
+    }
+    // The memo now reaches saturation: re-check every query, and every
+    // table value +- 1, on the grown table.
+    const std::vector<std::uint64_t> values = fib.grid_values();
+    EXPECT_EQ(values.back(), kSaturated) << "lambda=" << lambda;
+    auto f_index = [&fib](std::uint64_t m) { return fib.f_index(m); };
+    bad += inverse_mismatches(values, queries, f_index, lambda);
+    bad += inverse_mismatches(values, value_queries(values), f_index, lambda);
+    EXPECT_EQ(bad, 0) << "lambda=" << lambda;
+  }
+}
+
+TEST(FInverseDifferentialTest, CacheTableBucketsMatchLowerBoundAfterCopyOnGrow) {
+  const std::vector<std::uint64_t> queries = inverse_queries();
+  for (const Rational& lambda : inverse_lambdas()) {
+    par::GenFibCache cache;
+    const auto small = cache.F_table(lambda, 1000);
+    const auto grown = cache.F_table(lambda, kSaturated - 1);
+    EXPECT_EQ(cache.stats().table_grows, 2u) << "lambda=" << lambda;
+    for (const auto& table : {small, grown}) {
+      const std::vector<std::uint64_t> values(table->begin(), table->end());
+      auto f_index = [&table](std::uint64_t m) { return table->f_index(m); };
+      int bad = inverse_mismatches(values, queries, f_index, lambda);
+      bad += inverse_mismatches(values, value_queries(values), f_index, lambda);
+      EXPECT_EQ(bad, 0) << "lambda=" << lambda << " table size " << values.size();
+    }
+  }
+}
+
+/// True iff `frame` is what locate() -- through the oracle's point queries
+/// -- says about `rank`: parent, inform tick, send tick and slot.
+bool frame_matches_locate(const oracle::ScheduleOracle& oracle, const RankFrame& frame,
+                          oracle::Rank rank) {
+  const std::int64_t q = oracle.lambda().den();
+  const oracle::RankInfo info = oracle.info(rank);
+  const bool ok = frame.rank == rank && frame.parent == info.parent &&
+                  Rational(frame.inform, q) == info.inform_time &&
+                  Rational(frame.send, q) == info.parent_send &&
+                  Rational(frame.parent_inform, q) == oracle.inform_time(info.parent) &&
+                  frame.send == frame.parent_inform + static_cast<Tick>(frame.slot) * q &&
+                  oracle.child_at(info.parent, frame.slot) == rank;
+  if (!ok) {
+    ADD_FAILURE() << "walk frame differs from locate() at n=" << oracle.n()
+                  << " lambda=" << oracle.lambda() << " rank=" << rank << ": parent "
+                  << frame.parent << " vs " << info.parent << ", inform "
+                  << Rational(frame.inform, q) << " vs " << info.inform_time
+                  << ", send " << Rational(frame.send, q) << " vs "
+                  << info.parent_send << ", slot " << frame.slot;
+  }
+  return ok;
+}
+
+/// Walks [lo, hi) with one seek and hi - lo - 1 next() calls; false at the
+/// first frame that differs from locate().
+bool walk_matches_locate(const oracle::ScheduleOracle& oracle, oracle::Rank lo,
+                         oracle::Rank hi) {
+  const std::unique_ptr<RankCursor> walk = oracle.rank_cursor();
+  const RankFrame* frame = &walk->seek(lo);
+  for (oracle::Rank r = lo;; frame = &walk->next()) {
+    if (!frame_matches_locate(oracle, *frame, r)) return false;
+    if (++r == hi) return true;
+  }
+}
+
+TEST(RankWalkDifferentialTest, WalkMatchesLocateRankByRank) {
+  Xoshiro256 rng(0xC0450Eu);
+  for (const Rational& lambda : inverse_lambdas()) {
+    // Every rank of small systems.
+    for (const std::uint64_t n : {2ull, 3ull, 14ull, 64ull, 257ull}) {
+      const oracle::ScheduleOracle oracle(n, lambda);
+      EXPECT_TRUE(walk_matches_locate(oracle, 1, n)) << "n=" << n;
+    }
+    // Seeded ranges of seeded sizes up to 10^12, plus the head, the tail
+    // and the last-informed rank of a 10^12-rank system.
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::uint64_t n = random_size(rng);
+      const oracle::ScheduleOracle oracle(n, lambda);
+      const std::uint64_t lo = rng.uniform(1, n - 1);
+      const std::uint64_t hi = std::min<std::uint64_t>(n, lo + rng.uniform(1, 600));
+      EXPECT_TRUE(walk_matches_locate(oracle, lo, hi)) << "n=" << n << " lo=" << lo;
+    }
+    const std::uint64_t huge = 1000000000000ull;
+    const oracle::ScheduleOracle oracle(huge, lambda);
+    const oracle::Rank witness = oracle.last_informed_rank();
+    EXPECT_TRUE(walk_matches_locate(oracle, 1, 400));
+    EXPECT_TRUE(walk_matches_locate(oracle, huge - 400, huge));
+    EXPECT_TRUE(walk_matches_locate(oracle, witness > 200 ? witness - 200 : 1,
+                                    std::min(huge, witness + 200)));
+  }
+}
+
+TEST(RankWalkDifferentialTest, WalkStopsAtTheLastRank) {
+  const oracle::ScheduleOracle oracle(14, Rational(5, 2));
+  const std::unique_ptr<RankCursor> walk = oracle.rank_cursor();
+  EXPECT_EQ(walk->seek(13).rank, 13u);
+  EXPECT_THROW((void)walk->next(), InvalidArgument);
+  EXPECT_THROW((void)walk->seek(14), InvalidArgument);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // corruption class -- wrong time, wrong sender, wrong receiver, duplicate,
 // gap, truncation, events past the certified range -- must be flagged.
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,6 +139,144 @@ TEST(StreamValidatorTest, ViolationCapSetsTruncatedFlag) {
   EXPECT_FALSE(report.ok);
   EXPECT_TRUE(report.truncated);
   EXPECT_EQ(report.violations.size(), StreamingValidator::kMaxViolations);
+}
+
+/// The oracle with one rank's inform time and/or the makespan misreported:
+/// the only way to reach the validator's receive-side clauses, which a
+/// self-consistent source never trips.
+class SkewedSource final : public RankScheduleSource {
+ public:
+  SkewedSource(const oracle::ScheduleOracle& oracle, std::uint64_t skewed_rank,
+               Rational inform_skew, Rational makespan_skew)
+      : oracle_(oracle),
+        skewed_rank_(skewed_rank),
+        inform_skew_(std::move(inform_skew)),
+        makespan_skew_(std::move(makespan_skew)) {}
+
+  [[nodiscard]] std::uint64_t n() const override { return oracle_.n(); }
+  [[nodiscard]] Rational lambda() const override { return oracle_.lambda(); }
+  [[nodiscard]] Rational rank_inform_time(std::uint64_t rank) const override {
+    const Rational t = oracle_.rank_inform_time(rank);
+    return rank == skewed_rank_ ? t + inform_skew_ : t;
+  }
+  [[nodiscard]] std::optional<std::uint64_t> rank_child_at(
+      std::uint64_t rank, std::uint64_t slot) const override {
+    return oracle_.rank_child_at(rank, slot);
+  }
+  [[nodiscard]] Rational schedule_makespan() const override {
+    return oracle_.schedule_makespan() + makespan_skew_;
+  }
+
+ private:
+  const oracle::ScheduleOracle& oracle_;
+  std::uint64_t skewed_rank_;
+  Rational inform_skew_;
+  Rational makespan_skew_;
+};
+
+TEST(StreamValidatorTest, PinsEveryViolationString) {
+  // One case per violation class, with the exact text it produces. The
+  // stream is MPS(32, 2)'s: events[i] informs rank i + 1, the makespan is
+  // 8, rank 5 is informed at 5 and sends in slots 0-1 (p7 at 5, p6 at 6),
+  // p0 sends in slots 0-6 (p1 last, at 6), and p31 is a leaf informed at 6.
+  const oracle::ScheduleOracle oracle(32, Rational(2));
+  const std::vector<StreamEvent> stream = full_stream(oracle);
+  struct Case {
+    const char* name;
+    std::vector<StreamEvent> events;
+    std::uint64_t first = 1;
+    std::uint64_t last = 32;
+    std::uint64_t skewed_rank = 0;  ///< with the two skews: the source
+    Rational inform_skew;
+    Rational makespan_skew;
+    std::vector<std::string> expect;
+  };
+  std::vector<Case> cases;
+  auto mutated = [&](std::size_t index, auto&& edit) {
+    std::vector<StreamEvent> events = stream;
+    edit(events[index]);
+    return events;
+  };
+  cases.push_back({"off-grid time",
+                   mutated(5, [](StreamEvent& e) { e.t = e.t + Rational(1, 7); }),
+                   1, 32, 0, Rational(0), Rational(0),
+                   {"event (p5 -> p6 at t=43/7): send start is not slot-aligned "
+                    "with the sender's inform time"}});
+  cases.push_back({"send before the sender is informed",
+                   mutated(5, [](StreamEvent& e) { e.t = Rational(4); }),
+                   1, 32, 0, Rational(0), Rational(0),
+                   {"event (p5 -> p6 at t=4): sender not informed until t=5"}});
+  cases.push_back({"wrong sender, empty slot",
+                   mutated(16, [](StreamEvent& e) { e.src = 31; }),
+                   1, 32, 0, Rational(0), Rational(0),
+                   {"event (p31 -> p17 at t=6): sender performs no send in slot 0"}});
+  cases.push_back({"wrong sender, slot addresses another rank",
+                   mutated(3, [](StreamEvent& e) { e.src = 0; }),
+                   1, 32, 0, Rational(0), Rational(0),
+                   {"event (p0 -> p4 at t=6): slot 6 of p0 addresses p1"}});
+  {
+    // A gap resyncs: exactly one violation, not one per later event.
+    std::vector<StreamEvent> events = stream;
+    events.erase(events.begin() + 10);
+    cases.push_back({"out-of-order receiver (gap)", events, 1, 32, 0, Rational(0),
+                     Rational(0),
+                     {"event (p11 -> p12 at t=6): receiver out of order: expected "
+                      "rank 11"}});
+  }
+  {
+    std::vector<StreamEvent> events = stream;
+    events.insert(events.begin() + 4, events[3]);
+    cases.push_back({"duplicate receiver", events, 1, 32, 0, Rational(0), Rational(0),
+                     {"event (p3 -> p4 at t=6): receiver out of order: expected "
+                      "rank 5"}});
+  }
+  {
+    std::vector<StreamEvent> events = oracle.events(1, 5);
+    events.push_back(oracle.events(5, 6).front());
+    cases.push_back({"event past the certified range", events, 1, 5, 0, Rational(0),
+                     Rational(0),
+                     {"event (p0 -> p5 at t=3): event past the end of the certified "
+                      "receiver range"}});
+  }
+  cases.push_back({"bad endpoints, receiver outside [0, n)",
+                   mutated(2, [](StreamEvent& e) { e.dst = 99; }),
+                   1, 32, 0, Rational(0), Rational(0),
+                   {"event (p0 -> p99 at t=4): receiver out of order: expected rank 3",
+                    "event (p0 -> p99 at t=4): endpoints outside the legal rank domain",
+                    "event (p3 -> p4 at t=6): receiver out of order: expected rank 3"}});
+  cases.push_back({"bad endpoints, self-send",
+                   mutated(2, [](StreamEvent& e) { e.src = e.dst; }),
+                   1, 32, 0, Rational(0), Rational(0),
+                   {"event (p3 -> p3 at t=4): endpoints outside the legal rank domain"}});
+  cases.push_back({"arrival differs from the inform time", stream, 1, 32, 6,
+                   Rational(1), Rational(0),
+                   {"event (p5 -> p6 at t=6): arrival t=8 differs from the "
+                    "receiver's inform time 9"}});
+  cases.push_back({"arrival past the makespan", oracle.events(1, 5), 1, 5, 0,
+                   Rational(0), Rational(-1),
+                   {"event (p0 -> p1 at t=6): arrival exceeds the certified makespan 7",
+                    "event (p3 -> p4 at t=6): arrival exceeds the certified "
+                    "makespan 7"}});
+  {
+    std::vector<StreamEvent> events = stream;
+    events.pop_back();
+    cases.push_back({"truncated stream", events, 1, 32, 0, Rational(0), Rational(0),
+                     {"stream ended at rank 31, expected to reach 32"}});
+  }
+  cases.push_back({"full-range makespan certificate", stream, 1, 32, 0, Rational(0),
+                   Rational(1), {"latest arrival 8 != certified makespan 9"}});
+
+  for (const Case& c : cases) {
+    const SkewedSource skewed(oracle, c.skewed_rank, c.inform_skew, c.makespan_skew);
+    const bool exact = c.inform_skew == Rational(0) && c.makespan_skew == Rational(0);
+    const RankScheduleSource& source =
+        exact ? static_cast<const RankScheduleSource&>(oracle) : skewed;
+    StreamingValidator validator(source, c.first, c.last);
+    validator.feed(c.events);
+    const StreamReport report = validator.finish();
+    EXPECT_FALSE(report.ok) << c.name;
+    EXPECT_EQ(report.violations, c.expect) << c.name;
+  }
 }
 
 TEST(StreamValidatorTest, LifecycleErrors) {
