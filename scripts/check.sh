@@ -301,7 +301,10 @@ if [ "$SANITIZE" -eq 1 ]; then
   # tier), and the oracle's rank walk and bucketed f_lambda inverse (the
   # walk's pending stack, the bucket index arithmetic near saturation, and
   # the streaming validator's cursor path and fallback: test_oracle,
-  # test_oracle_differential, test_stream_validator).
+  # test_oracle_differential, test_stream_validator), and the schedule's
+  # tick records (test_schedule: the grid rescale's multiply and the
+  # events() view's iterators; test_bcast: the emitter writing records;
+  # test_reduce: the reduce validator's arrival cursor).
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
@@ -309,7 +312,8 @@ if [ "$SANITIZE" -eq 1 ]; then
     test_ticks test_event_queue test_tick_differential test_par_machine \
     test_par_differential test_reference_model test_svc_workload test_svc_service \
     test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort test_trace \
-    test_oracle test_oracle_differential test_stream_validator
+    test_oracle test_oracle_differential test_stream_validator test_schedule test_bcast \
+    test_reduce
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
   ./build-asan/tests/test_validator_order
@@ -333,6 +337,9 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_oracle
   ./build-asan/tests/test_oracle_differential
   ./build-asan/tests/test_stream_validator
+  ./build-asan/tests/test_schedule
+  ./build-asan/tests/test_bcast
+  ./build-asan/tests/test_reduce
 fi
 
 echo "ALL CHECKS PASSED"

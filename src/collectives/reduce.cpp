@@ -49,21 +49,20 @@ ReduceReport validate_reduce(const Schedule& schedule, const PostalParams& param
   // contributions[p]: count of distinct inputs currently combined at p.
   std::vector<std::uint64_t> contributions(n, 1);
 
+  // Events are visited in t order and lambda is a constant, so arrivals
+  // are pushed in nondecreasing arrival order (ties in push order): the
+  // queue is consumed from a head cursor, never re-sorted.
   struct PendingArrival {
     Rational arrival;
     ProcId dst;
     std::uint64_t count;
   };
-  std::vector<PendingArrival> pending;  // kept sorted by arrival lazily
+  std::vector<PendingArrival> pending;
+  std::size_t head = 0;
 
   auto flush_until = [&](const Rational& now) {
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const PendingArrival& a, const PendingArrival& b) {
-                       return a.arrival < b.arrival;
-                     });
-    std::size_t i = 0;
-    for (; i < pending.size() && pending[i].arrival <= now; ++i) {
-      const PendingArrival& a = pending[i];
+    for (; head < pending.size() && pending[head].arrival <= now; ++head) {
+      const PendingArrival& a = pending[head];
       if (sent_at[a.dst].has_value() && *sent_at[a.dst] < a.arrival) {
         std::ostringstream oss;
         oss << "p" << a.dst << " already sent its partial result at t="
@@ -73,32 +72,35 @@ ReduceReport validate_reduce(const Schedule& schedule, const PostalParams& param
         contributions[a.dst] += a.count;
       }
     }
-    pending.erase(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(i));
   };
 
   for (const SendEvent& e : events) {
-    std::ostringstream who;
-    who << "[" << e << "] ";
+    // The "[event] " prefix of a violation, formatted only when one fires.
+    auto who = [&e] {
+      std::ostringstream oss;
+      oss << "[" << e << "] ";
+      return oss.str();
+    };
     if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
+      violate(who() + "processor id out of range");
       continue;
     }
     flush_until(e.t);
     if (e.src == 0) {
-      violate(who.str() + "the reduction root p0 must not send");
+      violate(who() + "the reduction root p0 must not send");
       continue;
     }
     if (sent_at[e.src].has_value()) {
-      violate(who.str() + "processor sends its partial result twice");
+      violate(who() + "processor sends its partial result twice");
       continue;
     }
     sent_at[e.src] = e.t;
     if (auto clash = send_port[e.src].insert(e.t, e.t + Rational(1))) {
-      violate(who.str() + "send-port conflict");
+      violate(who() + "send-port conflict");
     }
     const Rational arrive = e.t + lambda;
     if (auto clash = recv_port[e.dst].insert(arrive - Rational(1), arrive)) {
-      violate(who.str() + "receive-port conflict");
+      violate(who() + "receive-port conflict");
     }
     pending.push_back(PendingArrival{arrive, e.dst, contributions[e.src]});
     report.completion = rmax(report.completion, arrive);

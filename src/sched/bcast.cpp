@@ -10,11 +10,9 @@ namespace {
 // of the paper's recursion -- the holder keeps sending into its shrinking
 // range every unit of time; each recipient's sub-broadcast is recursed
 // explicitly. fib.bcast_split is pure integer arithmetic; send times are
-// carried as ticks and converted exactly when the event is recorded.
-void bcast_emit_ticks(Schedule& schedule, GenFib& fib, const TickDomain& dom,
-                      Tick lambda_ticks, ProcId base, std::uint64_t count,
-                      Tick start, MsgId msg) {
-  const Tick one = dom.q();
+// ticks of the schedule's own grid, recorded as they are.
+void bcast_emit_ticks(Schedule& schedule, GenFib& fib, Tick one, Tick lambda_ticks,
+                      ProcId base, std::uint64_t count, Tick start, MsgId msg) {
   ProcId holder = base;
   std::uint64_t remaining = count;
   Tick now = start;
@@ -25,12 +23,12 @@ void bcast_emit_ticks(Schedule& schedule, GenFib& fib, const TickDomain& dom,
     // the trailing n'-j processors [holder+j, holder+n') to the recipient,
     // which receives at now + lambda and then runs BCAST on its sub-range.
     const ProcId recipient = holder + static_cast<ProcId>(j);
-    schedule.add(holder, recipient, msg, dom.to_rational(now));
+    schedule.add_tick(holder, recipient, msg, now);
     const Tick recipient_start = now + lambda_ticks;
     const std::uint64_t recipient_count = remaining - j;
     if (recipient_count >= 2) {
-      bcast_emit_ticks(schedule, fib, dom, lambda_ticks, recipient,
-                       recipient_count, recipient_start, msg);
+      bcast_emit_ticks(schedule, fib, one, lambda_ticks, recipient, recipient_count,
+                       recipient_start, msg);
     }
     // The holder continues one unit later on its own sub-range of size j.
     now += one;
@@ -38,14 +36,16 @@ void bcast_emit_ticks(Schedule& schedule, GenFib& fib, const TickDomain& dom,
   }
 }
 
-// Grid of one emission: ticks at the resolution 1/q representing lambda
-// and `start` exactly. Every emitted time is start plus a multiple of 1/q
-// bounded by f_lambda(count) <= count * lambda, so (start + (count + 2) *
-// (lambda + 1)) far inside int64 makes the emitter's raw adds
-// overflow-free; otherwise OverflowError names `site`.
+// Grid of one emission: the schedule's grid, refined until its ticks
+// represent lambda and `start` exactly. Every emitted time is start plus a
+// multiple of 1/q bounded by f_lambda(count) <= count * lambda, so (start +
+// (count + 2) * (lambda + 1)) far inside int64 makes the emitter's raw adds
+// overflow-free; otherwise OverflowError names `site`. A fresh schedule is
+// sized for its count - 1 sends up front.
 void emit_on_grid(Schedule& schedule, GenFib& fib, ProcId base, std::uint64_t count,
                   const Rational& start, MsgId msg, const char* site) {
-  const TickDomain dom(fold_grid(fib.lambda().den(), start, site));
+  schedule.refine(fold_grid(fib.lambda().den(), start, site), site);
+  const TickDomain dom(schedule.q());
   const Tick lambda_ticks = grid_ticks(dom, fib.lambda(), site);
   const Tick start_ticks = grid_ticks(dom, start, site);
   __extension__ using int128 = __int128;
@@ -55,7 +55,8 @@ void emit_on_grid(Schedule& schedule, GenFib& fib, ProcId base, std::uint64_t co
       (int128{1} << 62)) {
     throw_grid_overflow(site, "tick bound for n * lambda exceeds int64");
   }
-  bcast_emit_ticks(schedule, fib, dom, lambda_ticks, base, count, start_ticks, msg);
+  if (schedule.empty() && count >= 2) schedule.reserve(count - 1);
+  bcast_emit_ticks(schedule, fib, dom.q(), lambda_ticks, base, count, start_ticks, msg);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <ostream>
 #include <tuple>
+#include <utility>
 
 #include "support/counting_sort.hpp"
 #include "support/error.hpp"
@@ -13,28 +14,27 @@ namespace postal {
 
 namespace {
 
-/// Finest grid Schedule::sort folds event times onto; schedules needing a
-/// finer one keep the comparison sort.
-constexpr std::int64_t kSortGridCap = std::int64_t{1} << 20;
 /// Below this size a comparison sort costs less than the buckets.
 constexpr std::size_t kBucketSortMinSize = 64;
 
-bool event_less(const SendEvent& a, const SendEvent& b) {
-  return std::tie(a.t, a.src, a.dst, a.msg) < std::tie(b.t, b.src, b.dst, b.msg);
+__extension__ using int128 = __int128;
+
+bool record_less(const TickSend& a, const TickSend& b) {
+  return std::tie(a.tick, a.src, a.dst, a.msg) < std::tie(b.tick, b.src, b.dst, b.msg);
 }
 
-/// The order inside one tick bucket, whose events share t.
-bool same_tick_less(const SendEvent& a, const SendEvent& b) {
+/// The order inside one tick bucket, whose records share a tick.
+bool same_tick_less(const TickSend& a, const TickSend& b) {
   return std::tie(a.src, a.dst, a.msg) < std::tie(b.src, b.dst, b.msg);
 }
 
 /// Order one tick bucket. Generators emit a tick either ascending or, like
 /// BCAST's depth-first recursion, in strictly descending src order; both
 /// are recognised in a linear scan before a comparison sort.
-void order_bucket(std::vector<SendEvent>::iterator first,
-                  std::vector<SendEvent>::iterator last) {
+void order_bucket(std::vector<TickSend>::iterator first,
+                  std::vector<TickSend>::iterator last) {
   if (last - first < 2 || std::is_sorted(first, last, same_tick_less)) return;
-  const auto not_descending = [](const SendEvent& a, const SendEvent& b) {
+  const auto not_descending = [](const TickSend& a, const TickSend& b) {
     return !same_tick_less(b, a);
   };
   if (std::adjacent_find(first, last, not_descending) == last) {
@@ -44,56 +44,15 @@ void order_bucket(std::vector<SendEvent>::iterator first,
   }
 }
 
-/// Schedule::sort's fast path: fold every time onto one 1/q grid (q <=
-/// kSortGridCap), counting-sort by tick, then order each tick's bucket.
-/// Returns false, leaving `events` untouched, when the grid or the tick
-/// span is too wide.
-bool bucket_sort(std::vector<SendEvent>& events) {
-  const std::size_t size = events.size();
-  if (size < kBucketSortMinSize) return false;
-  std::int64_t q = 1;
-  std::int64_t last_den = 1;
-  for (const SendEvent& e : events) {
-    const std::int64_t d = e.t.den();
-    if (d == 1 || d == last_den || d == q) continue;
-    last_den = d;
-    if (q % d == 0) continue;
-    const std::int64_t step = d / std::gcd(q, d);
-    if (q > kSortGridCap / step) return false;
-    q *= step;
-  }
-  // Ticks per unit of an event's denominator (times are >= 0, see add).
-  const auto scale = [q](std::int64_t d) { return d == 1 ? q : d == q ? 1 : q / d; };
+/// Smallest and largest tick of `records` (non-empty).
+std::pair<Tick, Tick> tick_range(const std::vector<TickSend>& records) {
   Tick lo = std::numeric_limits<Tick>::max();
   Tick hi = 0;
-  for (const SendEvent& e : events) {
-    Tick tick = 0;
-    if (__builtin_mul_overflow(e.t.num(), scale(e.t.den()), &tick)) return false;
-    lo = std::min(lo, tick);
-    hi = std::max(hi, tick);
+  for (const TickSend& r : records) {
+    lo = std::min(lo, r.tick);
+    hi = std::max(hi, r.tick);
   }
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span > counting_span_cap(size)) return false;
-
-  std::vector<SendEvent> sorted(size);
-  std::vector<std::size_t> ends;
-  counting_pass(
-      static_cast<std::size_t>(span), ends,
-      [&](const auto& f) {
-        for (SendEvent& e : events) f(e);
-      },
-      [&](const SendEvent& e) {
-        return static_cast<std::size_t>(e.t.num() * scale(e.t.den()) - lo);
-      },
-      [&](std::size_t slot, SendEvent& e) { sorted[slot] = std::move(e); });
-  std::size_t begin = 0;
-  for (const std::size_t end : ends) {
-    order_bucket(sorted.begin() + static_cast<std::ptrdiff_t>(begin),
-                 sorted.begin() + static_cast<std::ptrdiff_t>(end));
-    begin = end;
-  }
-  events = std::move(sorted);
-  return true;
+  return {lo, hi};
 }
 
 }  // namespace
@@ -103,26 +62,124 @@ std::ostream& operator<<(std::ostream& os, const SendEvent& e) {
             << " @ t=" << e.t;
 }
 
-void Schedule::add(ProcId src, ProcId dst, MsgId msg, Rational t) {
-  add(SendEvent{src, dst, msg, std::move(t)});
+SendEventView::operator std::vector<SendEvent>() const {
+  std::vector<SendEvent> out;
+  out.reserve(size());
+  for (const SendEvent& e : *this) out.push_back(e);
+  return out;
 }
 
-void Schedule::add(SendEvent event) {
-  POSTAL_REQUIRE(event.src != event.dst, "Schedule: a processor cannot send to itself");
-  POSTAL_REQUIRE(event.t >= Rational(0), "Schedule: send times must be >= 0");
-  events_.push_back(std::move(event));
+bool operator==(const SendEventView& a, const SendEventView& b) {
+  if (a.q_ == b.q_) return *a.records_ == *b.records_;
+  const auto same = [qa = a.q_, qb = b.q_](const TickSend& x, const TickSend& y) {
+    return x.src == y.src && x.dst == y.dst && x.msg == y.msg &&
+           same_time(x.tick, qa, y.tick, qb);
+  };
+  return std::equal(a.records_->begin(), a.records_->end(), b.records_->begin(),
+                    b.records_->end(), same);
+}
+
+bool operator==(const SendEventView& a, const std::vector<SendEvent>& b) {
+  return std::equal(a.records_->begin(), a.records_->end(), b.begin(), b.end(),
+                    [q = a.q_](const TickSend& x, const SendEvent& y) {
+                      return x.src == y.src && x.dst == y.dst && x.msg == y.msg &&
+                             same_time(x.tick, q, y.t.num(), y.t.den());
+                    });
+}
+
+void Schedule::add(ProcId src, ProcId dst, MsgId msg, const Rational& t) {
+  constexpr const char* kSite = "Schedule::add";
+  POSTAL_REQUIRE(src != dst, "Schedule: a processor cannot send to itself");
+  POSTAL_REQUIRE(t.num() >= 0, "Schedule: send times must be >= 0");
+  const Tick per = q_ % t.den() == 0 ? q_ / t.den() : refine(t.den(), kSite);
+  Tick tick = 0;
+  if (__builtin_mul_overflow(t.num(), per, &tick)) {
+    throw_grid_overflow(kSite, "tick count exceeds int64");
+  }
+  records_.push_back(TickSend{tick, src, dst, msg});
+}
+
+void Schedule::add(const SendEvent& event) {
+  add(event.src, event.dst, event.msg, event.t);
+}
+
+Tick Schedule::refine(std::int64_t q, const char* site) {
+  POSTAL_REQUIRE(q >= 1, "Schedule::refine: grid denominator must be >= 1");
+  // The rule of Machine::rescale: the new grid is lcm(q_, q), a multiple of
+  // the old one, so every tick scales by the exact integer factor k. Checked
+  // before anything changes, so a throw leaves the schedule as it was.
+  const std::int64_t k = q / std::gcd(q_, q);
+  if (k != 1) {
+    std::int64_t grid = 0;
+    if (__builtin_mul_overflow(q_, k, &grid)) {
+      throw_grid_overflow(site, "common time denominator exceeds int64");
+    }
+    if (!records_.empty() &&
+        static_cast<int128>(tick_range(records_).second) * k >
+            std::numeric_limits<Tick>::max()) {
+      throw_grid_overflow(site, "rescaled tick exceeds int64");
+    }
+    for (TickSend& r : records_) r.tick *= k;
+    q_ = grid;
+  }
+  return q_ / q;
 }
 
 void Schedule::append_shifted(const Schedule& other, const Rational& dt,
                               MsgId msg_offset) {
-  events_.reserve(events_.size() + other.events_.size());
-  for (const SendEvent& e : other.events_) {
-    add(e.src, e.dst, e.msg + msg_offset, e.t + dt);
+  constexpr const char* kSite = "Schedule::append_shifted";
+  if (&other == this) {
+    const Schedule copy = other;
+    append_shifted(copy, dt, msg_offset);
+    return;
+  }
+  refine(other.q_, kSite);
+  refine(dt.den(), kSite);
+  const Tick per_other = q_ / other.q_;
+  Tick shift = 0;
+  if (__builtin_mul_overflow(dt.num(), q_ / dt.den(), &shift)) {
+    throw_grid_overflow(kSite, "tick count exceeds int64");
+  }
+  records_.reserve(records_.size() + other.records_.size());
+  for (const TickSend& e : other.records_) {
+    Tick tick = 0;
+    if (__builtin_mul_overflow(e.tick, per_other, &tick) ||
+        __builtin_add_overflow(tick, shift, &tick)) {
+      throw_grid_overflow(kSite, "tick count exceeds int64");
+    }
+    POSTAL_REQUIRE(tick >= 0, "Schedule: send times must be >= 0");
+    records_.push_back(TickSend{tick, e.src, e.dst, e.msg + msg_offset});
   }
 }
 
 void Schedule::sort() {
-  if (!bucket_sort(events_)) std::stable_sort(events_.begin(), events_.end(), event_less);
+  // A counting pass by tick, then one order_bucket per tick; small
+  // schedules and spans too wide to count take a comparison sort.
+  const std::size_t size = records_.size();
+  if (size >= kBucketSortMinSize) {
+    const auto [lo, hi] = tick_range(records_);
+    const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+    if (span <= counting_span_cap(size)) {
+      std::vector<TickSend> sorted(size);
+      std::vector<std::size_t> ends;
+      counting_pass(
+          static_cast<std::size_t>(span), ends,
+          [&](const auto& f) {
+            for (const TickSend& e : records_) f(e);
+          },
+          [lo](const TickSend& e) { return static_cast<std::size_t>(e.tick - lo); },
+          [&](std::size_t slot, const TickSend& e) { sorted[slot] = e; });
+      std::size_t begin = 0;
+      for (const std::size_t end : ends) {
+        order_bucket(sorted.begin() + static_cast<std::ptrdiff_t>(begin),
+                     sorted.begin() + static_cast<std::ptrdiff_t>(end));
+        begin = end;
+      }
+      records_ = std::move(sorted);
+      return;
+    }
+  }
+  std::sort(records_.begin(), records_.end(), record_less);
 }
 
 Schedule Schedule::from_tick_log(TickLog log, std::int64_t q, std::uint64_t n) {
@@ -146,78 +203,64 @@ Schedule Schedule::from_tick_log(std::vector<TickLog> logs, std::int64_t q,
     }
   }
   Schedule out;
+  out.q_ = q;
   if (size == 0) return out;
 
+  std::vector<TickSend>& records = out.records_;
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
   const std::uint64_t cap = counting_span_cap(size);
   if (span > cap || n > cap || size > std::numeric_limits<std::uint32_t>::max()) {
     // Too wide to count, e.g. a send after a long timer: compare instead.
-    std::vector<SendEvent>& events = out.events_;
-    events.reserve(size);
-    for (const TickLog& log : logs) {
-      for (const TickSend& e : log) {
-        events.push_back(SendEvent{e.src, e.dst, e.msg, Rational(e.tick, q)});
-      }
-    }
+    records.reserve(size);
+    for (const TickLog& log : logs) records.insert(records.end(), log.begin(), log.end());
     logs.clear();
-    std::sort(events.begin(), events.end(), event_less);
-    for (std::size_t i = 1; i < size; ++i) {
-      POSTAL_CHECK(events[i].t != events[i - 1].t || events[i].src != events[i - 1].src);
-    }
-    return out;
+    std::sort(records.begin(), records.end(), record_less);
+  } else {
+    // A stable counting pass by src, then one by tick that writes the
+    // schedule itself: (tick, src) order, which is (t, src, dst, msg)
+    // order since a port sends once per tick.
+    TickLog by_src(size);
+    std::vector<std::uint32_t> ends;
+    counting_pass(
+        static_cast<std::size_t>(n), ends,
+        [&](const auto& f) {
+          for (const TickLog& log : logs) {
+            for (const TickSend& e : log) f(e);
+          }
+        },
+        [](const TickSend& e) { return static_cast<std::size_t>(e.src); },
+        [&](std::uint32_t slot, const TickSend& e) { by_src[slot] = e; });
+    logs.clear();
+    records.resize(size);
+    counting_pass(
+        static_cast<std::size_t>(span), ends,
+        [&](const auto& f) {
+          for (const TickSend& e : by_src) f(e);
+        },
+        [lo](const TickSend& e) { return static_cast<std::size_t>(e.tick - lo); },
+        [&](std::uint32_t slot, const TickSend& e) { records[slot] = e; });
   }
-
-  // A stable counting pass by src, then one by tick that writes the
-  // schedule itself: one Rational per distinct tick, and a tick's sources
-  // arrive in ascending order, so a repeat is always its bucket's last.
-  TickLog by_src(size);
-  std::vector<std::uint32_t> ends;
-  counting_pass(
-      static_cast<std::size_t>(n), ends,
-      [&](const auto& f) {
-        for (const TickLog& log : logs) {
-          for (const TickSend& e : log) f(e);
-        }
-      },
-      [](const TickSend& e) { return static_cast<std::size_t>(e.src); },
-      [&](std::uint32_t slot, const TickSend& e) { by_src[slot] = e; });
-  logs.clear();
-  struct TickBucket {
-    Rational t;
-    std::int64_t last_src = -1;
-  };
-  std::vector<TickBucket> buckets(static_cast<std::size_t>(span));
-  out.events_.resize(size);
-  counting_pass(
-      static_cast<std::size_t>(span), ends,
-      [&](const auto& f) {
-        for (const TickSend& e : by_src) f(e);
-      },
-      [lo](const TickSend& e) { return static_cast<std::size_t>(e.tick - lo); },
-      [&](std::uint32_t slot, const TickSend& e) {
-        TickBucket& b = buckets[static_cast<std::size_t>(e.tick - lo)];
-        if (b.last_src < 0) b.t = Rational(e.tick, q);
-        POSTAL_CHECK(b.last_src != e.src);
-        b.last_src = e.src;
-        out.events_[slot] = SendEvent{e.src, e.dst, e.msg, b.t};
-      });
+  // A repeated (tick, src) sorts next to its twin.
+  for (std::size_t i = 1; i < size; ++i) {
+    POSTAL_CHECK(records[i].tick != records[i - 1].tick ||
+                 records[i].src != records[i - 1].src);
+  }
   return out;
 }
 
 Rational Schedule::last_send_start() const {
-  Rational latest(0);
-  for (const SendEvent& e : events_) latest = rmax(latest, e.t);
-  return latest;
+  if (records_.empty()) return Rational(0);
+  return Rational(tick_range(records_).second, q_);
 }
 
 Rational Schedule::makespan(const Rational& lambda) const {
-  if (events_.empty()) return Rational(0);
+  if (records_.empty()) return Rational(0);
   return last_send_start() + lambda;
 }
 
 std::vector<std::uint64_t> Schedule::sends_per_proc(std::uint64_t n) const {
   std::vector<std::uint64_t> counts(n, 0);
-  for (const SendEvent& e : events_) {
+  for (const TickSend& e : records_) {
     POSTAL_REQUIRE(e.src < n && e.dst < n,
                    "Schedule::sends_per_proc: event references processor >= n");
     ++counts[e.src];
@@ -226,13 +269,10 @@ std::vector<std::uint64_t> Schedule::sends_per_proc(std::uint64_t n) const {
 }
 
 std::uint32_t Schedule::message_count() const {
-  std::uint32_t max_id = 0;
-  bool any = false;
-  for (const SendEvent& e : events_) {
-    max_id = std::max(max_id, e.msg);
-    any = true;
-  }
-  return any ? max_id + 1 : 0;
+  if (records_.empty()) return 0;
+  MsgId max_id = 0;
+  for (const TickSend& e : records_) max_id = std::max(max_id, e.msg);
+  return max_id + 1;
 }
 
 std::ostream& operator<<(std::ostream& os, const Schedule& s) {

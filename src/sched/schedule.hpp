@@ -6,10 +6,20 @@
 // postal-model validator/simulator (src/sim), and the benches. The
 // simulator, not the generator, is the authority on whether a schedule is
 // legal in MPS(n, lambda) and on its makespan.
+//
+// A Schedule stores time the way the engines run it: one grid denominator
+// q and, per send, a 24-byte TickSend whose tick counts multiples of 1/q
+// (support/ticks.hpp). add(..., Rational) folds each time onto the grid;
+// an off-grid time rescales every record onto lcm(q, q') exactly, and a
+// grid or tick that cannot fit int64 raises OverflowError naming the entry
+// point. Rational time is built only at the events() view, which yields
+// SendEvent values, so every rendered time and string is the one a
+// Rational schedule would produce. Hot consumers read records() and q().
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 #include <vector>
 
 #include "model/params.hpp"
@@ -32,27 +42,119 @@ struct SendEvent {
 
 std::ostream& operator<<(std::ostream& os, const SendEvent& e);
 
-/// One send as an engine records it: `src` starts `msg` to `dst` at tick
-/// `tick` of a run's 1/q grid (time = tick / q). Machine and ParMachine
-/// log these instead of building a Rational per send, and
-/// Schedule::from_tick_log turns the log into the run's schedule.
+/// One send as a Schedule stores it and an engine logs it: `src` starts
+/// `msg` to `dst` at tick `tick` of a 1/q grid (time = tick / q).
 struct TickSend {
   Tick tick = 0;
   ProcId src = 0;
   ProcId dst = 0;
   MsgId msg = 0;
+
+  friend bool operator==(const TickSend&, const TickSend&) = default;
 };
+static_assert(sizeof(TickSend) == 24, "a send record is 24 bytes");
 
 using TickLog = std::vector<TickSend>;
+
+/// Read-only Rational view of a schedule's send records, in record order.
+/// Elements are SendEvent values built on access; records() exposes the
+/// stored ticks. Equality is value equality of the SendEvents, so
+/// schedules on different grids compare equal when their times do.
+class SendEventView {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = SendEvent;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = SendEvent;
+
+    const_iterator(const TickSend* at, std::int64_t q) : at_(at), q_(q) {}
+
+    SendEvent operator*() const {
+      return SendEvent{at_->src, at_->dst, at_->msg, Rational(at_->tick, q_)};
+    }
+    const_iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++at_;
+      return before;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.at_ == b.at_;
+    }
+
+   private:
+    const TickSend* at_;
+    std::int64_t q_;
+  };
+  using iterator = const_iterator;
+  using value_type = SendEvent;
+  using size_type = std::size_t;
+
+  SendEventView(const std::vector<TickSend>& records, std::int64_t q) noexcept
+      : records_(&records), q_(q) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return records_->size(); }
+  [[nodiscard]] bool empty() const noexcept { return records_->empty(); }
+  [[nodiscard]] SendEvent operator[](std::size_t i) const {
+    return *const_iterator(records_->data() + i, q_);
+  }
+  [[nodiscard]] SendEvent front() const { return (*this)[0]; }
+  [[nodiscard]] SendEvent back() const { return (*this)[size() - 1]; }
+  [[nodiscard]] const_iterator begin() const noexcept { return {records_->data(), q_}; }
+  [[nodiscard]] const_iterator end() const noexcept {
+    return {records_->data() + records_->size(), q_};
+  }
+
+  /// The stored records; times in ticks of the grid q().
+  [[nodiscard]] const std::vector<TickSend>& records() const noexcept {
+    return *records_;
+  }
+  [[nodiscard]] std::int64_t q() const noexcept { return q_; }
+
+  /// The events as a vector, for callers that edit or reorder a copy.
+  operator std::vector<SendEvent>() const;  // NOLINT(google-explicit-constructor)
+
+  /// Same sends with the same Rational times, in the same order. Equal
+  /// grids compare the records directly.
+  friend bool operator==(const SendEventView& a, const SendEventView& b);
+  friend bool operator==(const SendEventView& a, const std::vector<SendEvent>& b);
+
+ private:
+  const std::vector<TickSend>* records_;
+  std::int64_t q_;
+};
 
 /// An ordered collection of send events plus bookkeeping helpers.
 class Schedule {
  public:
   Schedule() = default;
 
-  /// Append one send event.
-  void add(ProcId src, ProcId dst, MsgId msg, Rational t);
-  void add(SendEvent event);
+  /// Append one send event, folding its time onto the grid (an off-grid
+  /// time rescales every record first).
+  void add(ProcId src, ProcId dst, MsgId msg, const Rational& t);
+  void add(const SendEvent& event);
+
+  /// Append one send at tick `tick` of the grid 1/q(), for emitters that
+  /// already run on the grid (refine() first).
+  void add_tick(ProcId src, ProcId dst, MsgId msg, Tick tick) {
+    POSTAL_REQUIRE(src != dst, "Schedule: a processor cannot send to itself");
+    POSTAL_REQUIRE(tick >= 0, "Schedule: send times must be >= 0");
+    records_.push_back(TickSend{tick, src, dst, msg});
+  }
+
+  /// Move every record onto the grid lcm(q(), q) and return the ticks of
+  /// the new grid per tick of 1/q. OverflowError names `site` when the
+  /// grid or a rescaled tick does not fit int64.
+  Tick refine(std::int64_t q, const char* site);
+
+  /// Make room for `sends` records.
+  void reserve(std::size_t sends) { records_.reserve(sends); }
 
   /// Append every event of `other`, shifted forward by `dt` and with
   /// message ids offset by `msg_offset`. Used by REPEAT's iteration overlap.
@@ -62,19 +164,23 @@ class Schedule {
   /// the result is unique: equal keys are equal events.
   void sort();
 
-  /// The schedule of an engine run, in (t, src, dst, msg) order and sized
-  /// exactly: `logs` are its sends on the 1/q grid, every src < n. One
-  /// port sends once per unit, so (tick, src) identifies a send; a
-  /// repeated pair is a logic error. The logs are freed as the schedule is
-  /// built.
+  /// The schedule of an engine run, in (t, src, dst, msg) order, sized
+  /// exactly and on the run's grid q: `logs` are its sends on the 1/q
+  /// grid, every src < n. One port sends once per unit, so (tick, src)
+  /// identifies a send; a repeated pair is a logic error. The logs are
+  /// freed as the schedule is built.
   [[nodiscard]] static Schedule from_tick_log(std::vector<TickLog> logs,
                                               std::int64_t q, std::uint64_t n);
   [[nodiscard]] static Schedule from_tick_log(TickLog log, std::int64_t q,
                                               std::uint64_t n);
 
-  [[nodiscard]] const std::vector<SendEvent>& events() const noexcept { return events_; }
-  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
+  /// The sends as SendEvent values, in schedule order.
+  [[nodiscard]] SendEventView events() const noexcept { return {records_, q_}; }
+  /// The stored sends; times in ticks of the grid 1/q().
+  [[nodiscard]] const std::vector<TickSend>& records() const noexcept { return records_; }
+  [[nodiscard]] std::int64_t q() const noexcept { return q_; }
+  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return records_.empty(); }
 
   /// Latest send start, or 0 for an empty schedule.
   [[nodiscard]] Rational last_send_start() const;
@@ -91,7 +197,8 @@ class Schedule {
   [[nodiscard]] std::uint32_t message_count() const;
 
  private:
-  std::vector<SendEvent> events_;
+  std::vector<TickSend> records_;
+  std::int64_t q_ = 1;
 };
 
 std::ostream& operator<<(std::ostream& os, const Schedule& s);

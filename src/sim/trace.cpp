@@ -21,17 +21,11 @@ Delivery DeliveryView::const_iterator::operator*() const {
 bool operator==(const DeliveryView& a, const DeliveryView& b) {
   if (a.q_ == b.q_) return *a.records_ == *b.records_;
   if (a.size() != b.size()) return false;
-  // Different grids: t / qa == u / qb iff t * qb == u * qa. Ticks stay
-  // below 2^62 and grids below 2^63, so the products fit 128 bits.
-  __extension__ using int128 = __int128;
-  const auto same_time = [qa = int128{a.q_}, qb = int128{b.q_}](Tick t, Tick u) {
-    return t * qb == u * qa;
-  };
   return std::equal(a.records_->begin(), a.records_->end(), b.records_->begin(),
-                    [&same_time](const TickDelivery& x, const TickDelivery& y) {
+                    [qa = a.q_, qb = b.q_](const TickDelivery& x, const TickDelivery& y) {
                       return x.src == y.src && x.dst == y.dst && x.msg == y.msg &&
-                             same_time(x.send_tick, y.send_tick) &&
-                             same_time(x.arrival_tick, y.arrival_tick);
+                             same_time(x.send_tick, qa, y.send_tick, qb) &&
+                             same_time(x.arrival_tick, qa, y.arrival_tick, qb);
                     });
 }
 

@@ -20,20 +20,22 @@ std::string SimReport::summary() const {
 
 namespace {
 
-// The validation loop runs on int64 ticks at resolution 1/q
-// (docs/PERFORMANCE.md): plain integer adds and compares. A static probe
-// (below) folds every input time onto one grid and a 128-bit bound proves
-// no tick expression can overflow, so the loop needs no per-op checks and
-// cannot invoke UB. Tick <-> Rational is an order-preserving bijection on
-// the grid, and conversion round-trips reproduce the canonical reduced
-// form, so reported times and violation strings are exactly the ones a
-// Rational computation would print.
+// The validation loop runs on int64 ticks at resolution 1/Q
+// (docs/PERFORMANCE.md): plain integer adds and compares. The schedule
+// already stores its sends as ticks of its grid 1/q; a static probe (below)
+// folds lambda and the crash times onto that grid, giving Q, and a 128-bit
+// bound proves no tick expression -- a record's tick scaled by Q / q
+// included -- can overflow, so the loop needs no per-op checks and cannot
+// invoke UB. Tick <-> Rational is an order-preserving bijection on the
+// grid, and conversion round-trips reproduce the canonical reduced form, so
+// reported times and violation strings are exactly the ones a Rational
+// computation would print.
 
 struct TickPlan {
   TickDomain dom{1};
   Tick lambda = 0;
   Tick one = 0;
-  std::vector<Tick> event_ticks;  ///< pre-converted, by event index
+  Tick scale = 1;  ///< ticks of 1/Q per schedule tick (Q / q)
   std::vector<std::optional<Tick>> crash;
 
   [[nodiscard]] Rational rat(Tick t) const { return dom.to_rational(t); }
@@ -59,7 +61,7 @@ bool port_clash(Tick& free_at, Tick lo, Tick one) {
   return false;
 }
 
-void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
+void validate_events(const TickPlan& plan, const Schedule& schedule,
                      const std::vector<std::size_t>& order, std::uint64_t n,
                      std::uint32_t messages, const ValidatorOptions& options,
                      SimReport& report) {
@@ -101,6 +103,7 @@ void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
       holds[arrival_cell(options.origins[msg], messages, msg)] = 0;
     }
   }
+  const std::vector<TickSend>& events = schedule.records();
   report.trace.reserve(events.size());
 
   for (std::size_t k = 0; k < events.size(); ++k) {
@@ -109,19 +112,19 @@ void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
     // Only ids in range are used, so no out-of-range address is formed;
     // the event itself is still rejected when its turn comes.
     if (order.empty() && k + kLookAhead < events.size()) {
-      const SendEvent& next = events[k + kLookAhead];
+      const TickSend& next = events[k + kLookAhead];
       if (next.src < n && next.dst < n && next.msg < messages) {
         __builtin_prefetch(&recv_free[next.dst], 1);
         __builtin_prefetch(&holds[arrival_cell(next.dst, messages, next.msg)], 1);
         report.trace.prefetch(next.dst, next.msg);
       }
     }
-    const std::size_t i = order.empty() ? k : order[k];
-    const SendEvent& e = events[i];
+    const TickSend& e = events[order.empty() ? k : order[k]];
     // The "[event] " prefix of a violation, formatted only when one fires.
-    auto who = [&e] {
+    auto who = [&e, &schedule] {
       std::ostringstream oss;
-      oss << "[" << e << "] ";
+      oss << "[" << SendEvent{e.src, e.dst, e.msg, Rational(e.tick, schedule.q())}
+          << "] ";
       return oss.str();
     };
     if (e.src >= n || e.dst >= n) {
@@ -132,7 +135,7 @@ void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
       violate(who() + "message id out of range");
       continue;
     }
-    const Tick t = plan.event_ticks[i];
+    const Tick t = e.tick * plan.scale;
     // A dead processor cannot transmit: such an event proves the schedule
     // was not produced under the declared crashes.
     if (const Tick* dead = crash_of(e.src); dead != nullptr && t >= *dead) {
@@ -227,28 +230,30 @@ void validate_events(const TickPlan& plan, const std::vector<SendEvent>& events,
 // order, which the fifo_receive serialization iterates in. An empty order
 // means the schedule is already sorted and is visited in place, which is
 // the case for every generator's and the Machine's output; other input is
-// visited through a stable_sort of its indices.
-std::vector<std::size_t> visit_order(const std::vector<SendEvent>& events) {
-  const auto by_t = [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; };
-  if (std::is_sorted(events.begin(), events.end(), by_t)) return {};
-  std::vector<std::size_t> order(events.size());
+// visited through a stable_sort of its indices by tick.
+std::vector<std::size_t> visit_order(const std::vector<TickSend>& records) {
+  const auto by_tick = [](const TickSend& a, const TickSend& b) {
+    return a.tick < b.tick;
+  };
+  if (std::is_sorted(records.begin(), records.end(), by_tick)) return {};
+  std::vector<std::size_t> order(records.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&events](std::size_t a, std::size_t b) {
-    return events[a].t < events[b].t;
+  std::stable_sort(order.begin(), order.end(), [&records](std::size_t a, std::size_t b) {
+    return records[a].tick < records[b].tick;
   });
   return order;
 }
 
-/// Static tick probe: fold every time the loop will touch into one
-/// resolution q, convert, and bound the largest tick expression the loop
-/// can form (arrive = t + lambda, +- 1 per port window, plus one unit per
-/// event of FIFO receive drift) in 128-bit arithmetic. Any failure -- lcm
-/// overflow, tick count overflow, bound exceeded -- raises OverflowError.
-TickPlan probe_ticks(const std::vector<SendEvent>& events, const Rational& lambda,
+/// Static tick probe: fold lambda and the crash times onto the schedule's
+/// grid, giving Q, and bound the largest tick expression the loop can form
+/// (the latest record's tick `max_tick` times Q / q, arrive = t + lambda,
+/// +- 1 per port window, plus one unit per event of FIFO receive drift) in
+/// 128-bit arithmetic. Any failure -- lcm overflow, tick count overflow,
+/// bound exceeded -- raises OverflowError.
+TickPlan probe_ticks(const Schedule& schedule, Tick max_tick, const Rational& lambda,
                      const std::vector<std::optional<Rational>>& crash_times) {
   constexpr const char* kSite = "validate_schedule";
-  std::int64_t q = lambda.den();
-  for (const SendEvent& e : events) q = fold_grid(q, e.t, kSite);
+  std::int64_t q = fold_grid(schedule.q(), lambda, kSite);
   for (const auto& c : crash_times) {
     if (c.has_value()) q = fold_grid(q, *c, kSite);
   }
@@ -257,25 +262,21 @@ TickPlan probe_ticks(const std::vector<SendEvent>& events, const Rational& lambd
   plan.dom = TickDomain(q);
   plan.lambda = grid_ticks(plan.dom, lambda, kSite);
   plan.one = q;
-  plan.event_ticks.reserve(events.size());
-  Tick max_abs = 0;
+  plan.scale = q / schedule.q();
+  __extension__ using int128 = __int128;
+  int128 max_abs = static_cast<int128>(max_tick) * plan.scale;
   const auto magnitude = [](Tick t) {
     return t < 0 ? (t == INT64_MIN ? INT64_MAX : -t) : t;
   };
-  for (const SendEvent& e : events) {
-    plan.event_ticks.push_back(grid_ticks(plan.dom, e.t, kSite));
-    max_abs = std::max(max_abs, magnitude(plan.event_ticks.back()));
-  }
   plan.crash.resize(crash_times.size());
   for (std::size_t p = 0; p < crash_times.size(); ++p) {
     if (!crash_times[p].has_value()) continue;
     plan.crash[p] = grid_ticks(plan.dom, *crash_times[p], kSite);
-    max_abs = std::max(max_abs, magnitude(*plan.crash[p]));
+    max_abs = std::max(max_abs, static_cast<int128>(magnitude(*plan.crash[p])));
   }
 
-  __extension__ using int128 = __int128;
-  const int128 bound = static_cast<int128>(max_abs) + plan.lambda +
-                       (static_cast<int128>(events.size()) + 2) * q;
+  const int128 bound = max_abs + plan.lambda +
+                       (static_cast<int128>(schedule.size()) + 2) * q;
   if (bound >= (int128{1} << 62)) {
     throw_grid_overflow(kSite, "tick bound for the schedule exceeds int64");
   }
@@ -290,8 +291,6 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
   const Rational& lambda = params.lambda();
   const std::uint32_t messages =
       options.messages != 0 ? options.messages : schedule.message_count();
-  const std::vector<SendEvent>& events = schedule.events();
-
   SimReport report;
   POSTAL_REQUIRE(options.origin < n, "validate_schedule: origin out of range");
 
@@ -306,9 +305,16 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
     if (!slot.has_value() || c.time < *slot) slot = c.time;
   }
 
-  const TickPlan plan = probe_ticks(events, lambda, crash);
+  const std::vector<TickSend>& records = schedule.records();
+  const std::vector<std::size_t> order = visit_order(records);
+  // Schedule ticks are >= 0; the last visited record is the latest.
+  const Tick max_tick =
+      records.empty()
+          ? 0
+          : records[order.empty() ? records.size() - 1 : order.back()].tick;
+  const TickPlan plan = probe_ticks(schedule, max_tick, lambda, crash);
   report.trace = Trace(n, messages, plan.dom.q());
-  validate_events(plan, events, visit_order(events), n, messages, options, report);
+  validate_events(plan, schedule, order, n, messages, options, report);
   report.makespan = report.trace.makespan();
   report.order_preserving = report.trace.order_preserving();
   report.ok = report.violations.empty();

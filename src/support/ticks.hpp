@@ -65,6 +65,15 @@ class TickDomain {
   std::int64_t q_;
 };
 
+/// Whether tick t of grid 1/qa and tick u of grid 1/qb are the same time
+/// (t / qa == u / qb). Ticks and grids fit int64, so the products fit 128
+/// bits.
+[[nodiscard]] inline bool same_time(Tick t, std::int64_t qa, Tick u,
+                                    std::int64_t qb) noexcept {
+  __extension__ using int128 = __int128;
+  return static_cast<int128>(t) * qb == static_cast<int128>(u) * qa;
+}
+
 /// Raise OverflowError: `site`'s run has no int64 tick representation.
 [[noreturn]] void throw_grid_overflow(const char* site, const char* what);
 

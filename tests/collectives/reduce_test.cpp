@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "model/genfib.hpp"
+#include "pinned_render.hpp"
+#include "support/prng.hpp"
 #include "test_util.hpp"
 
 namespace postal {
@@ -127,6 +132,116 @@ TEST(Reduce, ReductionMirrorsBroadcastTimes) {
       EXPECT_EQ(report.completion, fib.f(n)) << "n=" << n;
     }
   }
+}
+
+// --- Violation strings on a seeded mutation corpus -------------------------
+//
+// Each case breaks a valid reduction schedule one way and renders every
+// violation validate_reduce reports, in order. The corpus is pinned as one
+// FNV-1a digest, and one case per mutation as its literal strings, so a
+// rewrite of the validator must keep every message byte for byte.
+
+enum class Mutation { kShift, kDuplicate, kRootSends, kMissing, kOutOfRange, kPortClash };
+
+const char* mutation_name(Mutation m) {
+  switch (m) {
+    case Mutation::kShift: return "shifted send";
+    case Mutation::kDuplicate: return "duplicate send";
+    case Mutation::kRootSends: return "sending root";
+    case Mutation::kMissing: return "missing contribution";
+    case Mutation::kOutOfRange: return "out-of-range id";
+    case Mutation::kPortClash: return "port clash";
+  }
+  return "?";
+}
+
+/// reduce_schedule(params) broken by `m` at an event drawn from `rng`.
+Schedule mutated_reduce(const PostalParams& params, Mutation m, Xoshiro256& rng) {
+  const std::vector<SendEvent> events = reduce_schedule(params).events();
+  const std::size_t i = rng.uniform(0, events.size() - 1);
+  const std::size_t j = rng.uniform(0, events.size() - 1);
+  const auto n = static_cast<ProcId>(params.n());
+  Schedule out;
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    SendEvent e = events[k];
+    if (m == Mutation::kPortClash && k == j && e.src != events[i].dst) {
+      // Another sender aims at event i's receiver at event i's start.
+      e.dst = events[i].dst;
+      e.t = events[i].t;
+    }
+    if (k == i) {
+      switch (m) {
+        case Mutation::kShift: e.t = e.t + Rational(1, params.lambda().den()); break;
+        case Mutation::kDuplicate: out.add(e); break;
+        case Mutation::kRootSends: out.add(0, e.dst == 0 ? e.src : e.dst, 0, e.t); break;
+        case Mutation::kMissing: continue;
+        case Mutation::kOutOfRange: out.add(e.src, n, e.msg, e.t); break;
+        case Mutation::kPortClash: break;
+      }
+    }
+    out.add(e);
+  }
+  return out;
+}
+
+std::string render_violations(const ReduceReport& report) {
+  std::string out;
+  for (const std::string& v : report.violations) out += v + "\n";
+  return out;
+}
+
+TEST(ReduceValidator, ViolationStringsArePinnedOnAMutationCorpus) {
+  const Mutation mutations[] = {Mutation::kShift,   Mutation::kDuplicate,
+                                Mutation::kRootSends, Mutation::kMissing,
+                                Mutation::kOutOfRange, Mutation::kPortClash};
+  std::ostringstream corpus;
+  Xoshiro256 rng(0x4EDCEu);
+  for (const auto& [n, lambda] :
+       {std::pair<std::uint64_t, Rational>{14, Rational(5, 2)},
+        std::pair<std::uint64_t, Rational>{40, Rational(1)},
+        std::pair<std::uint64_t, Rational>{33, Rational(9, 4)},
+        std::pair<std::uint64_t, Rational>{100, Rational(7, 3)}}) {
+    const PostalParams params(n, lambda);
+    for (const Mutation m : mutations) {
+      for (int rep = 0; rep < 3; ++rep) {
+        const ReduceReport report =
+            validate_reduce(mutated_reduce(params, m, rng), params);
+        EXPECT_FALSE(report.ok) << mutation_name(m) << " n=" << n;
+        corpus << "# " << mutation_name(m) << " n=" << n << " lambda=" << lambda
+               << " completion=" << report.completion << "\n"
+               << render_violations(report);
+      }
+    }
+  }
+  pinned::expect_digest("reduce violations", corpus.str(), 0xb69ad04a8813cd00ULL);
+}
+
+TEST(ReduceValidator, ViolationStringsOfEachMutationAtFourteen) {
+  const PostalParams params(14, Rational(5, 2));
+  Xoshiro256 rng(7);
+  std::ostringstream out;
+  for (const Mutation m : {Mutation::kShift, Mutation::kDuplicate, Mutation::kRootSends,
+                           Mutation::kMissing, Mutation::kOutOfRange,
+                           Mutation::kPortClash}) {
+    out << "# " << mutation_name(m) << "\n"
+        << render_violations(validate_reduce(mutated_reduce(params, m, rng), params));
+  }
+  EXPECT_EQ(out.str(),
+            "# shifted send\n"
+            "p6 already sent its partial result at t=4 but a contribution arrives at "
+            "t=9/2\n"
+            "root combined 13 of 14 contributions\n"
+            "# duplicate send\n"
+            "[p6 -> p0 : M7 @ t=4] processor sends its partial result twice\n"
+            "# sending root\n"
+            "[p0 -> p6 : M1 @ t=3/2] the reduction root p0 must not send\n"
+            "# missing contribution\n"
+            "p5 never sent its contribution\n"
+            "root combined 13 of 14 contributions\n"
+            "# out-of-range id\n"
+            "[p8 -> p14 : M9 @ t=3/2] processor id out of range\n"
+            "# port clash\n"
+            "[p2 -> p0 : M3 @ t=0] receive-port conflict\n");
 }
 
 }  // namespace

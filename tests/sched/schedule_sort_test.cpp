@@ -2,11 +2,13 @@
 // they replace: a std::stable_sort on (t, src, dst, msg). Seeded inputs
 // reach every branch -- the counting pass by tick, the per-tick bucket
 // order (ascending kept, strictly descending reversed, anything else
-// sorted), and the comparison fallbacks for small inputs, grids finer than
-// the fold cap, tick overflow, and spans past the counting cap.
+// sorted), and the comparison sorts on ticks for small inputs and for
+// spans past the counting cap (fine grids among them). A time the grid
+// cannot hold in int64 raises OverflowError when it is added.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -133,8 +135,9 @@ TEST(ScheduleSort, MixedDenominatorsFoldToOneGrid) {
 }
 
 TEST(ScheduleSort, DenominatorsBeyondTheGridCapFallBack) {
-  // lcm(1009, 1013, 1019, 1021) exceeds the fold cap: the comparison sort
-  // orders these, including values that compare only by cross products.
+  // lcm(1009, 1013, 1019, 1021) ~ 10^12 is the schedule's grid: the tick
+  // span is far past the counting cap, so the comparison sort on ticks
+  // orders these, including values no coarser grid tells apart.
   Xoshiro256 rng(16);
   std::vector<SendEvent> events;
   for (const std::int64_t q : {1009, 1013, 1019, 1021}) {
@@ -145,16 +148,30 @@ TEST(ScheduleSort, DenominatorsBeyondTheGridCapFallBack) {
   expect_sorts_like_reference(events);
 }
 
-TEST(ScheduleSort, TickOverflowFallsBack) {
-  // Integers near INT64_MAX next to thirds: folding onto q = 3 would
-  // overflow the tick count, so the comparison sort runs.
+TEST(ScheduleSort, TickOverflowRaises) {
+  // Integers near INT64_MAX next to thirds: on the grid q = 3 their tick
+  // counts overflow int64, so the add raises, whichever comes first, and
+  // leaves the schedule as it was.
   Xoshiro256 rng(17);
-  std::vector<SendEvent> events = random_events(rng, 200, 3, 0, 90, 20, 1);
+  const std::vector<SendEvent> thirds = random_events(rng, 200, 3, 0, 90, 20, 1);
   const std::int64_t big = std::numeric_limits<std::int64_t>::max() / 2;
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    events.push_back(SendEvent{i, i + 1, 0, Rational(big - i % 3)});
+  Schedule s = schedule_of(thirds);
+  const Schedule before = s;
+  try {
+    s.add(0, 1, 0, Rational(big));
+    ADD_FAILURE() << "an add past int64 ticks did not throw";
+  } catch (const OverflowError& e) {
+    EXPECT_NE(std::string(e.what()).find("Schedule::add"), std::string::npos) << e.what();
   }
-  expect_sorts_like_reference(events);
+  EXPECT_EQ(s.events(), before.events());
+  EXPECT_EQ(s.q(), 3);
+
+  Schedule bigs;
+  for (std::uint32_t i = 0; i < 20; ++i) bigs.add(i, i + 1, 0, Rational(big - i % 3));
+  const Schedule whole = bigs;
+  POSTAL_EXPECT_THROW(bigs.add(thirds.front()), OverflowError);
+  EXPECT_EQ(bigs.events(), whole.events());
+  EXPECT_EQ(bigs.q(), 1);
 }
 
 TEST(ScheduleSort, SpanBeyondTheCountingCap) {

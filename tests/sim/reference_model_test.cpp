@@ -10,7 +10,9 @@
 // creation order; each slot scans the log front to back, so events of one
 // slot run first-created first -- including events created while the slot
 // runs (zero-delay timers) -- which is the (time, seq) rule by
-// construction. The schedule comes out by walking slots, then ranks.
+// construction. The schedule comes out by walking slots, then ranks, as
+// send records on the model's grid: the engines' schedules are judged by
+// their stored records and grid, with no Rational in between.
 //
 // Inputs are seeded random fan-out protocols at n <= 32: relays that
 // forward to random ranks (so input ports collide), arm zero-delay and
@@ -19,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -30,6 +33,12 @@
 #include "support/prng.hpp"
 
 namespace postal {
+
+/// Failure output for the compared send records.
+void PrintTo(const TickSend& e, std::ostream* os) {
+  *os << "{tick " << e.tick << " p" << e.src << " -> p" << e.dst << " M" << e.msg << "}";
+}
+
 namespace {
 
 /// One handler's requests, in the order it makes them.
@@ -145,7 +154,7 @@ class FanoutProtocol final : public Protocol {
 
 /// What the reference model computes; compared field by field.
 struct RefRun {
-  std::vector<SendEvent> schedule;         ///< in (t, src) order
+  std::vector<TickSend> sends;             ///< in (slot, src) order, slots of 1/q
   std::vector<Delivery> deliveries;        ///< in handling order
   std::vector<std::optional<Tick>> first;  ///< [p * messages + msg]
   MachineStats stats;
@@ -269,7 +278,7 @@ RefRun reference_run(const FanoutSpec& spec, Tick lambda) {
       if (static_cast<std::size_t>(s) >= started[p].size()) continue;
       more = true;
       if (const auto& sent = at_slot(started[p], s); sent.has_value()) {
-        run.schedule.push_back(SendEvent{p, sent->dst, sent->msg, Rational(s, q)});
+        run.sends.push_back(TickSend{s, p, sent->dst, sent->msg});
       }
     }
     if (!more) break;
@@ -277,8 +286,10 @@ RefRun reference_run(const FanoutSpec& spec, Tick lambda) {
   return run;
 }
 
-void expect_matches(const RefRun& ref, const MachineResult& got, const std::string& who) {
-  EXPECT_EQ(got.schedule.events(), ref.schedule) << who;
+void expect_matches(const RefRun& ref, const FanoutSpec& spec, const MachineResult& got,
+                    const std::string& who) {
+  EXPECT_EQ(got.schedule.q(), spec.q) << who;
+  EXPECT_EQ(got.schedule.records(), ref.sends) << who;
   const DeliveryView view = got.trace.deliveries();
   const std::vector<Delivery> deliveries(view.begin(), view.end());
   EXPECT_EQ(deliveries, ref.deliveries) << who;
@@ -339,12 +350,12 @@ TEST(ReferenceModel, JudgesMachineParMachineAndTheValidatorOnRandomFanouts) {
 
     Machine machine(params, spec.messages);
     FanoutProtocol protocol(spec);
-    expect_matches(ref, machine.run(protocol), who + " Machine");
+    expect_matches(ref, spec, machine.run(protocol), who + " Machine");
     for (const unsigned threads : {1u, 2u, 4u}) {
       ParMachine par(params, spec.messages);
       par.set_threads(threads);
       auto factory = make_protocol_factory<FanoutProtocol>(spec);
-      expect_matches(ref, par.run(factory),
+      expect_matches(ref, spec, par.run(factory),
                      who + " ParMachine threads " + std::to_string(threads));
     }
 
@@ -352,7 +363,9 @@ TEST(ReferenceModel, JudgesMachineParMachineAndTheValidatorOnRandomFanouts) {
     // port flags exactly the runs in which an input port had to queue, and
     // otherwise reproduces every arrival.
     Schedule schedule;
-    for (const SendEvent& e : ref.schedule) schedule.add(e);
+    for (const TickSend& e : ref.sends) {
+      schedule.add(e.src, e.dst, e.msg, Rational(e.tick, spec.q));
+    }
     ValidatorOptions strict;
     strict.messages = spec.messages;
     strict.require_coverage = false;
