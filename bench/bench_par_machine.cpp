@@ -27,8 +27,12 @@
 // hardware threads. The window/merge/flush wall split is recorded per
 // section: merge_ms is the sequential barrier residue (slot assignment),
 // flush_ms the parallel mailbox merge -- together they bound the speedup
-// a multi-core box can reach (docs/PERFORMANCE.md).
+// a multi-core box can reach (docs/PERFORMANCE.md). The record's `load1`
+// extra is the host's one-minute load average when the bench started:
+// speedups measured on a busy host read low, and the floor message quotes
+// it so such a failure can be told from a regression.
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -146,6 +150,8 @@ Section run_sharded(const std::string& slug, const std::string& name,
 
 int main() {
   using namespace postal;
+  double load1 = -1.0;
+  if (getloadavg(&load1, 1) != 1) load1 = -1.0;
   const obs::WallClock wall;
   std::cout << "=== E24: sharded ParMachine vs. sequential Machine ===\n\n";
 
@@ -205,6 +211,7 @@ int main() {
   rec.makespan = GenFib(lambda).f(big_n);
   rec.wall_ms = wall.elapsed_ms();
   rec.verdict = all_identical ? "CONSISTENT" : "MISMATCH";
+  if (load1 >= 0.0) rec.extra.emplace_back("load1", fmt(load1, 2));
   for (const Section& s : sections) {
     rec.extra.emplace_back(s.slug + "_seq_ms", fmt(s.seq_ms, 2));
     rec.extra.emplace_back(s.slug + "_par_ms", fmt(s.par_ms, 2));

@@ -19,7 +19,10 @@ finding, with deliberately different severity (bench/trajectory/README.md):
     *fresh* record. Hard failure only when the fresh record's threads_hw
     shows the runner actually has the cores to demonstrate it (>= the
     lane count); on smaller machines (where lanes time-slice one core and
-    a speedup is physically impossible) it demotes to a warning.
+    a speedup is physically impossible) it demotes to a warning. The
+    message quotes the record's `load1` extra (the host's load average
+    when the bench started) when there is one: a floor missed on a busy
+    host is load, not a regression. The rule itself does not read it.
 """
 import argparse
 import glob
@@ -47,8 +50,10 @@ def guarded_findings(fresh_by_bench):
             continue
         threads_hw = numeric(rec.get("threads_hw")) or 0
         hard = threads_hw >= hw_needed
+        load1 = numeric(rec.get("extra", {}).get("load1"))
+        load = "" if load1 is None else f", load1={load1:g} at start"
         yield (f"{bench}.extra.{key}: {value:g} below floor {floor:g} "
-               f"(threads_hw={threads_hw:g}, "
+               f"(threads_hw={threads_hw:g}{load}, "
                f"{'enforced' if hard else f'needs >= {hw_needed} cores'})",
                hard)
 

@@ -1,11 +1,8 @@
 #include "adaptive/hetero.hpp"
 
-#include <algorithm>
 #include <optional>
-#include <sstream>
 
 #include "sched/bcast.hpp"
-#include "support/interval_set.hpp"
 #include "support/prng.hpp"
 
 namespace postal {
@@ -77,46 +74,13 @@ Rational HeteroLatency::max_lambda() const {
 }
 
 HeteroSimReport simulate_hetero(const Schedule& schedule, const HeteroLatency& lat) {
-  const std::uint64_t n = lat.n();
-  HeteroSimReport report;
-  auto violate = [&report](const std::string& text) {
-    report.violations.push_back(text);
-  };
-
-  std::vector<SendEvent> events = schedule.events();
-  std::stable_sort(events.begin(), events.end(),
-                   [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; });
-
-  std::vector<IntervalSet> send_port(n);
-  std::vector<IntervalSet> recv_port(n);
-  std::vector<std::optional<Rational>> informed(n);
-  informed[0] = Rational(0);
-
-  for (const SendEvent& e : events) {
-    std::ostringstream who;
-    who << "[" << e << "] ";
-    if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
-      continue;
-    }
-    const auto& held = informed[e.src];
-    if (!held.has_value() || e.t < *held) violate(who.str() + "sender not informed yet");
-    if (send_port[e.src].insert(e.t, e.t + Rational(1))) {
-      violate(who.str() + "send-port conflict");
-    }
-    const Rational arrive = e.t + lat.lambda(e.src, e.dst);
-    if (recv_port[e.dst].insert(arrive - Rational(1), arrive)) {
-      violate(who.str() + "receive-port conflict");
-    }
-    auto& dst = informed[e.dst];
-    if (!dst.has_value() || arrive < *dst) dst = arrive;
-    report.completion = rmax(report.completion, arrive);
-  }
-  for (ProcId p = 0; p < n; ++p) {
-    if (!informed[p].has_value()) violate("p" + std::to_string(p) + " never informed");
-  }
-  report.ok = report.violations.empty();
-  return report;
+  ModelSpec spec;
+  spec.n = lat.n();
+  spec.matrix = lat.matrix();
+  spec.site = "simulate_hetero";
+  return check_model(schedule, spec,
+                     {"sender not informed yet", "send-port conflict",
+                      "receive-port conflict"});
 }
 
 Schedule hetero_greedy_broadcast(const HeteroLatency& lat) {

@@ -17,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "sched/model_check.hpp"
 #include "sched/schedule.hpp"
 #include "support/rational.hpp"
 
@@ -47,6 +47,8 @@ class HeteroLatency {
 
   [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
   [[nodiscard]] const Rational& lambda(ProcId a, ProcId b) const;
+  /// The n x n row-major matrix; its diagonal is unused.
+  [[nodiscard]] const std::vector<Rational>& matrix() const noexcept { return matrix_; }
   /// Largest off-diagonal entry (the conservative uniform bound).
   [[nodiscard]] Rational max_lambda() const;
 
@@ -56,11 +58,7 @@ class HeteroLatency {
 };
 
 /// Result of simulating a single-message broadcast under a matrix.
-struct HeteroSimReport {
-  bool ok = false;
-  std::vector<std::string> violations;
-  Rational completion;
-};
+using HeteroSimReport = ModelReport;
 
 /// Exact validation of a single-message broadcast schedule from p_0 under
 /// per-pair latencies (arrival = t + lambda(src, dst)).

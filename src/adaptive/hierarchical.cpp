@@ -1,12 +1,9 @@
 #include "adaptive/hierarchical.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <sstream>
 
 #include "model/genfib.hpp"
 #include "sched/bcast.hpp"
-#include "support/interval_set.hpp"
 
 namespace postal {
 
@@ -70,50 +67,15 @@ Schedule hierarchical_two_level_schedule(const TwoLevelParams& params) {
 
 HeteroReport simulate_two_level(const Schedule& schedule, const TwoLevelParams& params) {
   params.validate();
-  const std::uint64_t n = params.n;
-  HeteroReport report;
-  auto violate = [&report](const std::string& text) {
-    report.violations.push_back(text);
-  };
-
-  std::vector<SendEvent> events = schedule.events();
-  std::stable_sort(events.begin(), events.end(),
-                   [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; });
-
-  std::vector<IntervalSet> send_port(n);
-  std::vector<IntervalSet> recv_port(n);
-  std::vector<std::optional<Rational>> informed(n);
-  informed[0] = Rational(0);
-
-  for (const SendEvent& e : events) {
-    std::ostringstream who;
-    who << "[" << e << "] ";
-    if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
-      continue;
-    }
-    const auto& held = informed[e.src];
-    if (!held.has_value() || e.t < *held) {
-      violate(who.str() + "sender not informed yet");
-    }
-    if (send_port[e.src].insert(e.t, e.t + Rational(1))) {
-      violate(who.str() + "send-port conflict");
-    }
-    const Rational arrive = e.t + params.lambda(e.src, e.dst);
-    if (recv_port[e.dst].insert(arrive - Rational(1), arrive)) {
-      violate(who.str() + "receive-port conflict");
-    }
-    auto& dst_informed = informed[e.dst];
-    if (!dst_informed.has_value() || arrive < *dst_informed) dst_informed = arrive;
-    report.completion = rmax(report.completion, arrive);
-  }
-  for (ProcId p = 0; p < n; ++p) {
-    if (!informed[p].has_value()) {
-      violate("p" + std::to_string(p) + " never informed");
-    }
-  }
-  report.ok = report.violations.empty();
-  return report;
+  ModelSpec spec;
+  spec.n = params.n;
+  spec.cluster = params.cluster_size;
+  spec.intra = params.lambda_intra;
+  spec.inter = params.lambda_inter;
+  spec.site = "simulate_two_level";
+  return check_model(schedule, spec,
+                     {"sender not informed yet", "send-port conflict",
+                      "receive-port conflict"});
 }
 
 }  // namespace postal

@@ -20,9 +20,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
+#include "sched/model_check.hpp"
 #include "sched/schedule.hpp"
 #include "support/rational.hpp"
 
@@ -53,11 +52,7 @@ struct TwoLevelParams {
 [[nodiscard]] Schedule hierarchical_two_level_schedule(const TwoLevelParams& params);
 
 /// Result of simulating a schedule under per-pair latencies.
-struct HeteroReport {
-  bool ok = false;
-  std::vector<std::string> violations;
-  Rational completion;
-};
+using HeteroReport = ModelReport;
 
 /// Exact simulation/validation of any single-message broadcast schedule
 /// under the two-level latency function: port exclusivity, causality, and

@@ -6,7 +6,6 @@
 
 #include "model/genfib.hpp"
 #include "sched/bcast.hpp"
-#include "support/interval_set.hpp"
 
 namespace postal {
 
@@ -43,8 +42,13 @@ ReduceReport validate_reduce(const Schedule& schedule, const PostalParams& param
   std::stable_sort(events.begin(), events.end(),
                    [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; });
 
-  std::vector<IntervalSet> send_port(n);
-  std::vector<IntervalSet> recv_port(n);
+  // A rank sends at most once (a second send is rejected before any port
+  // use), so only receive ports can clash. Events are visited in t order
+  // and lambda is a constant, so the windows [t+lambda-1, t+lambda) offered
+  // to one port come in nondecreasing start: the end of the last accepted
+  // window decides the check (sim/validator.cpp's one-window argument), and
+  // 0 marks a port that has accepted nothing.
+  std::vector<Rational> recv_free(n);
   std::vector<std::optional<Rational>> sent_at(n);
   // contributions[p]: count of distinct inputs currently combined at p.
   std::vector<std::uint64_t> contributions(n, 1);
@@ -95,12 +99,11 @@ ReduceReport validate_reduce(const Schedule& schedule, const PostalParams& param
       continue;
     }
     sent_at[e.src] = e.t;
-    if (auto clash = send_port[e.src].insert(e.t, e.t + Rational(1))) {
-      violate(who() + "send-port conflict");
-    }
     const Rational arrive = e.t + lambda;
-    if (auto clash = recv_port[e.dst].insert(arrive - Rational(1), arrive)) {
+    if (arrive - Rational(1) < recv_free[e.dst]) {
       violate(who() + "receive-port conflict");
+    } else {
+      recv_free[e.dst] = arrive;
     }
     pending.push_back(PendingArrival{arrive, e.dst, contributions[e.src]});
     report.completion = rmax(report.completion, arrive);

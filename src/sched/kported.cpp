@@ -1,11 +1,7 @@
 #include "sched/kported.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <queue>
-#include <sstream>
-
-#include "support/interval_set.hpp"
 
 namespace postal {
 
@@ -109,57 +105,14 @@ Rational kported_optimal_greedy(const PostalParams& params, std::uint64_t k) {
 KPortedReport validate_kported(const Schedule& schedule, const PostalParams& params,
                                std::uint64_t k) {
   POSTAL_REQUIRE(k >= 1, "validate_kported: k must be >= 1");
-  const std::uint64_t n = params.n();
-  const Rational& lambda = params.lambda();
-  KPortedReport report;
-  auto violate = [&report](const std::string& text) {
-    report.violations.push_back(text);
-  };
-
-  std::vector<SendEvent> events = schedule.events();
-  std::stable_sort(events.begin(), events.end(),
-                   [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; });
-
-  std::vector<std::vector<Rational>> send_times(n);
-  std::vector<IntervalSet> recv_port(n);
-  std::vector<std::optional<Rational>> informed(n);
-  informed[0] = Rational(0);
-
-  for (const SendEvent& e : events) {
-    std::ostringstream who;
-    who << "[" << e << "] ";
-    if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
-      continue;
-    }
-    const auto& held = informed[e.src];
-    if (!held.has_value() || e.t < *held) violate(who.str() + "sender not informed");
-    // k-port rule: at most k send windows [t, t+1) may overlap. Since
-    // events come in time order, count earlier sends still open at e.t.
-    auto& mine = send_times[e.src];
-    std::uint64_t open = 0;
-    for (auto it = mine.rbegin(); it != mine.rend(); ++it) {
-      if (*it + Rational(1) > e.t) {
-        ++open;
-      } else {
-        break;  // times are nondecreasing; older windows are closed
-      }
-    }
-    if (open >= k) violate(who.str() + "more than k overlapping sends");
-    mine.push_back(e.t);
-    const Rational arrive = e.t + lambda;
-    if (recv_port[e.dst].insert(arrive - Rational(1), arrive)) {
-      violate(who.str() + "receive-port conflict");
-    }
-    auto& dst = informed[e.dst];
-    if (!dst.has_value() || arrive < *dst) dst = arrive;
-    report.completion = rmax(report.completion, arrive);
-  }
-  for (ProcId p = 0; p < n; ++p) {
-    if (!informed[p].has_value()) violate("p" + std::to_string(p) + " never informed");
-  }
-  report.ok = report.violations.empty();
-  return report;
+  ModelSpec spec;
+  spec.n = params.n();
+  spec.send_ports = k;
+  spec.intra = params.lambda();
+  spec.site = "validate_kported";
+  return check_model(schedule, spec,
+                     {"sender not informed", "more than k overlapping sends",
+                      "receive-port conflict"});
 }
 
 }  // namespace postal

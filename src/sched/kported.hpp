@@ -18,10 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "model/params.hpp"
+#include "sched/model_check.hpp"
 #include "sched/schedule.hpp"
 #include "support/rational.hpp"
 #include "support/saturating.hpp"
@@ -65,11 +65,7 @@ class GenFibK {
                                               std::uint64_t k);
 
 /// Result of validating a k-ported broadcast schedule.
-struct KPortedReport {
-  bool ok = false;
-  std::vector<std::string> violations;
-  Rational completion;
-};
+using KPortedReport = ModelReport;
 
 /// Validate a single-message broadcast schedule from p_0 under the
 /// k-ported rules: at most k overlapping send windows [t, t+1) per

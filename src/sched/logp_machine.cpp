@@ -1,65 +1,22 @@
 #include "sched/logp_machine.hpp"
 
-#include <algorithm>
-#include <optional>
-#include <sstream>
-
 #include "sched/bcast.hpp"
-#include "support/interval_set.hpp"
 
 namespace postal {
 
 LogPReport validate_logp_schedule(const Schedule& schedule, const LogPParams& params) {
   params.validate();
-  const std::uint64_t n = params.P;
-  const Rational gap = params.effective_gap();
-  const Rational usable_after = Rational(2) * params.o + params.L;
-
-  LogPReport report;
-  auto violate = [&report](const std::string& text) {
-    report.violations.push_back(text);
-  };
-
-  std::vector<SendEvent> events = schedule.events();
-  std::stable_sort(events.begin(), events.end(),
-                   [](const SendEvent& a, const SendEvent& b) { return a.t < b.t; });
-
-  // Spacing constraints are interval-exclusivity over windows of length
-  // max(o, g): two submissions (or absorptions) closer than that overlap.
-  std::vector<IntervalSet> submit_port(n);
-  std::vector<IntervalSet> absorb_port(n);
-  std::vector<std::optional<Rational>> usable(n);
-  usable[0] = Rational(0);
-
-  for (const SendEvent& e : events) {
-    std::ostringstream who;
-    who << "[" << e << "] ";
-    if (e.src >= n || e.dst >= n) {
-      violate(who.str() + "processor id out of range");
-      continue;
-    }
-    const auto& held = usable[e.src];
-    if (!held.has_value() || e.t < *held) {
-      violate(who.str() + "submitting a message that is not yet usable");
-    }
-    if (submit_port[e.src].insert(e.t, e.t + gap)) {
-      violate(who.str() + "submissions closer than max(o, g)");
-    }
-    const Rational usable_at = e.t + usable_after;
-    if (absorb_port[e.dst].insert(usable_at - gap, usable_at)) {
-      violate(who.str() + "absorptions closer than max(o, g)");
-    }
-    auto& dst = usable[e.dst];
-    if (!dst.has_value() || usable_at < *dst) dst = usable_at;
-    report.completion = rmax(report.completion, usable_at);
-  }
-  for (ProcId p = 0; p < n; ++p) {
-    if (!usable[p].has_value()) {
-      violate("p" + std::to_string(p) + " never informed");
-    }
-  }
-  report.ok = report.violations.empty();
-  return report;
+  // Submissions and absorptions are windows of length G = max(o, g) at one
+  // port each; a message submitted at t is usable at t + 2o + L.
+  ModelSpec spec;
+  spec.n = params.P;
+  spec.window = params.effective_gap();
+  spec.intra = Rational(2) * params.o + params.L;
+  spec.site = "validate_logp_schedule";
+  return check_model(schedule, spec,
+                     {"submitting a message that is not yet usable",
+                      "submissions closer than max(o, g)",
+                      "absorptions closer than max(o, g)"});
 }
 
 Schedule logp_bcast_schedule(const LogPParams& params) {

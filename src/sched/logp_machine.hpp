@@ -17,20 +17,15 @@
 // (submissions spaced G) is the optimal LogP broadcast.
 #pragma once
 
-#include <string>
-#include <vector>
-
 #include "model/logp.hpp"
+#include "sched/model_check.hpp"
 #include "sched/schedule.hpp"
 
 namespace postal {
 
-/// Result of validating a schedule under the full LogP rules.
-struct LogPReport {
-  bool ok = false;
-  std::vector<std::string> violations;
-  Rational completion;  ///< latest time a message becomes usable
-};
+/// Result of validating a schedule under the full LogP rules; completion
+/// is the latest time a message becomes usable.
+using LogPReport = ModelReport;
 
 /// Validate a single-message broadcast schedule (send submission times in
 /// LogP time units, origin p_0) against every LogP rule: per-processor

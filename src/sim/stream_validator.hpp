@@ -2,7 +2,7 @@
 // in O(chunk) memory (docs/ORACLE.md).
 //
 // The materialized validator (sim/validator.hpp) holds every event, every
-// delivery, and per-processor interval sets at once -- the right authority
+// delivery, and per-processor port state at once -- the right authority
 // for schedules that fit in memory, and the wrong shape for the implicit
 // oracle (src/oracle), whose schedules for n up to 10^12 never exist as a
 // list. The streaming validator closes that gap for *single-message

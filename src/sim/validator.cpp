@@ -1,7 +1,6 @@
 #include "sim/validator.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
 #include <sstream>
 
@@ -222,28 +221,6 @@ void validate_events(const TickPlan& plan, const Schedule& schedule,
   }
 }
 
-// Visit order. The loop must see events in nondecreasing send time, ties
-// in schedule order (a stable sort by t): then causality state (arrival
-// times) is always known before any later send is examined -- an arrival
-// enabling a send at t happened at a send that started at t - lambda < t
-// -- and, because lambda is a constant, the order is also nominal-arrival
-// order, which the fifo_receive serialization iterates in. An empty order
-// means the schedule is already sorted and is visited in place, which is
-// the case for every generator's and the Machine's output; other input is
-// visited through a stable_sort of its indices by tick.
-std::vector<std::size_t> visit_order(const std::vector<TickSend>& records) {
-  const auto by_tick = [](const TickSend& a, const TickSend& b) {
-    return a.tick < b.tick;
-  };
-  if (std::is_sorted(records.begin(), records.end(), by_tick)) return {};
-  std::vector<std::size_t> order(records.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&records](std::size_t a, std::size_t b) {
-    return records[a].tick < records[b].tick;
-  });
-  return order;
-}
-
 /// Static tick probe: fold lambda and the crash times onto the schedule's
 /// grid, giving Q, and bound the largest tick expression the loop can form
 /// (the latest record's tick `max_tick` times Q / q, arrive = t + lambda,
@@ -305,8 +282,16 @@ SimReport validate_schedule(const Schedule& schedule, const PostalParams& params
     if (!slot.has_value() || c.time < *slot) slot = c.time;
   }
 
+  // Visit order. The loop must see events in nondecreasing send time, ties
+  // in schedule order (a stable sort by t): then causality state (arrival
+  // times) is always known before any later send is examined -- an arrival
+  // enabling a send at t happened at a send that started at t - lambda < t
+  // -- and, because lambda is a constant, the order is also nominal-arrival
+  // order, which the fifo_receive serialization iterates in. Every
+  // generator's and the Machine's output is already sorted and is visited
+  // in place.
   const std::vector<TickSend>& records = schedule.records();
-  const std::vector<std::size_t> order = visit_order(records);
+  const std::vector<std::size_t> order = tick_visit_order(records);
   // Schedule ticks are >= 0; the last visited record is the latest.
   const Tick max_tick =
       records.empty()

@@ -286,6 +286,15 @@ class CompareTrajectoryGuardedMetricsTest(unittest.TestCase):
         self.assertIn("bcast_1m_t4_speedup", err)
         self.assertNotIn("REGRESSION", err)
 
+    def test_floor_message_quotes_the_load_at_start(self):
+        fresh = self.par_record("0.7", threads_hw=8)
+        fresh["extra"]["load1"] = "3.25"
+        code, _, err = self.run_compare([fresh],
+                                        [self.par_record("1.4", threads_hw=8)])
+        self.assertEqual(code, 1)
+        self.assertIn("REGRESSION", err)
+        self.assertIn("load1=3.25 at start", err)
+
     def test_speedup_at_floor_passes(self):
         code, _, err = self.run_compare(
             [self.par_record("1.3", threads_hw=8)],

@@ -18,7 +18,7 @@ namespace postal {
 namespace {
 
 /// Reference rules, written as directly from Definitions 1-2 as possible:
-/// pairwise interval checks and a fixpoint for causality. No IntervalSet,
+/// pairwise interval checks and a fixpoint for causality. No port state,
 /// no event sorting tricks.
 bool reference_valid(const Schedule& schedule, const PostalParams& params,
                      std::uint32_t messages, bool require_coverage) {
