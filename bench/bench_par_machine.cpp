@@ -24,10 +24,11 @@
 // pays its barrier overhead with no parallel speedup to show for it. The
 // speedup guard lives in scripts/compare_trajectory.py, keyed off the
 // record's threads_hw so it only hard-fails on runners with >= 4
-// hardware threads. The window/merge/flush wall split is recorded per
-// section: merge_ms is the sequential barrier residue (slot assignment),
-// flush_ms the parallel mailbox merge -- together they bound the speedup
-// a multi-core box can reach (docs/PERFORMANCE.md). The record's `load1`
+// hardware threads. The window/merge/flush/assemble wall split is
+// recorded per section: merge_ms is the sequential barrier residue (slot
+// assignment), flush_ms the parallel mailbox merge, assemble_ms the
+// schedule assembly after the last window -- together they bound the
+// speedup a multi-core box can reach (docs/PERFORMANCE.md). The record's `load1`
 // extra is the host's one-minute load average when the bench started:
 // speedups measured on a busy host read low, and the floor message quotes
 // it so such a failure can be told from a regression.
@@ -59,6 +60,7 @@ struct Section {
   double window_ms = 0.0;
   double merge_ms = 0.0;
   double flush_ms = 0.0;
+  double assemble_ms = 0.0;
   std::uint64_t windows = 0;
   std::uint32_t shards = 0;
   std::uint64_t arena_growths = 0;
@@ -135,6 +137,7 @@ Section run_sharded(const std::string& slug, const std::string& name,
   s.window_ms = info.window_ms;
   s.merge_ms = info.merge_ms;
   s.flush_ms = info.flush_ms;
+  s.assemble_ms = info.assemble_ms;
   s.windows = info.windows;
   s.shards = info.shards;
   s.arena_growths = info.arena_growths;
@@ -221,6 +224,7 @@ int main() {
     rec.extra.emplace_back(s.slug + "_window_ms", fmt(s.window_ms, 2));
     rec.extra.emplace_back(s.slug + "_merge_ms", fmt(s.merge_ms, 2));
     rec.extra.emplace_back(s.slug + "_flush_ms", fmt(s.flush_ms, 2));
+    rec.extra.emplace_back(s.slug + "_assemble_ms", fmt(s.assemble_ms, 2));
     rec.extra.emplace_back(s.slug + "_windows", std::to_string(s.windows));
     rec.extra.emplace_back(s.slug + "_shards", std::to_string(s.shards));
     rec.extra.emplace_back(s.slug + "_threads", std::to_string(s.threads));

@@ -306,7 +306,8 @@ if [ "$SANITIZE" -eq 1 ]; then
   # events() view's iterators; test_bcast: the emitter writing records;
   # test_reduce: the reduce validator's arrival cursor), and the model
   # variants' tick checker (test_model_check: the latency matrix index, the
-  # k-th-latest send slot and the receive port's neighbour search).
+  # k-th-latest send slot and the receive port's neighbour search), and the
+  # greedy heterogeneous planner's tick latency table (test_hetero).
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
@@ -315,7 +316,7 @@ if [ "$SANITIZE" -eq 1 ]; then
     test_par_differential test_reference_model test_svc_workload test_svc_service \
     test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort test_trace \
     test_oracle test_oracle_differential test_stream_validator test_schedule test_bcast \
-    test_reduce test_model_check
+    test_reduce test_model_check test_hetero
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
   ./build-asan/tests/test_validator_order
@@ -343,6 +344,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_bcast
   ./build-asan/tests/test_reduce
   ./build-asan/tests/test_model_check
+  ./build-asan/tests/test_hetero
 fi
 
 echo "ALL CHECKS PASSED"

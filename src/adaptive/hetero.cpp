@@ -1,9 +1,12 @@
 #include "adaptive/hetero.hpp"
 
-#include <optional>
+#include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "sched/bcast.hpp"
 #include "support/prng.hpp"
+#include "support/ticks.hpp"
 
 namespace postal {
 
@@ -84,41 +87,80 @@ HeteroSimReport simulate_hetero(const Schedule& schedule, const HeteroLatency& l
 }
 
 Schedule hetero_greedy_broadcast(const HeteroLatency& lat) {
+  constexpr const char* kSite = "hetero_greedy_broadcast";
   const std::uint64_t n = lat.n();
   Schedule schedule;
   if (n == 1) return schedule;
 
-  std::vector<std::optional<Rational>> free_at(n);  // informed -> next free
-  free_at[0] = Rational(0);
-  std::vector<bool> informed(n, false);
-  informed[0] = true;
-  std::uint64_t remaining = n - 1;
+  // The scan runs on the matrix's common grid 1/q: every latency, and so
+  // every send and arrival time the planner forms, is a whole number of
+  // ticks, and comparing ticks is comparing the exact times.
+  const std::vector<Rational>& matrix = lat.matrix();
+  std::int64_t q = 1;
+  for (std::uint64_t a = 0; a < n; ++a) {
+    for (std::uint64_t b = 0; b < n; ++b) {
+      const Rational& l = matrix[a * n + b];
+      if (a != b && q % l.den() != 0) q = fold_grid(q, l, kSite);
+    }
+  }
+  const TickDomain dom(q);
+  std::vector<Tick> latency(n * n, 0);  // diagonal unused
+  Tick max_latency = 0;
+  for (std::uint64_t a = 0; a < n; ++a) {
+    for (std::uint64_t b = 0; b < n; ++b) {
+      if (a == b) continue;
+      latency[a * n + b] = grid_ticks(dom, matrix[a * n + b], kSite);
+      max_latency = std::max(max_latency, latency[a * n + b]);
+    }
+  }
+  // Each of the n - 1 steps moves the latest free time or arrival on by at
+  // most one unit or one latency.
+  __extension__ using int128 = __int128;
+  if (static_cast<int128>(n) * (static_cast<int128>(q) + max_latency) >
+      std::numeric_limits<Tick>::max()) {
+    throw_grid_overflow(kSite, "tick count exceeds int64");
+  }
 
-  while (remaining > 0) {
+  constexpr Tick kUninformed = -1;
+  std::vector<Tick> free_at(n, kUninformed);  // informed -> next free tick
+  free_at[0] = 0;
+  std::vector<char> informed(n, 0);
+  informed[0] = 1;
+  std::vector<TickSend> sends;
+  sends.reserve(n - 1);
+  for (std::uint64_t remaining = n - 1; remaining > 0; --remaining) {
     // Pick the (sender, target) pair with the earliest possible arrival;
     // break ties toward lower ids for determinism.
-    std::optional<Rational> best_arrival;
+    Tick best_arrival = kUninformed;
     ProcId best_s = 0;
     ProcId best_q = 0;
     for (ProcId s = 0; s < n; ++s) {
-      if (!free_at[s].has_value()) continue;
-      for (ProcId q = 0; q < n; ++q) {
-        if (informed[q]) continue;
-        const Rational arrival = *free_at[s] + lat.lambda(s, q);
-        if (!best_arrival.has_value() || arrival < *best_arrival) {
+      const Tick free = free_at[s];
+      if (free == kUninformed) continue;
+      const Tick* row = latency.data() + std::uint64_t{s} * n;
+      for (ProcId t = 0; t < n; ++t) {
+        if (informed[t] != 0) continue;
+        const Tick arrival = free + row[t];
+        if (best_arrival == kUninformed || arrival < best_arrival) {
           best_arrival = arrival;
           best_s = s;
-          best_q = q;
+          best_q = t;
         }
       }
     }
-    POSTAL_CHECK(best_arrival.has_value());
-    schedule.add(best_s, best_q, /*msg=*/0, *free_at[best_s]);
-    free_at[best_s] = *free_at[best_s] + Rational(1);
-    free_at[best_q] = *best_arrival;
-    informed[best_q] = true;
-    --remaining;
+    POSTAL_CHECK(best_arrival != kUninformed);
+    sends.push_back(TickSend{free_at[best_s], best_s, best_q, 0});
+    free_at[best_s] += q;
+    free_at[best_q] = best_arrival;
+    informed[best_q] = 1;
   }
+  // A schedule built from the times themselves sits on the lcm of their
+  // reduced denominators: q over the gcd of q and every tick.
+  std::int64_t g = q;
+  for (const TickSend& e : sends) g = std::gcd(g, e.tick);
+  schedule.refine(q / g, kSite);
+  schedule.reserve(sends.size());
+  for (const TickSend& e : sends) schedule.add_tick(e.src, e.dst, e.msg, e.tick / g);
   schedule.sort();
   return schedule;
 }

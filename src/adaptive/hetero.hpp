@@ -66,7 +66,9 @@ using HeteroSimReport = ModelReport;
                                               const HeteroLatency& lat);
 
 /// Earliest-arrival greedy broadcast planner. Returns a schedule that
-/// simulate_hetero certifies; completion is its exact makespan.
+/// simulate_hetero certifies; completion is its exact makespan. Scans in
+/// int64 ticks of the matrix's common grid; a grid or time past int64
+/// raises OverflowError naming hetero_greedy_broadcast.
 [[nodiscard]] Schedule hetero_greedy_broadcast(const HeteroLatency& lat);
 
 /// Baseline: plan a plain BCAST tree at the conservative max_lambda() and

@@ -183,69 +183,194 @@ void Schedule::sort() {
 }
 
 Schedule Schedule::from_tick_log(TickLog log, std::int64_t q, std::uint64_t n) {
-  std::vector<TickLog> logs;
-  logs.push_back(std::move(log));
-  return from_tick_log(std::move(logs), q, n);
+  RankBlockAssembly assembly({{log.data(), log.size(), 0, n}}, q, n);
+  assembly.order(0);
+  assembly.place();
+  assembly.scatter(0);
+  return assembly.take();
 }
 
-Schedule Schedule::from_tick_log(std::vector<TickLog> logs, std::int64_t q,
-                                 std::uint64_t n) {
+RankBlockAssembly::RankBlockAssembly(std::vector<Segment> segments, std::int64_t q,
+                                     std::uint64_t n)
+    : segments_(std::move(segments)) {
   POSTAL_REQUIRE(q >= 1, "Schedule::from_tick_log: grid denominator must be >= 1");
-  std::size_t size = 0;
+  base_.resize(segments_.size());
+  plans_.resize(segments_.size());
+  std::size_t total = 0;
+  std::uint64_t ranks_seen = 0;
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
+    const Segment& seg = segments_[s];
+    POSTAL_CHECK(seg.lo >= ranks_seen && seg.lo <= seg.hi && seg.hi <= n);
+    ranks_seen = seg.hi;
+    base_[s] = total;
+    total += seg.size;
+  }
+  cap_ = counting_span_cap(total);
+  compare_ = n > cap_ || total > std::numeric_limits<std::uint32_t>::max();
+  out_.q_ = q;
+  out_.records_.resize(total);
+}
+
+void RankBlockAssembly::order(std::size_t s) {
+  constexpr unsigned kBlockShift = 15;
+  static_assert(kAssemblyBlockRanks == std::uint64_t{1} << kBlockShift);
+  const Segment& seg = segments_[s];
+  Plan& plan = plans_[s];
+  TickSend* const first = seg.sends;
+  TickSend* const last = seg.sends + seg.size;
+  plan.origin = seg.lo - seg.lo % kAssemblyBlockRanks;
+  plan.shift = kBlockShift;
+  const std::size_t aligned =
+      seg.hi > seg.lo
+          ? static_cast<std::size_t>((seg.hi - 1 - plan.origin) >> kBlockShift) + 1
+          : 0;
+  std::vector<std::size_t> starts(aligned + 1, 0);
   Tick lo = std::numeric_limits<Tick>::max();
   Tick hi = 0;
-  for (const TickLog& log : logs) {
-    size += log.size();
-    for (const TickSend& e : log) {
-      POSTAL_CHECK(e.tick >= 0 && e.src < n);
-      lo = std::min(lo, e.tick);
-      hi = std::max(hi, e.tick);
+  for (const TickSend* e = first; e != last; ++e) {
+    POSTAL_CHECK(e->tick >= 0 && e->src >= seg.lo && e->src < seg.hi);
+    POSTAL_REQUIRE(e->src != e->dst, "Schedule: a processor cannot send to itself");
+    ++starts[((e->src - plan.origin) >> kBlockShift) + 1];
+    lo = std::min(lo, e->tick);
+    hi = std::max(hi, e->tick);
+  }
+  if (compare_ || seg.size == 0) return;
+  // place() sums every segment's (tick, block) table: a segment may spend
+  // its share of the cap, cut into aligned blocks if they fit in it, as
+  // one block if only that fits, and not at all otherwise.
+  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  const std::uint64_t share = cap_ / segments_.size();
+  if (span > share) {
+    plan.too_wide = true;
+    return;
+  }
+  if (aligned * span > share) {
+    plan.origin = seg.lo;
+    plan.shift = 32;  // every src - origin < 2^32: one block
+    starts = {0, seg.size};
+  } else {
+    for (std::size_t k = 1; k < starts.size(); ++k) starts[k] += starts[k - 1];
+  }
+  plan.blocks = starts.size() - 1;
+  plan.tick_lo = lo;
+  plan.span = static_cast<std::size_t>(span);
+  plan.counts.assign(plan.blocks * plan.span, 0);
+
+  // Group the segment by block into its slice of the output (scatter()
+  // overwrites it only after every segment is ordered), then order each
+  // block by src through a cache-sized scratch back into the segment.
+  const TickSend* grouped = first;
+  if (plan.blocks > 1) {
+    TickSend* const slice = out_.records_.data() + base_[s];
+    std::vector<std::size_t> next(starts.begin(), starts.end() - 1);
+    for (const TickSend* e = first; e != last; ++e) {
+      slice[next[(e->src - plan.origin) >> plan.shift]++] = *e;
+    }
+    grouped = slice;
+  }
+  std::size_t widest = 0;
+  for (std::size_t k = 0; k < plan.blocks; ++k) {
+    widest = std::max(widest, starts[k + 1] - starts[k]);
+  }
+  TickLog scratch(widest);
+  std::vector<std::uint32_t> ends;
+  for (std::size_t k = 0; k < plan.blocks; ++k) {
+    const std::uint64_t rank_lo =
+        std::max(seg.lo, plan.origin + (std::uint64_t{k} << plan.shift));
+    const std::uint64_t rank_hi =
+        std::min(seg.hi, plan.origin + (std::uint64_t{k + 1} << plan.shift));
+    std::uint32_t* const counts = plan.counts.data() + k * plan.span;
+    const TickSend* const block_first = grouped + starts[k];
+    const TickSend* const block_last = grouped + starts[k + 1];
+    counting_pass(
+        static_cast<std::size_t>(rank_hi - rank_lo), ends,
+        [&](const auto& f) {
+          for (const TickSend* e = block_first; e != block_last; ++e) f(*e);
+        },
+        [rank_lo](const TickSend& e) {
+          return static_cast<std::size_t>(e.src - rank_lo);
+        },
+        [&](std::uint32_t slot, const TickSend& e) {
+          scratch[slot] = e;
+          ++counts[e.tick - lo];
+        });
+    std::copy(scratch.begin(),
+              scratch.begin() + static_cast<std::ptrdiff_t>(block_last - block_first),
+              first + starts[k]);
+  }
+}
+
+void RankBlockAssembly::place() {
+  if (compare_) return;
+  Tick lo = std::numeric_limits<Tick>::max();
+  Tick hi = -1;
+  for (const Plan& plan : plans_) {
+    if (plan.too_wide) {
+      compare_ = true;
+      return;
+    }
+    if (plan.span == 0) continue;
+    lo = std::min(lo, plan.tick_lo);
+    hi = std::max(hi, plan.tick_lo + static_cast<Tick>(plan.span) - 1);
+  }
+  if (hi < lo) return;
+  if (static_cast<std::uint64_t>(hi - lo) + 1 > cap_ / plans_.size()) {
+    compare_ = true;
+    return;
+  }
+  // Tick-major, then segment and block: both hold ascending rank ranges,
+  // so this is (tick, src) order.
+  std::uint32_t offset = 0;
+  for (Tick t = lo; t <= hi; ++t) {
+    for (Plan& plan : plans_) {
+      const Tick at = t - plan.tick_lo;
+      if (at < 0 || at >= static_cast<Tick>(plan.span)) continue;
+      for (std::size_t k = 0; k < plan.blocks; ++k) {
+        std::uint32_t& c = plan.counts[k * plan.span + static_cast<std::size_t>(at)];
+        const std::uint32_t count = c;
+        c = offset;
+        offset += count;
+      }
     }
   }
-  Schedule out;
-  out.q_ = q;
-  if (size == 0) return out;
+}
 
-  std::vector<TickSend>& records = out.records_;
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  const std::uint64_t cap = counting_span_cap(size);
-  if (span > cap || n > cap || size > std::numeric_limits<std::uint32_t>::max()) {
+void RankBlockAssembly::scatter(std::size_t s) {
+  const Segment& seg = segments_[s];
+  TickSend* const out = out_.records_.data();
+  if (compare_) {
+    std::copy(seg.sends, seg.sends + seg.size, out + base_[s]);
+    return;
+  }
+  if (seg.size == 0) return;
+  Plan& plan = plans_[s];
+  // Each block is in src order, so a repeated (tick, src) follows its twin
+  // among the block's sends at that tick; blocks hold disjoint ranks.
+  constexpr ProcId kNone = std::numeric_limits<ProcId>::max();
+  std::vector<ProcId> last_src(plan.span, kNone);
+  for (const TickSend* e = seg.sends; e != seg.sends + seg.size; ++e) {
+    const auto at = static_cast<std::size_t>(e->tick - plan.tick_lo);
+    POSTAL_CHECK(last_src[at] != e->src);
+    last_src[at] = e->src;
+    const auto k = static_cast<std::size_t>((e->src - plan.origin) >> plan.shift);
+    out[plan.counts[k * plan.span + at]++] = *e;
+  }
+}
+
+Schedule RankBlockAssembly::take() {
+  std::vector<TickSend>& records = out_.records_;
+  if (compare_) {
     // Too wide to count, e.g. a send after a long timer: compare instead.
-    records.reserve(size);
-    for (const TickLog& log : logs) records.insert(records.end(), log.begin(), log.end());
-    logs.clear();
+    // A repeated (tick, src) sorts next to its twin.
     std::sort(records.begin(), records.end(), record_less);
-  } else {
-    // A stable counting pass by src, then one by tick that writes the
-    // schedule itself: (tick, src) order, which is (t, src, dst, msg)
-    // order since a port sends once per tick.
-    TickLog by_src(size);
-    std::vector<std::uint32_t> ends;
-    counting_pass(
-        static_cast<std::size_t>(n), ends,
-        [&](const auto& f) {
-          for (const TickLog& log : logs) {
-            for (const TickSend& e : log) f(e);
-          }
-        },
-        [](const TickSend& e) { return static_cast<std::size_t>(e.src); },
-        [&](std::uint32_t slot, const TickSend& e) { by_src[slot] = e; });
-    logs.clear();
-    records.resize(size);
-    counting_pass(
-        static_cast<std::size_t>(span), ends,
-        [&](const auto& f) {
-          for (const TickSend& e : by_src) f(e);
-        },
-        [lo](const TickSend& e) { return static_cast<std::size_t>(e.tick - lo); },
-        [&](std::uint32_t slot, const TickSend& e) { records[slot] = e; });
+    for (std::size_t i = 1; i < records.size(); ++i) {
+      POSTAL_CHECK(records[i].tick != records[i - 1].tick ||
+                   records[i].src != records[i - 1].src);
+    }
   }
-  // A repeated (tick, src) sorts next to its twin.
-  for (std::size_t i = 1; i < size; ++i) {
-    POSTAL_CHECK(records[i].tick != records[i - 1].tick ||
-                 records[i].src != records[i - 1].src);
-  }
-  return out;
+  segments_.clear();
+  plans_.clear();
+  return std::move(out_);
 }
 
 Rational Schedule::last_send_start() const {

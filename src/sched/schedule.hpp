@@ -165,12 +165,11 @@ class Schedule {
   void sort();
 
   /// The schedule of an engine run, in (t, src, dst, msg) order, sized
-  /// exactly and on the run's grid q: `logs` are its sends on the 1/q
+  /// exactly and on the run's grid q: `log` holds its sends on the 1/q
   /// grid, every src < n. One port sends once per unit, so (tick, src)
-  /// identifies a send; a repeated pair is a logic error. The logs are
-  /// freed as the schedule is built.
-  [[nodiscard]] static Schedule from_tick_log(std::vector<TickLog> logs,
-                                              std::int64_t q, std::uint64_t n);
+  /// identifies a send; a repeated pair is a logic error, and a self-send
+  /// an InvalidArgument, as in add(). One RankBlockAssembly segment, run
+  /// serially; the log's storage holds the ordered blocks.
   [[nodiscard]] static Schedule from_tick_log(TickLog log, std::int64_t q,
                                               std::uint64_t n);
 
@@ -197,11 +196,82 @@ class Schedule {
   [[nodiscard]] std::uint32_t message_count() const;
 
  private:
+  friend class RankBlockAssembly;
+
   std::vector<TickSend> records_;
   std::int64_t q_ = 1;
 };
 
 std::ostream& operator<<(std::ostream& os, const Schedule& s);
+
+/// Ranks per block of a RankBlockAssembly: a block's src count array
+/// (128 KB) and its sends (~768 KB at one send per rank) stay in a core's
+/// cache while the block is ordered.
+inline constexpr std::uint64_t kAssemblyBlockRanks = std::uint64_t{1} << 15;
+
+/// Builds one Schedule from engine sends grouped in contiguous source-rank
+/// segments, in (tick, src) order -- which is (t, src, dst, msg) order,
+/// since a port sends once per tick -- with no global sort
+/// (docs/PERFORMANCE.md). Each segment is cut into kAssemblyBlockRanks-
+/// aligned rank blocks. Three phases, each over every segment:
+///
+///   order(s)   lane-safe: checks segment s's sends, groups them by block
+///              and orders each block by src with a block-sized count
+///              array, in the segment's own storage, counting each block's
+///              ticks on the way;
+///   place()    serial: one prefix sum over (tick, block) turns the counts
+///              into each (tick, block) run's first slot;
+///   scatter(s) lane-safe: writes segment s straight into those slots.
+///
+/// order() and scatter() of distinct segments touch disjoint memory, so
+/// callers may run them on separate lanes (ParMachine does, one shard a
+/// segment; Schedule::from_tick_log runs one segment serially). A segment
+/// whose (tick, block) table would pass counting_span_cap(size) is ordered
+/// as one block; an input the counting path cannot afford at all -- more
+/// ranks than that cap, or a tick span past it -- is concatenated and
+/// comparison-sorted instead.
+class RankBlockAssembly {
+ public:
+  /// Sends whose src lies in [lo, hi), in any order. order() reorders them.
+  struct Segment {
+    TickSend* sends = nullptr;
+    std::size_t size = 0;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+  };
+
+  /// `segments` must hold ascending, disjoint rank ranges within [0, n).
+  RankBlockAssembly(std::vector<Segment> segments, std::int64_t q, std::uint64_t n);
+
+  [[nodiscard]] std::size_t segments() const noexcept { return segments_.size(); }
+
+  void order(std::size_t s);
+  void place();
+  void scatter(std::size_t s);
+
+  /// The schedule, after every scatter(). Leaves the assembly empty.
+  [[nodiscard]] Schedule take();
+
+ private:
+  /// How order() cut one segment, and its (tick, block) counts.
+  struct Plan {
+    std::uint64_t origin = 0;  ///< first rank of block 0's range
+    unsigned shift = 0;        ///< src's block is (src - origin) >> shift
+    std::size_t blocks = 0;
+    Tick tick_lo = 0;
+    std::size_t span = 0;      ///< ticks counted from tick_lo (0: none)
+    bool too_wide = false;     ///< the segment's ticks could not be counted
+    /// [block * span + tick - tick_lo]; write cursors after place().
+    std::vector<std::uint32_t> counts;
+  };
+
+  std::vector<Segment> segments_;
+  std::vector<std::size_t> base_;  ///< first output slot of each segment
+  std::vector<Plan> plans_;
+  bool compare_ = false;           ///< take the comparison path
+  std::uint64_t cap_ = 0;          ///< counting_span_cap(total size)
+  Schedule out_;
+};
 
 /// The order a validator visits `records` in: nondecreasing tick, ties in
 /// record order. Empty when the records are already in that order, so they

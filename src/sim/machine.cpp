@@ -102,7 +102,8 @@ void Machine::sink_send(ProcId src, ProcId dst, const Packet& packet, Tick now) 
     return;
   }
   queue_.push(start + latency, seq_++,
-              Pending{Pending::Kind::kFlight, src, dst, packet, start, 0});
+              InFlight{src, dst, packet.msg, InFlight::Kind::kFlight, start, packet.ctl_a,
+                       packet.ctl_b});
 }
 
 void Machine::sink_timer(ProcId owner, Tick now, const Rational& delay,
@@ -112,7 +113,7 @@ void Machine::sink_timer(ProcId owner, Tick now, const Rational& delay,
   Tick fire = 0;
   if (d.has_value() && !__builtin_add_overflow(now, *d, &fire) && fire <= kTickCap) {
     queue_.push(fire, seq_++,
-                Pending{Pending::Kind::kTimer, owner, owner, Packet{}, fire, token});
+                InFlight{owner, owner, 0, InFlight::Kind::kTimer, fire, token, 0});
     return;
   }
   // The fire time is off this run's 1/q grid (or beyond the tick range):
@@ -121,7 +122,7 @@ void Machine::sink_timer(ProcId owner, Tick now, const Rational& delay,
   parked_.push_back(ParkedTimer{tick_rational(now) + delay, seq_++, owner, token});
 }
 
-void Machine::deliver(Protocol& protocol, Tick time, const Pending& flight,
+void Machine::deliver(Protocol& protocol, Tick time, const InFlight& flight,
                       std::uint64_t& delivered) {
   if (injector_ && crashed(flight.dst, time)) {
     ++fault_stats_.drops_crash;
@@ -131,9 +132,9 @@ void Machine::deliver(Protocol& protocol, Tick time, const Pending& flight,
   }
   ++delivered;
   trace_->record(
-      TickDelivery{flight.src, flight.dst, flight.packet.msg, flight.send_start, time});
+      TickDelivery{flight.src, flight.dst, flight.msg, flight.send_start, time});
   MachineContext ctx(*this, flight.dst, time, q_);
-  protocol.on_receive(ctx, flight.packet);
+  protocol.on_receive(ctx, Packet{flight.msg, flight.ctl_a, flight.ctl_b});
 }
 
 void Machine::run_loop(Protocol& protocol, std::uint64_t max_events,
@@ -149,22 +150,22 @@ void Machine::run_loop(Protocol& protocol, std::uint64_t max_events,
     // the destination ports and first-arrival cell of the event
     // kLookAhead slots on (both at an effectively random rank) while this
     // one runs.
-    if (const Pending* next = queue_.ahead(kLookAhead)) {
+    if (const InFlight* next = queue_.ahead(kLookAhead)) {
       __builtin_prefetch(&ranks_[next->dst], 1);
-      trace_->prefetch(next->dst, next->packet.msg);
+      trace_->prefetch(next->dst, next->msg);
     }
     if (++steps > max_events) {
       throw LogicError("Machine::run: exceeded max_events; runaway protocol?");
     }
     switch (event.kind) {
-      case Pending::Kind::kTimer: {
+      case InFlight::Kind::kTimer: {
         if (injector_ && crashed(event.dst, time)) break;
         ++stats_.timers_fired;
         MachineContext ctx(*this, event.dst, time, q_);
-        protocol.on_timer(ctx, event.token);
+        protocol.on_timer(ctx, event.ctl_a);
         break;
       }
-      case Pending::Kind::kFlight: {
+      case InFlight::Kind::kFlight: {
         // Input-port serialization: the receive needs the window
         // [arrival-1, arrival) exclusively. Simultaneous arrivals queue
         // FIFO; the paper's algorithms never collide, so for them
@@ -175,15 +176,15 @@ void Machine::run_loop(Protocol& protocol, std::uint64_t max_events,
         recv_free = arrival;
         if (arrival > time) {
           ++stats_.receives_queued;
-          Pending requeued = event;
-          requeued.kind = Pending::Kind::kFlightFinal;
-          queue_.push(arrival, seq_++, std::move(requeued));
+          InFlight requeued = event;
+          requeued.kind = InFlight::Kind::kFlightFinal;
+          queue_.push(arrival, seq_++, requeued);
           break;
         }
         deliver(protocol, time, event, delivered);
         break;
       }
-      case Pending::Kind::kFlightFinal:
+      case InFlight::Kind::kFlightFinal:
         deliver(protocol, time, event, delivered);
         break;
     }
@@ -211,11 +212,11 @@ void Machine::rescale(std::uint64_t max_events) {
   struct Entry {
     Tick time;
     std::uint64_t seq;
-    Pending event;
+    InFlight event;
   };
   std::vector<Entry> pending;
   pending.reserve(queue_.size() + parked_.size());
-  queue_.drain([&](Tick t, std::uint64_t seq, Pending&& e) {
+  queue_.drain([&](Tick t, std::uint64_t seq, InFlight&& e) {
     e.send_start = scaled(e.send_start);
     pending.push_back(Entry{scaled(t), seq, std::move(e)});
   });
@@ -227,7 +228,7 @@ void Machine::rescale(std::uint64_t max_events) {
     }
     pending.push_back(Entry{
         fire, t.seq,
-        Pending{Pending::Kind::kTimer, t.owner, t.owner, Packet{}, fire, t.token}});
+        InFlight{t.owner, t.owner, 0, InFlight::Kind::kTimer, fire, t.token, 0}});
   }
   parked_.clear();
   // Re-push in (time, seq) order: the queue's per-tick buckets are FIFO by
@@ -286,7 +287,8 @@ MachineResult Machine::run(Protocol& protocol, std::uint64_t max_events) {
 
   std::uint64_t delivered = 0;
   run_loop(protocol, max_events, delivered);
-  stats_.port_busy = port_busy_of(ranks_);
+  stats_.port_busy.resize(n);
+  port_busy_of(ranks_, 0, n, stats_.port_busy);
   stats_.events_processed = delivered;
   result.schedule = Schedule::from_tick_log(std::move(sends_), q_, n);
   result.stats = std::move(stats_);

@@ -207,20 +207,6 @@ class Machine : private ContextSink {
                   std::uint64_t token) override;
   [[nodiscard]] const PostalParams& sink_params() const noexcept override;
 
-  struct Pending {
-    enum class Kind : std::uint8_t {
-      kFlight,       ///< in-flight packet at its nominal arrival time
-      kFlightFinal,  ///< packet re-queued at its serialized arrival time
-      kTimer,        ///< local timer (dst = owner, token = payload)
-    };
-    Kind kind = Kind::kFlight;
-    ProcId src = 0;
-    ProcId dst = 0;
-    Packet packet;
-    Tick send_start = 0;
-    std::uint64_t token = 0;
-  };
-
   /// A timer whose fire time is off the run's 1/q grid (or beyond
   /// kTickCap), parked with its global seq until the loop top rescales.
   struct ParkedTimer {
@@ -231,7 +217,7 @@ class Machine : private ContextSink {
   };
 
   void adopt(TickRunSetup setup);
-  void deliver(Protocol& protocol, Tick time, const Pending& flight,
+  void deliver(Protocol& protocol, Tick time, const InFlight& flight,
                std::uint64_t& delivered);
   void run_loop(Protocol& protocol, std::uint64_t max_events,
                 std::uint64_t& delivered);
@@ -255,7 +241,7 @@ class Machine : private ContextSink {
   std::int64_t q_ = 1;              ///< resolution denominator of this run
   Tick lambda_ticks_ = 0;           ///< lambda in ticks
   std::uint64_t seq_ = 0;           ///< push counter (queue + parked timers)
-  TickEventQueue<Pending> queue_;
+  TickEventQueue<InFlight> queue_;
   std::vector<ParkedTimer> parked_;  ///< off-grid timers awaiting the rescale
   std::vector<RankPorts> ranks_;
   std::vector<std::optional<Tick>> crash_ticks_;

@@ -1,4 +1,4 @@
-// The sharded engine and its determinism machinery. Three pieces:
+// The sharded engine and its determinism machinery. Four pieces:
 //
 //  1. ParShard -- the per-lane event loop. An exact transliteration of
 //     Machine's tick hot path (same branch structure, same fault
@@ -39,7 +39,15 @@
 //     (tick, gseq) order on its own lane before the barrier (a counting
 //     bucket by tick; gseqs increase with a run's append order, so
 //     (tick, local_seq) order IS (tick, gseq) order), and the flush is a
-//     k-way merge of those sorted runs -- no global sort anywhere.
+//     k-way merge of those sorted runs.
+//
+//  4. The result assembly. After the last window each shard's send log is
+//     one segment of a RankBlockAssembly (sched/schedule.hpp): its lane
+//     orders the log in 2^15-rank blocks and folds the shard's slice of
+//     port_busy, one serial prefix sum over (tick, block) places every
+//     run, and the lanes scatter their logs straight into the schedule.
+//
+// No step sorts globally: not the flush, not the merge, not the assembly.
 //
 // Window placement needs no alignment: each window is [B, B + lambda)
 // with B = the global minimum pending tick, so every send started in the
@@ -59,11 +67,12 @@
 // never deallocated. After the first run's high-water mark, steady-state
 // windows allocate none of them; ParRunInfo::arena_growths counts the
 // capacity growths actually observed so benches can prove it
-// (bench_micro's warm-rerun section). The shard queues are not part of
-// that certificate and never were: their events live inline in per-tick
-// buckets (sim/tick_queue.hpp), and a drained bucket larger than the
-// queue's kept size gives its storage back, so a busy tick's bucket
-// regrows in every run.
+// (bench_micro's warm-rerun section). The shard send logs are kept too,
+// so a warm rerun appends into storage it already has. The shard queues
+// are not part of that certificate and never were: their events live
+// inline in per-tick buckets (sim/tick_queue.hpp), and a drained bucket
+// larger than the queue's kept size gives its storage back, so a busy
+// tick's bucket regrows in every run.
 #include "sim/par_machine.hpp"
 
 #include <algorithm>
@@ -109,18 +118,6 @@ struct ParFallbackError : std::exception {
 /// Lives in this TU only; MachineContext befriends it by name.
 class ParShard final : public ContextSink {
  public:
-  /// ParMachine's pending-event record (Machine::Pending is private to
-  /// Machine; the shard engine keeps its own, with send_start in ticks).
-  struct Ev {
-    enum class Kind : std::uint8_t { kFlight, kFlightFinal, kTimer };
-    Kind kind = Kind::kFlight;
-    ProcId src = 0;
-    ProcId dst = 0;
-    Packet packet;
-    Tick send_start = 0;
-    std::uint64_t token = 0;
-  };
-
   /// A push that must cross a barrier: delivered to shard_of(ev.dst) once
   /// the merge has assigned its gseq. `local_seq` is the shard-wide outbox
   /// append counter of the window; the barrier merge consumes a shard's
@@ -129,7 +126,7 @@ class ParShard final : public ContextSink {
   struct OutboxEntry {
     Tick tick = 0;
     std::uint64_t local_seq = 0;
-    Ev ev;
+    InFlight ev;
   };
 
   /// One productive pop in a shard's window log. `pushes`, `faults`, and
@@ -163,8 +160,11 @@ class ParShard final : public ContextSink {
   std::unique_ptr<Protocol> protocol;
 
   // Run-cumulative accumulators, merged by ParMachine at the end.
-  TickEventQueue<Ev> q;
-  TickLog sends;  ///< this shard's schedule slice, append order
+  TickEventQueue<InFlight> q;
+  /// This shard's sends in append order: its segment of the run's
+  /// schedule assembly, which reorders it in place. Kept with its capacity
+  /// across runs.
+  TickLog sends;
   MachineStats stats;  ///< port_busy stays empty (folded from the RankPorts)
   FaultStats faults;   ///< counters only; the timeline is built at replay
   std::uint64_t steps = 0;
@@ -228,10 +228,10 @@ class ParShard final : public ContextSink {
     while (!q.empty()) {
       const Tick t = q.peek_time();
       if (t >= window_end) break;
-      q.drain_current_tick([&](std::uint64_t stamp, Ev&& ev) {
+      q.drain_current_tick([&](std::uint64_t stamp, InFlight&& ev) {
         // Machine::run_loop's look-ahead: the destination's ports of the
         // event kLookAhead slots on. Every queued event's dst is owned.
-        if (const Ev* next = q.ahead(kLookAhead)) {
+        if (const InFlight* next = q.ahead(kLookAhead)) {
           __builtin_prefetch(&ranks[next->dst], 1);
         }
         process(t, stamp, std::move(ev));
@@ -314,8 +314,8 @@ class ParShard final : public ContextSink {
                            tick_rational(start + latency), dst, self});
       return;
     }
-    route_push(start + latency,
-               Ev{Ev::Kind::kFlight, self, dst, packet, start, 0});
+    route_push(start + latency, InFlight{self, dst, packet.msg, InFlight::Kind::kFlight,
+                                         start, packet.ctl_a, packet.ctl_b});
   }
 
   void sink_timer(ProcId self, Tick now_ticks, const Rational& delay,
@@ -327,7 +327,7 @@ class ParShard final : public ContextSink {
         fire > kTickCap) {
       throw ParFallbackError{};
     }
-    route_push(fire, Ev{Ev::Kind::kTimer, self, self, Packet{}, fire, token});
+    route_push(fire, InFlight{self, self, 0, InFlight::Kind::kTimer, fire, token, 0});
   }
 
   [[nodiscard]] const PostalParams& sink_params() const noexcept override {
@@ -335,42 +335,42 @@ class ParShard final : public ContextSink {
   }
 
   /// One pop: Machine::run_loop's switch, against the window log.
-  void process(Tick time, std::uint64_t stamp, Ev&& ev) {
+  void process(Tick time, std::uint64_t stamp, InFlight&& ev) {
     if (++steps > max_events) {
       throw LogicError("ParMachine::run: exceeded max_events; runaway protocol?");
     }
     cur_ = PopEntry{time, stamp, 0, 0, 0};
     switch (ev.kind) {
-      case Ev::Kind::kTimer: {
+      case InFlight::Kind::kTimer: {
         if (injector != nullptr && crashed_at(ev.dst, time)) break;
         ++stats.timers_fired;
         MachineContext ctx(*this, ev.dst, time, tick_q);
-        protocol->on_timer(ctx, ev.token);
+        protocol->on_timer(ctx, ev.ctl_a);
         break;
       }
-      case Ev::Kind::kFlight: {
+      case InFlight::Kind::kFlight: {
         Tick& recv_free = ranks[ev.dst].recv_free;
         const Tick window_start = std::max(time - tick_q, recv_free);
         const Tick arrival = window_start + tick_q;
         recv_free = arrival;
         if (arrival > time) {
           ++stats.receives_queued;
-          Ev requeued = ev;
-          requeued.kind = Ev::Kind::kFlightFinal;
-          route_push(arrival, std::move(requeued));
+          InFlight requeued = ev;
+          requeued.kind = InFlight::Kind::kFlightFinal;
+          route_push(arrival, requeued);
           break;
         }
         deliver(time, ev);
         break;
       }
-      case Ev::Kind::kFlightFinal:
+      case InFlight::Kind::kFlightFinal:
         deliver(time, ev);
         break;
     }
     commit_log();
   }
 
-  void deliver(Tick time, const Ev& ev) {
+  void deliver(Tick time, const InFlight& ev) {
     if (injector != nullptr && crashed_at(ev.dst, time)) {
       ++faults.drops_crash;
       log_fault(FaultEvent{FaultEvent::Kind::kDropCrash, tick_rational(time),
@@ -380,31 +380,30 @@ class ParShard final : public ContextSink {
     ++stats.events_processed;
     cur_.delivered = 1;
     if (trace_mode == TraceMode::kFull) {
-      deliveries.push_back(
-          TickDelivery{ev.src, ev.dst, ev.packet.msg, ev.send_start, time});
+      deliveries.push_back(TickDelivery{ev.src, ev.dst, ev.msg, ev.send_start, time});
     } else {
       // Elided trace: update the (dst, msg) first-arrival cell directly --
       // dst belongs to this shard, so the cell is ours alone -- and keep
       // count/makespan shard-local until the end-of-run fold. The global
       // pop order is irrelevant to a min and a max, so no replay needed.
-      trace->counters_note(ev.dst, ev.packet.msg, time);
+      trace->counters_note(ev.dst, ev.msg, time);
       if (time > max_delivery_tick) max_delivery_tick = time;
     }
     MachineContext ctx(*this, ev.dst, time, tick_q);
-    protocol->on_receive(ctx, ev.packet);
+    protocol->on_receive(ctx, Packet{ev.msg, ev.ctl_a, ev.ctl_b});
   }
 
   /// Every queue push of the sequential engine maps to exactly one call
   /// here, so replaying `pushes` per entry reproduces its seq counter.
-  void route_push(Tick at, Ev&& ev) {
+  void route_push(Tick at, const InFlight& ev) {
     ++cur_.pushes;
     if (at < window_end_) {
       push_kinds.push_back(0);
-      q.push(at, kProvBase + prov_count++, std::move(ev));
+      q.push(at, kProvBase + prov_count++, ev);
     } else {
       push_kinds.push_back(1);
       const std::size_t d = static_cast<std::size_t>(ev.dst / shard_size);
-      outbox[d].push_back(OutboxEntry{at, outbox_seq++, std::move(ev)});
+      outbox[d].push_back(OutboxEntry{at, outbox_seq++, ev});
     }
   }
 
@@ -877,9 +876,7 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
   }
 
   // Merge run accumulators into the sequential result shape.
-  std::vector<TickLog> sends;
-  sends.reserve(shards.size());
-  for (ParShard& sh : shards) {
+  for (const ParShard& sh : shards) {
     result.stats.events_processed += sh.stats.events_processed;
     result.stats.sends_enqueued += sh.stats.sends_enqueued;
     result.stats.sends_deferred += sh.stats.sends_deferred;
@@ -892,15 +889,32 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
     result.faults.drops_crash += sh.faults.drops_crash;
     result.faults.drops_loss += sh.faults.drops_loss;
     result.faults.spikes_applied += sh.faults.spikes_applied;
-    sends.push_back(std::move(sh.sends));
   }
   if (trace_mode_ == TraceMode::kCounters) {
     for (const ParShard& sh : shards) {
       result.trace.counters_fold(sh.stats.events_processed, sh.max_delivery_tick);
     }
   }
-  result.stats.port_busy = port_busy_of(eng.ranks);
-  result.schedule = Schedule::from_tick_log(std::move(sends), setup.q, n);
+
+  // Schedule assembly: each shard's log is one segment, ordered and
+  // scattered on the shard's lane, which also folds the shard's slice of
+  // port_busy. Only the (tick, block) prefix sum runs serially.
+  t0 = Clock::now();
+  std::vector<RankBlockAssembly::Segment> segments;
+  segments.reserve(s_count);
+  for (ParShard& sh : shards) {
+    segments.push_back({sh.sends.data(), sh.sends.size(), sh.lo, sh.hi});
+  }
+  RankBlockAssembly assembly(std::move(segments), setup.q, n);
+  result.stats.port_busy.resize(n);
+  pool.for_each(s_count, [&](std::size_t s) {
+    assembly.order(s);
+    port_busy_of(eng.ranks, shards[s].lo, shards[s].hi, result.stats.port_busy);
+  });
+  assembly.place();
+  pool.for_each(s_count, [&assembly](std::size_t s) { assembly.scatter(s); });
+  result.schedule = assembly.take();
+  info_.assemble_ms = ms_since(t0);
 
   info_.parallel_engine = true;
   info_.shards = s_count;

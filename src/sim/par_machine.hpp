@@ -136,6 +136,8 @@ struct ParRunInfo {
   double window_ms = 0.0;             ///< wall time in parallel windows (drain + seal)
   double merge_ms = 0.0;              ///< wall time in barrier merge-replay
   double flush_ms = 0.0;              ///< wall time flushing mailboxes to shard queues
+  /// Wall time building the schedule and port_busy after the last window.
+  double assemble_ms = 0.0;
   TraceMode trace_mode = TraceMode::kFull;  ///< retention mode of the run
   std::vector<ParShardInfo> shard;    ///< sized `shards` when parallel
 };

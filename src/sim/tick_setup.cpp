@@ -2,14 +2,13 @@
 
 namespace postal {
 
-std::vector<Rational> port_busy_of(const std::vector<RankPorts>& ranks) {
-  std::vector<Rational> busy;
-  busy.reserve(ranks.size());
-  for (const RankPorts& r : ranks) {
-    POSTAL_CHECK(r.sends <= static_cast<std::uint64_t>(INT64_MAX));
-    busy.emplace_back(static_cast<std::int64_t>(r.sends));
+void port_busy_of(const std::vector<RankPorts>& ranks, std::size_t lo, std::size_t hi,
+                  std::vector<Rational>& busy) {
+  POSTAL_CHECK(lo <= hi && hi <= ranks.size() && busy.size() == ranks.size());
+  for (std::size_t p = lo; p < hi; ++p) {
+    POSTAL_CHECK(ranks[p].sends <= static_cast<std::uint64_t>(INT64_MAX));
+    busy[p] = Rational(static_cast<std::int64_t>(ranks[p].sends));
   }
-  return busy;
 }
 
 TickRunSetup plan_tick_run(const PostalParams& params, const FaultInjector* injector,

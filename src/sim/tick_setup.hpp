@@ -46,6 +46,26 @@ struct TickRunSetup {
   std::vector<SpikeTicks> spike_ticks;
 };
 
+/// One queued event of a tick run, the payload of both engines' queues: a
+/// packet in flight or a local timer. A packet's Packet is {msg, ctl_a,
+/// ctl_b}; a timer keeps its token in ctl_a. 40 bytes, so a queue slot with
+/// its seq is 48.
+struct InFlight {
+  enum class Kind : std::uint8_t {
+    kFlight,       ///< packet at its nominal arrival time
+    kFlightFinal,  ///< packet re-queued at its serialized arrival time
+    kTimer,        ///< local timer (src = dst = owner, token in ctl_a)
+  };
+  ProcId src = 0;
+  ProcId dst = 0;
+  MsgId msg = 0;
+  Kind kind = Kind::kFlight;
+  Tick send_start = 0;
+  std::uint64_t ctl_a = 0;
+  std::uint64_t ctl_b = 0;
+};
+static_assert(sizeof(InFlight) == 40, "an in-flight record is 40 bytes");
+
 /// One rank's port bookkeeping in a tick run. The sharded engine writes a
 /// rank's record only from the shard that owns the rank.
 struct RankPorts {
@@ -54,9 +74,11 @@ struct RankPorts {
   std::uint64_t sends = 0;  ///< sends started (one unit of port time each)
 };
 
-/// MachineStats::port_busy of a run: each rank's send count as an exact
-/// Rational, sized like `ranks`.
-[[nodiscard]] std::vector<Rational> port_busy_of(const std::vector<RankPorts>& ranks);
+/// MachineStats::port_busy of a run, ranks [lo, hi): each rank's send
+/// count as an exact Rational, written to busy[lo, hi). `busy` is sized like
+/// `ranks`; disjoint ranges may be filled concurrently.
+void port_busy_of(const std::vector<RankPorts>& ranks, std::size_t lo, std::size_t hi,
+                  std::vector<Rational>& busy);
 
 /// Up-front capacity of a run's delivery and send logs: the coverage
 /// minimum of a broadcast, (n - 1) * messages, capped by the run's event

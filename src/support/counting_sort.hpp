@@ -5,8 +5,9 @@
 // integers. One counting pass orders n elements by such a key in
 // O(n + span) with no comparisons and keeps equal keys in input order, so
 // chained passes sort lexicographically (least significant key first).
-// Schedule::sort, Schedule::from_tick_log and ParMachine's outbox seal all
-// order through counting_pass.
+// Users: Schedule::sort (by tick), RankBlockAssembly -- the schedule
+// assembly behind Schedule::from_tick_log and ParMachine's result -- (each
+// 2^15-rank block by src) and ParMachine's outbox seal (each run by tick).
 #pragma once
 
 #include <cstddef>

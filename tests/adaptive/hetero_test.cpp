@@ -2,9 +2,16 @@
 // the per-pair simulator, and the earliest-arrival greedy planner.
 #include "adaptive/hetero.hpp"
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "model/genfib.hpp"
+#include "support/prng.hpp"
 #include "test_util.hpp"
 
 namespace postal {
@@ -113,6 +120,95 @@ TEST(HeteroGreedy, NeverBelowUniformLowerBoundOfMinLatency) {
   ASSERT_TRUE(report.ok);
   GenFib fib(Rational(2));
   EXPECT_GE(report.completion, fib.f(20));
+}
+
+/// The planner's Rational loop before it moved onto ticks, kept as the
+/// reference its tick scan must reproduce byte for byte.
+Schedule rational_greedy_reference(const HeteroLatency& lat) {
+  const std::uint64_t n = lat.n();
+  Schedule schedule;
+  if (n == 1) return schedule;
+  std::vector<std::optional<Rational>> free_at(n);
+  free_at[0] = Rational(0);
+  std::vector<bool> informed(n, false);
+  informed[0] = true;
+  for (std::uint64_t remaining = n - 1; remaining > 0; --remaining) {
+    std::optional<Rational> best_arrival;
+    ProcId best_s = 0;
+    ProcId best_q = 0;
+    for (ProcId s = 0; s < n; ++s) {
+      if (!free_at[s].has_value()) continue;
+      for (ProcId q = 0; q < n; ++q) {
+        if (informed[q]) continue;
+        const Rational arrival = *free_at[s] + lat.lambda(s, q);
+        if (!best_arrival.has_value() || arrival < *best_arrival) {
+          best_arrival = arrival;
+          best_s = s;
+          best_q = q;
+        }
+      }
+    }
+    schedule.add(best_s, best_q, 0, *free_at[best_s]);
+    free_at[best_s] = *free_at[best_s] + Rational(1);
+    free_at[best_q] = *best_arrival;
+    informed[best_q] = true;
+  }
+  schedule.sort();
+  return schedule;
+}
+
+/// Seeded matrices over mixed grids: quarter-step random, two-level with
+/// thirds and fifths, and explicit entries with denominators 1, 2, 3, 5, 7
+/// (ties among equal arrivals included).
+HeteroLatency seeded_matrix(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const auto draw = [&rng](std::uint64_t hi) {
+    return static_cast<std::int64_t>(rng.uniform(0, hi));
+  };
+  const std::uint64_t n = rng.uniform(2, 28);
+  switch (seed % 3) {
+    case 0: {
+      const Rational lo = Rational(1) + Rational(draw(6), 3);
+      return HeteroLatency::random(n, lo, lo + Rational(draw(4)), seed);
+    }
+    case 1:
+      return HeteroLatency::two_level(n, rng.uniform(1, n),
+                                      Rational(1) + Rational(draw(5), 3),
+                                      Rational(2) + Rational(draw(9), 5));
+    default: {
+      constexpr std::int64_t kDens[] = {1, 2, 3, 5, 7};
+      std::vector<Rational> matrix(n * n, Rational(1));
+      for (Rational& l : matrix) {
+        const std::int64_t den = kDens[rng.uniform(0, 4)];
+        l = Rational(den + draw(3 * static_cast<std::uint64_t>(den)), den);
+      }
+      return HeteroLatency(n, std::move(matrix));
+    }
+  }
+}
+
+TEST(HeteroGreedy, TickScanMatchesTheRationalLoop) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const HeteroLatency lat = seeded_matrix(seed);
+    const Schedule ticks = hetero_greedy_broadcast(lat);
+    const Schedule reference = rational_greedy_reference(lat);
+    EXPECT_EQ(ticks.records(), reference.records()) << "seed " << seed;
+    EXPECT_EQ(ticks.q(), reference.q()) << "seed " << seed;
+  }
+}
+
+TEST(HeteroGreedy, UnrepresentableGridNamesThePlanner) {
+  // Latencies on the grids 1/(2^31 - 1) and 1/2^33 share no int64 grid.
+  std::vector<Rational> matrix(9, Rational(1) + Rational(1, std::int64_t{1} << 33));
+  matrix[1] = Rational(1) + Rational(1, std::numeric_limits<std::int32_t>::max());
+  const HeteroLatency lat(3, std::move(matrix));
+  try {
+    (void)hetero_greedy_broadcast(lat);
+    ADD_FAILURE() << "no OverflowError";
+  } catch (const OverflowError& e) {
+    EXPECT_NE(std::string(e.what()).find("hetero_greedy_broadcast:"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

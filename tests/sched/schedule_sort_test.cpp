@@ -268,19 +268,142 @@ TEST(ScheduleTickLog, MatchesAddAndSort) {
   }
 }
 
+/// `log` split at the rank `bounds` (ascending, ending at n) into one
+/// RankBlockAssembly segment each, assembled with every lane-safe phase
+/// run over the segments in reverse order.
+Schedule assemble_blocks(const TickLog& log, std::int64_t q, std::uint64_t n,
+                         const std::vector<ProcId>& bounds, std::vector<TickLog>& parts) {
+  parts.assign(bounds.size(), TickLog{});
+  for (const TickSend& e : log) {
+    const auto at = std::upper_bound(bounds.begin(), bounds.end(), e.src);
+    parts[static_cast<std::size_t>(at - bounds.begin())].push_back(e);
+  }
+  std::vector<RankBlockAssembly::Segment> segments;
+  ProcId lo = 0;
+  for (std::size_t s = 0; s < bounds.size(); ++s) {
+    segments.push_back({parts[s].data(), parts[s].size(), lo, bounds[s]});
+    lo = bounds[s];
+  }
+  RankBlockAssembly assembly(std::move(segments), q, n);
+  for (std::size_t s = assembly.segments(); s-- > 0;) assembly.order(s);
+  assembly.place();
+  for (std::size_t s = assembly.segments(); s-- > 0;) assembly.scatter(s);
+  return assembly.take();
+}
+
+/// A log of `count` sends on ranks [0, n) with distinct (tick, src), ticks
+/// in [0, span), in a scrambled order; for n far above `count`.
+TickLog sparse_log(Xoshiro256& rng, std::size_t count, std::uint64_t n,
+                   std::uint64_t span) {
+  TickLog log;
+  std::vector<std::pair<Tick, ProcId>> used;
+  while (log.size() < count) {
+    const auto src = static_cast<ProcId>(rng.uniform(0, n - 1));
+    const auto tick = static_cast<Tick>(rng.uniform(0, span - 1));
+    if (std::find(used.begin(), used.end(), std::make_pair(tick, src)) != used.end()) {
+      continue;
+    }
+    used.emplace_back(tick, src);
+    const auto dst = static_cast<ProcId>((src + 1 + rng.uniform(0, n - 2)) % n);
+    log.push_back(TickSend{tick, src, dst, static_cast<MsgId>(rng.uniform(0, 3))});
+  }
+  return log;
+}
+
+/// What from_tick_log promises, by std::sort on (tick, src, dst, msg).
+std::vector<TickSend> std_sorted(TickLog log) {
+  std::sort(log.begin(), log.end(), [](const TickSend& a, const TickSend& b) {
+    return std::tie(a.tick, a.src, a.dst, a.msg) < std::tie(b.tick, b.src, b.dst, b.msg);
+  });
+  return log;
+}
+
 TEST(ScheduleTickLog, EmptyLogsGiveAnEmptySchedule) {
   EXPECT_TRUE(Schedule::from_tick_log(TickLog{}, 2, 8).empty());
-  EXPECT_TRUE(Schedule::from_tick_log(std::vector<TickLog>(3), 2, 8).empty());
-  EXPECT_TRUE(Schedule::from_tick_log(std::vector<TickLog>{}, 2, 0).empty());
+  EXPECT_TRUE(Schedule::from_tick_log(TickLog{}, 2, 0).empty());
+  EXPECT_TRUE(Schedule::from_tick_log(TickLog{}, 2, 3 * kAssemblyBlockRanks).empty());
+  std::vector<TickLog> parts;
+  EXPECT_TRUE(assemble_blocks(TickLog{}, 2, 8, {2, 5, 8}, parts).empty());
 }
 
 TEST(ScheduleTickLog, SplitLogsMatchOneLog) {
+  // Blocks of any widths, empty ones among them, give the one-block result.
   Xoshiro256 rng(22);
   const TickLog log = random_log(rng, 600, 40, 90);
-  std::vector<TickLog> parts(4);
-  for (std::size_t i = 0; i < log.size(); ++i) parts[(i * 7) % 3].push_back(log[i]);
-  EXPECT_EQ(Schedule::from_tick_log(std::move(parts), 2, 40).events(),
-            Schedule::from_tick_log(log, 2, 40).events());
+  const Schedule one = Schedule::from_tick_log(log, 2, 40);
+  std::vector<TickLog> parts;
+  for (const std::vector<ProcId>& bounds :
+       {std::vector<ProcId>{40}, {13, 27, 40}, {0, 1, 1, 39, 40}, {20, 20, 40, 40}}) {
+    const Schedule split = assemble_blocks(log, 2, 40, bounds, parts);
+    EXPECT_EQ(split.records(), one.records());
+    EXPECT_EQ(split.q(), one.q());
+  }
+}
+
+TEST(ScheduleTickLog, BlockedAssemblyMatchesStdSortAroundTheBlockSize) {
+  // from_tick_log's rank blocks against std::sort, at rank counts on and
+  // around the block width: one send per rank and tick-dense, and sparse
+  // logs that leave most blocks empty.
+  constexpr std::uint64_t kB = kAssemblyBlockRanks;
+  Xoshiro256 rng(25);
+  for (const std::uint64_t n : {std::uint64_t{1}, kB - 1, kB, kB + 1, 3 * kB + 7}) {
+    if (n >= 2) {
+      TickLog dense;
+      for (ProcId p = 0; p < n; ++p) {
+        const auto dst = static_cast<ProcId>((p + 1 + rng.uniform(0, n - 2)) % n);
+        dense.push_back(TickSend{static_cast<Tick>(rng.uniform(0, 40)), p, dst, 0});
+      }
+      for (std::size_t i = dense.size(); i > 1; --i) {
+        std::swap(dense[i - 1], dense[static_cast<std::size_t>(rng.uniform(0, i - 1))]);
+      }
+      const Schedule s = Schedule::from_tick_log(dense, 2, n);
+      EXPECT_EQ(s.records(), std_sorted(dense)) << "dense n = " << n;
+      EXPECT_EQ(s.q(), 2);
+    }
+    if (n >= 2) {
+      // A few sends in the last block only, and a few spread thin.
+      TickLog tail;
+      for (ProcId p = static_cast<ProcId>(n - 1); tail.size() < 5 && p > 0; --p) {
+        tail.push_back(TickSend{static_cast<Tick>(p % 7), p, 0, 1});
+      }
+      EXPECT_EQ(Schedule::from_tick_log(tail, 3, n).records(), std_sorted(tail))
+          << "tail n = " << n;
+      const TickLog thin = sparse_log(rng, 300, n, 50);
+      EXPECT_EQ(Schedule::from_tick_log(thin, 3, n).records(), std_sorted(thin))
+          << "thin n = " << n;
+    }
+  }
+  // Enough sends to count, from blocks 0 and 2 only: blocks 1 and 3 are
+  // empty on the counting path.
+  const std::uint64_t n = 3 * kB + 7;
+  TickLog gapped;
+  for (ProcId p = 0; p < n; ++p) {
+    if (p / kB == 1 || p / kB == 3) continue;
+    gapped.push_back(TickSend{static_cast<Tick>(rng.uniform(0, 30)), p,
+                              static_cast<ProcId>(kB + p % kB), 0});
+  }
+  for (std::size_t i = gapped.size(); i > 1; --i) {
+    std::swap(gapped[i - 1], gapped[static_cast<std::size_t>(rng.uniform(0, i - 1))]);
+  }
+  EXPECT_EQ(Schedule::from_tick_log(gapped, 1, n).records(), std_sorted(gapped));
+}
+
+TEST(ScheduleTickLog, WideSpansAcrossBlocksTakeTheComparisonPath) {
+  // A span the (tick, block) table cannot afford, with every rank sending:
+  // from_tick_log falls back to one block, and a span past the cap even for
+  // one block to the comparison sort. Both match std::sort.
+  constexpr std::uint64_t kB = kAssemblyBlockRanks;
+  Xoshiro256 rng(26);
+  const std::uint64_t n = 3 * kB + 7;
+  for (const std::uint64_t span : {std::uint64_t{100'000}, std::uint64_t{1} << 40}) {
+    TickLog log;
+    for (ProcId p = 0; p < n; ++p) {
+      log.push_back(TickSend{static_cast<Tick>(rng.uniform(0, span - 1)), p,
+                             static_cast<ProcId>((p + 1) % n), 0});
+    }
+    EXPECT_EQ(Schedule::from_tick_log(log, 2, n).records(), std_sorted(log))
+        << "span " << span;
+  }
 }
 
 TEST(ScheduleTickLog, RescaledLogGivesTheSameSchedule) {
@@ -316,6 +439,19 @@ TEST(ScheduleTickLog, RejectsARepeatedTickAndSource) {
   TickLog wide = dup;
   wide.push_back(TickSend{Tick{1} << 40, 0, 1, 0});
   POSTAL_EXPECT_THROW(Schedule::from_tick_log(wide, 2, 8), LogicError);
+}
+
+TEST(ScheduleTickLog, RejectsSelfSendsLikeAdd) {
+  // Every constructor of a Schedule refuses src == dst: add(), add_tick()
+  // and an engine log, on every assembly path.
+  POSTAL_EXPECT_THROW(Schedule::from_tick_log(TickLog{{0, 3, 3, 0}}, 2, 8),
+                      InvalidArgument);
+  const TickLog second_block{{0, 1, 2, 0}, {1, 40'000, 40'000, 0}};
+  POSTAL_EXPECT_THROW(Schedule::from_tick_log(second_block, 2, 2 * kAssemblyBlockRanks),
+                      InvalidArgument);
+  POSTAL_EXPECT_THROW(
+      Schedule::from_tick_log(TickLog{{0, 1, 2, 0}, {Tick{1} << 40, 5, 5, 0}}, 2, 8),
+      InvalidArgument);
 }
 
 TEST(ScheduleTickLog, RejectsOutOfRangeEntries) {

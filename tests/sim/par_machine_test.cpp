@@ -4,6 +4,7 @@
 // lives in tests/paper/par_differential_test.cpp.
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -59,7 +60,7 @@ TEST(ParMachine, RunInfoDescribesTheShardedRun) {
 
 /// Every rank sends once at start and once more after a timer of
 /// 10^7 + rank units, so a run's send ticks span far past the counting
-/// cap of Schedule::from_tick_log (its comparison path builds the result).
+/// cap of the schedule assembly (its comparison path builds the result).
 class LongTimerProtocol final : public Protocol {
  public:
   explicit LongTimerProtocol(std::uint64_t n) : n_(n) {}
@@ -102,6 +103,73 @@ TEST(ParMachine, SchedulesSpanningPastTheCountingCapMatchAddAndSort) {
     const MachineResult result = par.run(factory);
     EXPECT_TRUE(par.last_run_info().parallel_engine) << threads;
     EXPECT_EQ(result.schedule.events(), expected.events()) << threads;
+  }
+}
+
+/// Rank 0 sends to every other rank in turn on its one port; no other rank
+/// sends, so every shard but the first logs nothing.
+class StarProtocol final : public Protocol {
+ public:
+  explicit StarProtocol(std::uint64_t n) : n_(n) {}
+  void on_start(MachineContext& ctx) override {
+    if (ctx.self() != 0) return;
+    for (std::uint64_t p = 1; p < n_; ++p) {
+      ctx.send(static_cast<ProcId>(p), Packet{0, p, 0});
+    }
+  }
+  void on_receive(MachineContext& /*ctx*/, const Packet& /*packet*/) override {}
+
+ private:
+  std::uint64_t n_;
+};
+
+/// The parts of a run the schedule assembly and the port_busy fold build,
+/// plus the trace and counters, record for record.
+void expect_same_run(const MachineResult& par, const MachineResult& ref,
+                     const std::string& tag) {
+  EXPECT_EQ(par.schedule.records(), ref.schedule.records()) << tag;
+  EXPECT_EQ(par.schedule.q(), ref.schedule.q()) << tag;
+  EXPECT_EQ(par.trace.deliveries(), ref.trace.deliveries()) << tag;
+  EXPECT_EQ(par.stats.events_processed, ref.stats.events_processed) << tag;
+  EXPECT_EQ(par.stats.sends_enqueued, ref.stats.sends_enqueued) << tag;
+  EXPECT_EQ(par.stats.sends_deferred, ref.stats.sends_deferred) << tag;
+  EXPECT_EQ(par.stats.max_fifo_depth, ref.stats.max_fifo_depth) << tag;
+  EXPECT_EQ(par.stats.port_busy, ref.stats.port_busy) << tag;
+}
+
+TEST(ParMachine, AssemblyOverUnevenAndIdleShardsMatchesMachine) {
+  // n = 3 * 2^15 + 7 divides by none of 2, 3, 4: the shard bounds cut the
+  // assembly's 2^15-rank blocks off their alignment. Under the star only
+  // shard 0 sends, so the other segments are empty. Each engine runs twice;
+  // the warm rerun reuses every buffer and grows none.
+  const std::uint64_t n = 3 * kAssemblyBlockRanks + 7;
+  const PostalParams bcast_params(n, Rational(5, 2));
+  const PostalParams star_params(4099, Rational(3));
+  Machine bcast_machine(bcast_params, 1);
+  BcastProtocol bcast(bcast_params);
+  const MachineResult bcast_ref = bcast_machine.run(bcast);
+  Machine star_machine(star_params, 1);
+  StarProtocol star(star_params.n());
+  const MachineResult star_ref = star_machine.run(star);
+  for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+    ParMachine par(bcast_params, 1);
+    par.set_threads(threads);
+    auto factory = make_protocol_factory<BcastProtocol>(bcast_params);
+    for (const char* pass : {"cold", "warm"}) {
+      const std::string tag = "bcast threads=" + std::to_string(threads) + " " + pass;
+      expect_same_run(par.run(factory), bcast_ref, tag);
+      EXPECT_TRUE(par.last_run_info().parallel_engine) << tag;
+    }
+    EXPECT_EQ(par.last_run_info().arena_growths, 0u) << threads;
+
+    ParMachine star_par(star_params, 1);
+    star_par.set_threads(threads);
+    auto star_factory = make_protocol_factory<StarProtocol>(star_params.n());
+    for (const char* pass : {"cold", "warm"}) {
+      const std::string tag = "star threads=" + std::to_string(threads) + " " + pass;
+      expect_same_run(star_par.run(star_factory), star_ref, tag);
+    }
+    EXPECT_EQ(star_par.last_run_info().arena_growths, 0u) << threads;
   }
 }
 
