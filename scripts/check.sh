@@ -121,8 +121,27 @@ python3 scripts/validate_bench_records.py build/BENCH_postal.json \
 # regressions against the committed baselines are hard failures; wall-time
 # and throughput drift only warns (trajectory numbers are snapshots of
 # whichever box committed them).
+# A missed E24 speedup floor is still a hard failure; printing the measured
+# speedups and the host's load next to it tells a busy host from a
+# regression.
 echo "== perf trajectory vs committed baselines"
-python3 scripts/compare_trajectory.py build/BENCH_postal.json
+if ! python3 scripts/compare_trajectory.py build/BENCH_postal.json 2> build/trajectory.err; then
+  cat build/trajectory.err >&2
+  if grep -q "below floor" build/trajectory.err; then
+    python3 - build/BENCH_postal.json >&2 <<'PY'
+import json, sys
+for line in open(sys.argv[1], encoding="utf-8"):
+    rec = json.loads(line) if line.strip() else {}
+    if rec.get("bench") == "bench_par_machine":
+        extra = rec.get("extra", {})
+        print("E24 measured speedups:", ", ".join(
+            f"{k}={v}" for k, v in sorted(extra.items()) if k.endswith("_speedup")))
+PY
+    echo "host load now (/proc/loadavg): $(cat /proc/loadavg)" >&2
+  fi
+  exit 1
+fi
+cat build/trajectory.err >&2
 
 # Thread-count invariance of the sweep engine, end to end through the CLI:
 # the per-point records of a threads=4 sweep must be identical to a
@@ -269,12 +288,16 @@ if [ "$SANITIZE" -eq 1 ]; then
   # soak and chaos sweeps stress the same path under load and faults), plus
   # the oracle differential (one thread queries a ScheduleOracle while three
   # others grow the shared F table it was built from), plus the slot-stepped
-  # reference model, which judges ParMachine at 2 and 4 threads.
+  # reference model, which judges ParMachine at 2 and 4 threads, plus the
+  # replicated-log chaos suite, whose 4-thread reruns drive ParMachine's
+  # shards through timers, losses, spikes and crashes (BCAST reaches none
+  # of those branches of the shared tick step).
   echo "== sanitize: thread"
   cmake -B build-tsan -G Ninja -DPOSTAL_SANITIZE=thread
   cmake --build build-tsan --target test_par test_differential test_chaos \
     test_par_machine test_par_differential test_reference_model \
-    test_svc_service test_svc_soak test_svc_chaos test_oracle_differential
+    test_svc_service test_svc_soak test_svc_chaos test_oracle_differential \
+    test_coord_log_chaos
   ./build-tsan/tests/test_par
   ./build-tsan/tests/test_differential
   ./build-tsan/tests/test_oracle_differential
@@ -285,6 +308,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-tsan/tests/test_svc_service
   ./build-tsan/tests/test_svc_soak
   ./build-tsan/tests/test_svc_chaos
+  ./build-tsan/tests/test_coord_log_chaos
 
   # ASan+UBSan over the randomized tests: the differential pass, the
   # validator mutation fuzzer, the par tests again (allocation-heavy), the
@@ -306,8 +330,11 @@ if [ "$SANITIZE" -eq 1 ]; then
   # events() view's iterators; test_bcast: the emitter writing records;
   # test_reduce: the reduce validator's arrival cursor), and the model
   # variants' tick checker (test_model_check: the latency matrix index, the
-  # k-th-latest send slot and the receive port's neighbour search), and the
-  # greedy heterogeneous planner's tick latency table (test_hetero).
+  # k-th-latest send slot and the receive port's neighbour search), the
+  # greedy heterogeneous planner's tick latency table (test_hetero), and the
+  # sequential Machine's own suite (test_machine: the shared tick step's
+  # port FIFO and handler-error paths, and one Machine reused across runs,
+  # which keeps its run state and queue between them).
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
@@ -316,7 +343,7 @@ if [ "$SANITIZE" -eq 1 ]; then
     test_par_differential test_reference_model test_svc_workload test_svc_service \
     test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort test_trace \
     test_oracle test_oracle_differential test_stream_validator test_schedule test_bcast \
-    test_reduce test_model_check test_hetero
+    test_reduce test_model_check test_hetero test_machine
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
   ./build-asan/tests/test_validator_order
@@ -345,6 +372,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_reduce
   ./build-asan/tests/test_model_check
   ./build-asan/tests/test_hetero
+  ./build-asan/tests/test_machine
 fi
 
 echo "ALL CHECKS PASSED"

@@ -30,6 +30,10 @@
 // A grid or tick count that cannot fit int64 raises OverflowError; there
 // is no second engine.
 //
+// The per-event model -- ports, timers, fault hooks, the pop switch and
+// the delivery -- is sim/tick_step.hpp's TickStep, which ParMachine's
+// shards run too; Machine adds the pop loop and the rescale.
+//
 // The Machine enforces nothing else by itself -- the resulting schedule is
 // meant to be passed through validate_schedule, which certifies all model
 // constraints independently. Tests cross-check that the event-driven BCAST
@@ -45,8 +49,6 @@
 #include "faults/injector.hpp"
 #include "model/params.hpp"
 #include "sched/schedule.hpp"
-#include "sim/tick_queue.hpp"
-#include "sim/tick_setup.hpp"
 #include "sim/trace.hpp"
 #include "support/ticks.hpp"
 
@@ -60,14 +62,16 @@ struct Packet {
   std::uint64_t ctl_b = 0;
 };
 
-class Machine;
 class MachineContext;
 
+template <typename Engine>
+class TickStep;
+
 /// The dispatch seam between MachineContext and the engine that invoked
-/// the running handler (docs/ARCHITECTURE.md). The sequential Machine is
-/// one implementation; ParMachine's per-shard engines (sim/par_machine)
-/// are another -- protocols see the same MachineContext either way, which
-/// is what lets one Protocol implementation run unchanged on both engines.
+/// the running handler (docs/ARCHITECTURE.md). Its one implementation is
+/// TickStep (sim/tick_step.hpp), the per-event model that Machine and
+/// ParMachine's shards both run, differing only in four effect hooks the
+/// step calls statically. So one Protocol runs unchanged on both engines.
 class ContextSink {
  public:
   virtual ~ContextSink() = default;
@@ -107,8 +111,8 @@ class MachineContext {
   [[nodiscard]] const PostalParams& params() const noexcept;
 
  private:
-  friend class Machine;
-  friend class ParShard;  // sim/par_machine.cpp: ParMachine's shard engine
+  template <typename Engine>
+  friend class TickStep;  // sim/tick_step.hpp: the one per-event model
   MachineContext(ContextSink& sink, ProcId self, Tick now, std::int64_t q)
       : sink_(sink), self_(self), now_ticks_(now), q_(q) {}
 
@@ -170,10 +174,11 @@ struct MachineResult {
 };
 
 /// The event-driven runtime itself.
-class Machine : private ContextSink {
+class Machine {
  public:
   /// `messages` sizes the trace; handlers may send ids in [0, messages).
   Machine(PostalParams params, std::uint32_t messages);
+  ~Machine();
 
   /// Arm `plan` for subsequent run() calls (validates it against n; copies
   /// it). Attaching an empty plan is equivalent to attaching none.
@@ -201,51 +206,15 @@ class Machine : private ContextSink {
                                   std::uint64_t max_events = 1ULL << 22);
 
  private:
-  // ContextSink: a handler's requests, in ticks of the current grid.
-  void sink_send(ProcId self, ProcId dst, const Packet& packet, Tick now) override;
-  void sink_timer(ProcId self, Tick now, const Rational& delay,
-                  std::uint64_t token) override;
-  [[nodiscard]] const PostalParams& sink_params() const noexcept override;
-
-  /// A timer whose fire time is off the run's 1/q grid (or beyond
-  /// kTickCap), parked with its global seq until the loop top rescales.
-  struct ParkedTimer {
-    Rational at;
-    std::uint64_t seq = 0;
-    ProcId owner = 0;
-    std::uint64_t token = 0;
-  };
-
-  void adopt(TickRunSetup setup);
-  void deliver(Protocol& protocol, Tick time, const InFlight& flight,
-               std::uint64_t& delivered);
-  void run_loop(Protocol& protocol, std::uint64_t max_events,
-                std::uint64_t& delivered);
-  void rescale(std::uint64_t max_events);
-  [[nodiscard]] bool crashed(ProcId p, Tick t) const {
-    const auto& c = crash_ticks_[p];
-    return c.has_value() && t >= *c;
-  }
-  [[nodiscard]] Rational tick_rational(Tick t) const { return Rational(t, q_); }
-
   PostalParams params_;
   std::uint32_t messages_;
   std::unique_ptr<FaultInjector> injector_;
   TraceMode trace_mode_ = TraceMode::kFull;
-
-  // Per-run state (SpikeTicks/TickRunSetup/RankPorts in tick_setup.hpp).
-  TickLog sends_;  ///< every send, in request order; the schedule at run end
-  MachineStats stats_;
-  FaultStats fault_stats_;
-  Trace* trace_ = nullptr;
-  std::int64_t q_ = 1;              ///< resolution denominator of this run
-  Tick lambda_ticks_ = 0;           ///< lambda in ticks
-  std::uint64_t seq_ = 0;           ///< push counter (queue + parked timers)
-  TickEventQueue<InFlight> queue_;
-  std::vector<ParkedTimer> parked_;  ///< off-grid timers awaiting the rescale
-  std::vector<RankPorts> ranks_;
-  std::vector<std::optional<Tick>> crash_ticks_;
-  std::vector<SpikeTicks> spike_ticks_;
+  /// The run's state (sim/machine.cpp): the tick step, its queue, ports and
+  /// grid. Built by the first run and kept, so later runs reuse the queue's
+  /// buckets.
+  struct Engine;
+  std::unique_ptr<Engine> engine_;
 };
 
 }  // namespace postal

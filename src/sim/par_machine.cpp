@@ -1,10 +1,15 @@
 // The sharded engine and its determinism machinery. Four pieces:
 //
-//  1. ParShard -- the per-lane event loop. An exact transliteration of
-//     Machine's tick hot path (same branch structure, same fault
-//     hook order, same REQUIRE messages), except that instead of writing
-//     to the global trace/fault-timeline/sequence-counter directly it
-//     *logs* what each pop produced.
+//  1. ParShard -- the per-lane event loop. Its per-event model is
+//     Machine's, not a copy of it: both derive from TickStep
+//     (sim/tick_step.hpp), which owns the port FIFO, the fault hooks,
+//     timer keying, the pop switch and the delivery. A shard supplies the
+//     step's four effect hooks so that, instead of writing to the global
+//     trace/fault-timeline/sequence-counter directly, it *logs* what each
+//     pop produced: a push goes in-window or to the barrier outbox, a
+//     fault event and a delivery go to the window log (a delivery under
+//     TraceMode::kCounters to its first-arrival cell), and an off-grid
+//     timer abandons the windowed run for a sequential Machine.
 //
 //  2. The stamp algebra. Every queued event carries a stamp standing in
 //     for Machine's global push counter. Events routed through a barrier
@@ -81,6 +86,8 @@
 #include <limits>
 
 #include "par/thread_pool.hpp"
+#include "sim/tick_queue.hpp"
+#include "sim/tick_step.hpp"
 #include "support/counting_sort.hpp"
 #include "support/error.hpp"
 
@@ -113,10 +120,11 @@ struct ParFallbackError : std::exception {
 
 }  // namespace
 
-/// One lane's event engine. Plain-struct wiring: ParMachine::run_windowed
-/// sets every field, runs the windows, then reads the accumulators back.
-/// Lives in this TU only; MachineContext befriends it by name.
-class ParShard final : public ContextSink {
+/// One lane's event engine: the tick step with the shard's effects (piece
+/// 1 of the file comment). Plain-struct wiring: ParMachine::run_windowed
+/// wires the step and sets every field, runs the windows, then reads the
+/// accumulators back.
+class ParShard final : public TickStep<ParShard> {
  public:
   /// A push that must cross a barrier: delivered to shard_of(ev.dst) once
   /// the merge has assigned its gseq. `local_seq` is the shard-wide outbox
@@ -142,31 +150,21 @@ class ParShard final : public ContextSink {
     std::uint8_t delivered = 0;
   };
 
-  // Wiring (constant during a run).
-  const PostalParams* params = nullptr;
-  std::uint32_t messages = 0;
-  FaultInjector* injector = nullptr;
+  // Wiring beyond the step's (constant during a run).
   ProcId lo = 0;  ///< first rank owned
   ProcId hi = 0;  ///< one past last rank owned
-  std::int64_t tick_q = 1;
-  Tick lambda_ticks = 0;
-  const std::vector<std::optional<Tick>>* crash_ticks = nullptr;
-  const std::vector<SpikeTicks>* spike_ticks = nullptr;
-  RankPorts* ranks = nullptr;  ///< shared, written at own ranks
   std::uint64_t max_events = 0;
   std::uint64_t shard_size = 1;  ///< rank -> owning shard divisor
   TraceMode trace_mode = TraceMode::kFull;
   Trace* trace = nullptr;  ///< kCounters: direct first-arrival notes
   std::unique_ptr<Protocol> protocol;
 
-  // Run-cumulative accumulators, merged by ParMachine at the end.
+  // Run-cumulative accumulators beyond the step's, merged by ParMachine at
+  // the end. The step's `sends` is this shard's segment of the run's
+  // schedule assembly, which reorders it in place, kept with its capacity
+  // across runs; its `faults` keeps counters only (the timeline is built
+  // at replay).
   TickEventQueue<InFlight> q;
-  /// This shard's sends in append order: its segment of the run's
-  /// schedule assembly, which reorders it in place. Kept with its capacity
-  /// across runs.
-  TickLog sends;
-  MachineStats stats;  ///< port_busy stays empty (folded from the RankPorts)
-  FaultStats faults;   ///< counters only; the timeline is built at replay
   std::uint64_t steps = 0;
   std::uint64_t stalled_windows = 0;
   std::uint64_t mailbox_in = 0;
@@ -188,9 +186,6 @@ class ParShard final : public ContextSink {
   /// the shard count of the coming run (outbox runs are per destination).
   void prepare(std::uint32_t dests) {
     q.clear();
-    sends.clear();
-    stats = MachineStats();
-    faults = FaultStats();
     steps = 0;
     stalled_windows = 0;
     mailbox_in = 0;
@@ -215,9 +210,7 @@ class ParShard final : public ContextSink {
   void start_rank(ProcId p) {
     window_end_ = 0;
     cur_ = PopEntry{0, p, 0, 0, 0};
-    if (injector != nullptr && crashed_at(p, 0)) return;
-    MachineContext ctx(*this, p, 0, tick_q);
-    protocol->on_start(ctx);
+    start(*protocol, p);
     commit_log();
   }
 
@@ -234,7 +227,7 @@ class ParShard final : public ContextSink {
         if (const InFlight* next = q.ahead(kLookAhead)) {
           __builtin_prefetch(&ranks[next->dst], 1);
         }
-        process(t, stamp, std::move(ev));
+        process(t, stamp, ev);
       });
     }
     if (steps == before) ++stalled_windows;
@@ -267,135 +260,24 @@ class ParShard final : public ContextSink {
     prov_count = 0;
   }
 
-  [[nodiscard]] Rational tick_rational(Tick t) const {
-    return Rational(t, tick_q);
-  }
-
  private:
-  // ContextSink: the images of Machine::sink_send / sink_timer, logging
-  // instead of globally sequencing.
-  void sink_send(ProcId self, ProcId dst, const Packet& packet, Tick now_ticks) override {
-    POSTAL_REQUIRE(dst < params->n(), "Machine: send destination out of range");
-    POSTAL_REQUIRE(dst != self, "Machine: a processor cannot send to itself");
-    POSTAL_REQUIRE(packet.msg < messages, "Machine: message id out of range");
-    RankPorts& ports = ranks[self];
-    const Tick start = std::max(now_ticks, ports.port_free);
-    POSTAL_CHECK(start <= kTickCap);
-    if (injector != nullptr && crashed_at(self, start)) {
-      ++faults.sends_suppressed;
-      log_fault(FaultEvent{FaultEvent::Kind::kSendSuppressed,
-                           tick_rational(start), self, dst});
-      return;
-    }
-    ports.port_free = start + tick_q;
-    ++stats.sends_enqueued;
-    if (start > now_ticks) ++stats.sends_deferred;
-    ++ports.sends;
-    const std::uint64_t depth = static_cast<std::uint64_t>(
-        (ports.port_free - now_ticks + tick_q - 1) / tick_q);
-    if (depth > stats.max_fifo_depth) stats.max_fifo_depth = depth;
-    sends.push_back(TickSend{start, self, dst, packet.msg});
-    Tick latency = lambda_ticks;
-    if (injector != nullptr && injector->has_spikes()) {
-      Tick extra = 0;
-      for (const SpikeTicks& s : *spike_ticks) {
-        if (start >= s.from && start < s.until) extra += s.extra;
-      }
-      if (extra > 0) {
-        latency += extra;
-        ++faults.spikes_applied;
-        log_fault(
-            FaultEvent{FaultEvent::Kind::kSpike, tick_rational(start), self, dst});
-      }
-    }
-    if (injector != nullptr && injector->has_losses() && injector->lose(self, dst)) {
-      ++faults.drops_loss;
-      log_fault(FaultEvent{FaultEvent::Kind::kDropLoss,
-                           tick_rational(start + latency), dst, self});
-      return;
-    }
-    route_push(start + latency, InFlight{self, dst, packet.msg, InFlight::Kind::kFlight,
-                                         start, packet.ctl_a, packet.ctl_b});
-  }
+  friend class TickStep<ParShard>;
 
-  void sink_timer(ProcId self, Tick now_ticks, const Rational& delay,
-                  std::uint64_t token) override {
-    ++stats.timers_set;
-    const std::optional<Tick> d = TickDomain(tick_q).to_ticks(delay);
-    Tick fire = 0;
-    if (!d.has_value() || __builtin_add_overflow(now_ticks, *d, &fire) ||
-        fire > kTickCap) {
-      throw ParFallbackError{};
-    }
-    route_push(fire, InFlight{self, self, 0, InFlight::Kind::kTimer, fire, token, 0});
-  }
-
-  [[nodiscard]] const PostalParams& sink_params() const noexcept override {
-    return *params;
-  }
-
-  /// One pop: Machine::run_loop's switch, against the window log.
-  void process(Tick time, std::uint64_t stamp, InFlight&& ev) {
+  /// One pop: the step's dispatch, against the window log.
+  void process(Tick time, std::uint64_t stamp, const InFlight& ev) {
     if (++steps > max_events) {
       throw LogicError("ParMachine::run: exceeded max_events; runaway protocol?");
     }
     cur_ = PopEntry{time, stamp, 0, 0, 0};
-    switch (ev.kind) {
-      case InFlight::Kind::kTimer: {
-        if (injector != nullptr && crashed_at(ev.dst, time)) break;
-        ++stats.timers_fired;
-        MachineContext ctx(*this, ev.dst, time, tick_q);
-        protocol->on_timer(ctx, ev.ctl_a);
-        break;
-      }
-      case InFlight::Kind::kFlight: {
-        Tick& recv_free = ranks[ev.dst].recv_free;
-        const Tick window_start = std::max(time - tick_q, recv_free);
-        const Tick arrival = window_start + tick_q;
-        recv_free = arrival;
-        if (arrival > time) {
-          ++stats.receives_queued;
-          InFlight requeued = ev;
-          requeued.kind = InFlight::Kind::kFlightFinal;
-          route_push(arrival, requeued);
-          break;
-        }
-        deliver(time, ev);
-        break;
-      }
-      case InFlight::Kind::kFlightFinal:
-        deliver(time, ev);
-        break;
-    }
+    dispatch(*protocol, time, ev);
     commit_log();
   }
 
-  void deliver(Tick time, const InFlight& ev) {
-    if (injector != nullptr && crashed_at(ev.dst, time)) {
-      ++faults.drops_crash;
-      log_fault(FaultEvent{FaultEvent::Kind::kDropCrash, tick_rational(time),
-                           ev.dst, ev.src});
-      return;
-    }
-    ++stats.events_processed;
-    cur_.delivered = 1;
-    if (trace_mode == TraceMode::kFull) {
-      deliveries.push_back(TickDelivery{ev.src, ev.dst, ev.msg, ev.send_start, time});
-    } else {
-      // Elided trace: update the (dst, msg) first-arrival cell directly --
-      // dst belongs to this shard, so the cell is ours alone -- and keep
-      // count/makespan shard-local until the end-of-run fold. The global
-      // pop order is irrelevant to a min and a max, so no replay needed.
-      trace->counters_note(ev.dst, ev.msg, time);
-      if (time > max_delivery_tick) max_delivery_tick = time;
-    }
-    MachineContext ctx(*this, ev.dst, time, tick_q);
-    protocol->on_receive(ctx, Packet{ev.msg, ev.ctl_a, ev.ctl_b});
-  }
+  // The step's effect hooks (sim/tick_step.hpp).
 
   /// Every queue push of the sequential engine maps to exactly one call
   /// here, so replaying `pushes` per entry reproduces its seq counter.
-  void route_push(Tick at, const InFlight& ev) {
+  void push(Tick at, const InFlight& ev) {
     ++cur_.pushes;
     if (at < window_end_) {
       push_kinds.push_back(0);
@@ -407,9 +289,30 @@ class ParShard final : public ContextSink {
     }
   }
 
-  void log_fault(const FaultEvent& e) {
+  void fault(const FaultEvent& e) {
     fevents.push_back(e);
     ++cur_.faults;
+  }
+
+  void delivery(const TickDelivery& d) {
+    cur_.delivered = 1;
+    if (trace_mode == TraceMode::kFull) {
+      deliveries.push_back(d);
+    } else {
+      // Elided trace: update the (dst, msg) first-arrival cell directly --
+      // dst belongs to this shard, so the cell is ours alone -- and keep
+      // count/makespan shard-local until the end-of-run fold. The global
+      // pop order is irrelevant to a min and a max, so no replay needed.
+      trace->counters_note(d.dst, d.msg, d.arrival_tick);
+      max_delivery_tick = std::max(max_delivery_tick, d.arrival_tick);
+    }
+  }
+
+  /// The windowed run cannot rescale across diverged shards: it restarts
+  /// on a sequential Machine, which can.
+  [[noreturn]] void off_grid_timer(ProcId /*owner*/, Tick /*now*/,
+                                   const Rational& /*delay*/, std::uint64_t /*token*/) {
+    throw ParFallbackError{};
   }
 
   void commit_log() {
@@ -463,11 +366,6 @@ class ParShard final : public ContextSink {
       cap_seen = cap_now;
       ++arena_growths;
     }
-  }
-
-  [[nodiscard]] bool crashed_at(ProcId p, Tick t) const {
-    const auto& c = (*crash_ticks)[p];
-    return c.has_value() && t >= *c;
   }
 
   Tick window_end_ = 0;
@@ -736,16 +634,9 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
   std::vector<ParShard>& shards = eng.shards;
   for (std::uint32_t s = 0; s < s_count; ++s) {
     ParShard& sh = shards[s];
-    sh.params = &params_;
-    sh.messages = messages_;
-    sh.injector = injector_.get();
+    sh.begin_run(params_, messages_, injector_.get(), eng.ranks.data(), setup);
     sh.lo = static_cast<ProcId>(s * shard_size);
     sh.hi = static_cast<ProcId>(std::min<std::uint64_t>(n, (s + 1) * shard_size));
-    sh.tick_q = setup.q;
-    sh.lambda_ticks = setup.lambda_ticks;
-    sh.crash_ticks = &setup.crash_ticks;
-    sh.spike_ticks = &setup.spike_ticks;
-    sh.ranks = eng.ranks.data();
     sh.max_events = max_events;
     sh.shard_size = shard_size;
     sh.trace_mode = trace_mode_;
@@ -755,17 +646,7 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
     POSTAL_CHECK(sh.protocol != nullptr);
   }
 
-  if (injector_ != nullptr) {
-    injector_->reset();
-    for (ProcId p = 0; p < n; ++p) {
-      const auto& c = injector_->crash_time(p);
-      if (c.has_value()) {
-        ++result.faults.crashes_applied;
-        result.faults.events.push_back(
-            FaultEvent{FaultEvent::Kind::kCrash, *c, p, p});
-      }
-    }
-  }
+  if (injector_ != nullptr) begin_fault_run(*injector_, n, result.faults);
 
   Replay& replay = eng.replay;
   replay.start_run(&shards, &result.trace, &result.faults,

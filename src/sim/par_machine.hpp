@@ -6,8 +6,8 @@
 // simulated up to some time B, no cross-processor interaction can occur
 // before B + lambda. ParMachine exploits exactly that. Ranks are
 // partitioned into contiguous shards, each shard runs the tick-domain
-// event loop (the same integer-time hot path as Machine, via the shared
-// ContextSink seam and TickEventQueue::drain_current_tick batched pops) on
+// event loop (Machine's per-event model, the shared TickStep of
+// sim/tick_step.hpp, over TickEventQueue::drain_current_tick batched pops) on
 // a par::ThreadPool lane, and shards synchronize at a barrier every
 // lambda ticks: sends land in per-destination-shard mailboxes that are
 // drained -- in globally deterministic order -- when the window closes.
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "sim/machine.hpp"
+#include "sim/tick_setup.hpp"
 
 namespace postal {
 

@@ -11,6 +11,17 @@ void port_busy_of(const std::vector<RankPorts>& ranks, std::size_t lo, std::size
   }
 }
 
+void begin_fault_run(FaultInjector& injector, std::uint64_t n, FaultStats& faults) {
+  injector.reset();
+  for (ProcId p = 0; p < n; ++p) {
+    const auto& c = injector.crash_time(p);
+    if (c.has_value()) {
+      ++faults.crashes_applied;
+      faults.events.push_back(FaultEvent{FaultEvent::Kind::kCrash, *c, p, p});
+    }
+  }
+}
+
 TickRunSetup plan_tick_run(const PostalParams& params, const FaultInjector* injector,
                            std::uint64_t max_events, const char* site,
                            std::int64_t grid) {

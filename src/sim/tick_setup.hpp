@@ -80,6 +80,10 @@ struct RankPorts {
 void port_busy_of(const std::vector<RankPorts>& ranks, std::size_t lo, std::size_t hi,
                   std::vector<Rational>& busy);
 
+/// Start a run under `injector`'s plan: reset its loss draws and open the
+/// run's fault timeline with the plan's crashes, in rank order.
+void begin_fault_run(FaultInjector& injector, std::uint64_t n, FaultStats& faults);
+
 /// Up-front capacity of a run's delivery and send logs: the coverage
 /// minimum of a broadcast, (n - 1) * messages, capped by the run's event
 /// budget (every delivery is one queue event).

@@ -8,7 +8,15 @@
 // corpus is the paper's algorithms: BCAST, every multi-message family of
 // the registry, the Machine's BCAST run (rebuilt through from_tick_log)
 // and a broken variant of each, so the violation lists are not empty.
+//
+// Second relation: relabelling the ranks changes nothing either. The model
+// has no rank-dependent clause, so a schedule mapped through a permutation
+// pi of the ranks, validated with the origin moved to pi(origin), keeps its
+// verdict, makespan and delivery count, and a broken one keeps its number
+// of violations.
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,6 +30,7 @@
 #include "sim/machine.hpp"
 #include "sim/protocols/bcast_protocol.hpp"
 #include "sim/validator.hpp"
+#include "support/prng.hpp"
 
 namespace postal {
 namespace {
@@ -136,6 +145,85 @@ TEST(GridRefinement, MachineRunRebuiltOnAFinerGridIsInvariant) {
       const Schedule fine = Schedule::from_tick_log(std::move(log), s.q() * k, c.n);
       EXPECT_EQ(fine.events(), s.events()) << tag_of("machine log", c) << " k=" << k;
       EXPECT_EQ(rendered(fine), rendered(s)) << tag_of("machine log", c) << " k=" << k;
+    }
+  }
+}
+
+/// A seeded permutation of the ranks [0, n) (Fisher-Yates).
+std::vector<ProcId> permutation(std::uint64_t n, std::uint64_t seed) {
+  std::vector<ProcId> pi(n);
+  std::iota(pi.begin(), pi.end(), ProcId{0});
+  Xoshiro256 rng(seed);
+  for (std::uint64_t i = n; i > 1; --i) {
+    std::swap(pi[i - 1], pi[rng.uniform(0, i - 1)]);
+  }
+  return pi;
+}
+
+/// `s` with every rank p renamed pi[p], re-sorted into (t, src, dst, msg)
+/// order on the same grid.
+Schedule relabelled(const Schedule& s, const std::vector<ProcId>& pi) {
+  Schedule out;
+  out.refine(s.q(), "relabelled");
+  for (const TickSend& e : s.records()) {
+    out.add_tick(pi[e.src], pi[e.dst], e.msg, e.tick);
+  }
+  out.sort();
+  return out;
+}
+
+/// `s` plus a repeat of a seeded send (a send-port clash) and a t = 0 send
+/// from a seeded non-origin rank, which holds nothing yet (a causality
+/// breach). Origin 0.
+Schedule seeded_mutant(const Schedule& s, std::uint64_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Schedule out = s;
+  out.add(s.events()[rng.uniform(0, s.size() - 1)]);
+  const ProcId from = static_cast<ProcId>(rng.uniform(1, n - 1));
+  const ProcId to = static_cast<ProcId>((from + rng.uniform(1, n - 1)) % n);
+  out.add(from, to, 0, Rational(0));
+  out.sort();
+  return out;
+}
+
+/// Validating `s` (origin 0) and its relabelling under a seeded pi (origin
+/// pi(0)) agree on the verdict, the makespan, the delivery count and the
+/// number of violations.
+void expect_relabelling_invariant(const Schedule& s, const PostalParams& params,
+                                  ValidatorOptions vopts, bool valid, std::uint64_t seed,
+                                  const std::string& tag) {
+  vopts.origin = 0;
+  const SimReport base = validate_schedule(s, params, vopts);
+  ASSERT_EQ(base.ok, valid) << tag << ": " << base.summary();
+  const std::vector<ProcId> pi = permutation(params.n(), seed);
+  vopts.origin = pi[0];
+  const SimReport got = validate_schedule(relabelled(s, pi), params, vopts);
+  const std::string who = tag + " seed=" + std::to_string(seed);
+  EXPECT_EQ(got.ok, base.ok) << who << ": " << got.summary();
+  EXPECT_EQ(got.makespan, base.makespan) << who;
+  EXPECT_EQ(got.trace.delivery_count(), base.trace.delivery_count()) << who;
+  EXPECT_EQ(got.violations.size(), base.violations.size()) << who << ": "
+                                                            << got.summary();
+}
+
+TEST(Relabelling, BcastAndEveryRegistryFamilyAreInvariant) {
+  std::uint64_t seed = 1;
+  for (const Case& c : kCases) {
+    const PostalParams params(c.n, c.lambda);
+    std::vector<std::pair<std::string, Schedule>> corpus;
+    corpus.emplace_back("bcast", bcast_schedule(params));
+    for (const MultiAlgo algo : all_multi_algos()) {
+      corpus.emplace_back(algo_name(algo), make_multi_schedule(algo, params, 1));
+    }
+    ValidatorOptions vopts;
+    vopts.messages = 1;
+    for (const auto& [name, s] : corpus) {
+      const std::string tag = tag_of(name.c_str(), c);
+      for (int rep = 0; rep < 3; ++rep, ++seed) {
+        expect_relabelling_invariant(s, params, vopts, true, seed, tag);
+        expect_relabelling_invariant(seeded_mutant(s, c.n, seed), params, vopts, false,
+                                     seed, "mutant " + tag);
+      }
     }
   }
 }

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "sim/machine.hpp"
 #include "sim/par_machine.hpp"
 #include "sim/protocols/bcast_protocol.hpp"
+#include "sim/validator.hpp"
 #include "support/error.hpp"
 
 namespace postal {
@@ -171,6 +174,160 @@ TEST(ParMachine, AssemblyOverUnevenAndIdleShardsMatchesMachine) {
     }
     EXPECT_EQ(star_par.last_run_info().arena_growths, 0u) << threads;
   }
+}
+
+/// One way a handler can misuse its MachineContext, done by rank 5 in its
+/// on_start (after ranks 0-4 ran theirs) so every engine fails mid-preamble.
+enum class Misuse { kDestOutOfRange, kSendToSelf, kMsgOutOfRange, kNegativeDelay };
+
+class MisbehavingProtocol final : public Protocol {
+ public:
+  MisbehavingProtocol(std::uint64_t n, Misuse misuse) : n_(n), misuse_(misuse) {}
+  void on_start(MachineContext& ctx) override {
+    if (ctx.self() != kCulprit) {
+      ctx.send(static_cast<ProcId>((ctx.self() + 1) % n_), Packet{});
+      return;
+    }
+    switch (misuse_) {
+      case Misuse::kDestOutOfRange:
+        ctx.send(static_cast<ProcId>(n_), Packet{});
+        break;
+      case Misuse::kSendToSelf:
+        ctx.send(ctx.self(), Packet{});
+        break;
+      case Misuse::kMsgOutOfRange:
+        ctx.send(0, Packet{1, 0, 0});  // the machines carry one message
+        break;
+      case Misuse::kNegativeDelay:
+        ctx.set_timer(Rational(-1, 2), 0);
+        break;
+    }
+  }
+  void on_receive(MachineContext& /*ctx*/, const Packet& /*packet*/) override {}
+
+  static constexpr ProcId kCulprit = 5;
+
+ private:
+  std::uint64_t n_;
+  Misuse misuse_;
+};
+
+/// The exception `run` raises, as its dynamic type's name and what().
+template <typename Run>
+std::pair<std::string, std::string> raised(Run&& run) {
+  try {
+    run();
+  } catch (const InvalidArgument& e) {
+    return {"InvalidArgument", e.what()};
+  } catch (const LogicError& e) {
+    return {"LogicError", e.what()};
+  } catch (const std::exception& e) {
+    return {"std::exception", e.what()};
+  }
+  return {"nothing", ""};
+}
+
+TEST(ParMachine, MisbehavingHandlersRaiseWhatMachineRaises) {
+  const std::uint64_t n = 12;
+  const PostalParams params(n, Rational(5, 2));
+  for (const Misuse misuse : {Misuse::kDestOutOfRange, Misuse::kSendToSelf,
+                              Misuse::kMsgOutOfRange, Misuse::kNegativeDelay}) {
+    const std::string tag = "misuse " + std::to_string(static_cast<int>(misuse));
+    Machine machine(params, 1);
+    MisbehavingProtocol protocol(n, misuse);
+    const auto expected = raised([&] { static_cast<void>(machine.run(protocol)); });
+    EXPECT_EQ(expected.first, "InvalidArgument") << tag;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      ParMachine par(params, 1);
+      par.set_threads(threads);
+      auto factory = make_protocol_factory<MisbehavingProtocol>(n, misuse);
+      EXPECT_EQ(raised([&] { static_cast<void>(par.run(factory)); }), expected)
+          << tag << " threads=" << threads;
+    }
+  }
+}
+
+/// Rank 1 and rank 2 both send to rank 3 at t = 3, so the two packets share
+/// one nominal arrival, but rank 2's handler runs first: its packet was
+/// delivered by a push made at t = 0, rank 1's timer was armed at t = 2.
+/// Rank 3 forwards each message to rank 4 as soon as it holds it.
+class FifoTieProtocol final : public Protocol {
+ public:
+  void on_start(MachineContext& ctx) override {
+    if (ctx.self() != 0) return;
+    ctx.send(1, Packet{0, 0, 0});  // arrives at 2
+    ctx.send(2, Packet{1, 0, 0});  // port busy until 1: arrives at 3
+  }
+  void on_receive(MachineContext& ctx, const Packet& packet) override {
+    switch (ctx.self()) {
+      case 1:
+        ctx.set_timer(Rational(1), packet.msg);
+        break;
+      case 2:
+        ctx.send(3, packet);
+        break;
+      case 3:
+        ctx.send(4, packet);
+        break;
+      default:
+        break;
+    }
+  }
+  void on_timer(MachineContext& ctx, std::uint64_t token) override {
+    ctx.send(3, Packet{static_cast<MsgId>(token), 0, 0});
+  }
+};
+
+TEST(FifoReceive, EnginesPairTiesInCreationOrderTheValidatorInScheduleOrder) {
+  const PostalParams params(5, Rational(2));
+  // Both packets reach rank 3 nominally at 5; its input port serializes
+  // them. The engines give the window [4, 5) to the packet pushed first
+  // (rank 2's M2) and queue rank 1's M1 to 6.
+  const std::vector<Delivery> at_rank3_engine = {
+      Delivery{2, 3, 1, Rational(3), Rational(5)},
+      Delivery{1, 3, 0, Rational(3), Rational(6)}};
+  const auto at_rank3 = [](const Trace& trace) {
+    std::vector<Delivery> out;
+    for (const Delivery& d : trace.deliveries()) {
+      if (d.dst == 3) out.push_back(d);
+    }
+    return out;
+  };
+
+  Machine machine(params, 2);
+  FifoTieProtocol protocol;
+  const MachineResult ref = machine.run(protocol);
+  EXPECT_EQ(ref.stats.receives_queued, 1u);
+  EXPECT_EQ(at_rank3(ref.trace), at_rank3_engine);
+  // Rank 3 forwards M2 at 5, the moment the engine delivered it.
+  const std::vector<SendEvent> sends = ref.schedule.events();
+  ASSERT_EQ(sends.size(), 6u);
+  EXPECT_EQ(sends[4], (SendEvent{3, 4, 1, Rational(5)}));
+  EXPECT_EQ(sends[5], (SendEvent{3, 4, 0, Rational(6)}));
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ParMachine par(params, 2);
+    par.set_threads(threads);
+    auto factory = make_protocol_factory<FifoTieProtocol>();
+    const MachineResult got = par.run(factory);
+    EXPECT_EQ(got.schedule.records(), ref.schedule.records()) << threads;
+    EXPECT_EQ(got.trace.deliveries(), ref.trace.deliveries()) << threads;
+  }
+
+  // The schedule does not record which packet was created first, so the
+  // validator breaks the tie by schedule order, (t, src): rank 1's M1 gets
+  // the window ending at 5 and rank 2's M2 is queued to 6. Rank 3's
+  // forward of M2 at 5 then precedes its hold of M2, a causality breach
+  // in a schedule the engines produced (docs/SIMULATION.md).
+  ValidatorOptions vopts;
+  vopts.messages = 2;
+  vopts.require_coverage = false;
+  vopts.fifo_receive = true;
+  const SimReport report = validate_schedule(ref.schedule, params, vopts);
+  EXPECT_EQ(at_rank3(report.trace),
+            (std::vector<Delivery>{Delivery{1, 3, 0, Rational(3), Rational(5)},
+                                   Delivery{2, 3, 1, Rational(3), Rational(6)}}));
+  EXPECT_FALSE(report.ok);
+  ASSERT_EQ(report.violations.size(), 1u) << report.summary();
 }
 
 TEST(ParMachine, ThreadCountIsCappedAtTheRankCount) {
