@@ -329,12 +329,17 @@ if [ "$SANITIZE" -eq 1 ]; then
   # tick records (test_schedule: the grid rescale's multiply and the
   # events() view's iterators; test_bcast: the emitter writing records;
   # test_reduce: the reduce validator's arrival cursor), and the model
-  # variants' tick checker (test_model_check: the latency matrix index, the
-  # k-th-latest send slot and the receive port's neighbour search), the
-  # greedy heterogeneous planner's tick latency table (test_hetero), and the
-  # sequential Machine's own suite (test_machine: the shared tick step's
-  # port FIFO and handler-error paths, and one Machine reused across runs,
-  # which keeps its run state and queue between them).
+  # variants' front end of the shared per-send tick loop (test_model_check:
+  # the latency matrix index, the k-th-latest send slot and the receive
+  # port's neighbour search), the same loop's other branches (test_validator:
+  # declared crashes, fifo_receive queueing and per-message origins;
+  # test_validator_crosscheck: seeded mutants of every variant against the
+  # pairwise reference, out-of-order receive windows included; test_kported:
+  # k send ports; test_logp_machine: a port window w other than 1), the
+  # greedy heterogeneous planner's sorted targets and cursors (test_hetero),
+  # and the sequential Machine's own suite (test_machine: the shared tick
+  # step's port FIFO and handler-error paths, and one Machine reused across
+  # runs, which keeps its run state and queue between them).
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
@@ -343,7 +348,8 @@ if [ "$SANITIZE" -eq 1 ]; then
     test_par_differential test_reference_model test_svc_workload test_svc_service \
     test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort test_trace \
     test_oracle test_oracle_differential test_stream_validator test_schedule test_bcast \
-    test_reduce test_model_check test_hetero test_machine
+    test_reduce test_model_check test_hetero test_machine test_validator \
+    test_validator_crosscheck test_kported test_logp_machine
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
   ./build-asan/tests/test_validator_order
@@ -373,6 +379,10 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_model_check
   ./build-asan/tests/test_hetero
   ./build-asan/tests/test_machine
+  ./build-asan/tests/test_validator
+  ./build-asan/tests/test_validator_crosscheck
+  ./build-asan/tests/test_kported
+  ./build-asan/tests/test_logp_machine
 fi
 
 echo "ALL CHECKS PASSED"

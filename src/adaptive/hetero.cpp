@@ -121,6 +121,23 @@ Schedule hetero_greedy_broadcast(const HeteroLatency& lat) {
     throw_grid_overflow(kSite, "tick count exceeds int64");
   }
 
+  // Each sender's targets sorted once by (latency, id), with a cursor past
+  // the ranks already informed: a sender's first uninformed target is its
+  // earliest arrival, ties to the lower id. So a step costs one look per
+  // sender, not one per (sender, target) pair.
+  std::vector<ProcId> targets(n * (n - 1));
+  for (ProcId s = 0; s < n; ++s) {
+    ProcId* row = targets.data() + std::uint64_t{s} * (n - 1);
+    for (ProcId t = 0, k = 0; t < n; ++t) {
+      if (t != s) row[k++] = t;
+    }
+    const Tick* lat_row = latency.data() + std::uint64_t{s} * n;
+    std::sort(row, row + (n - 1), [lat_row](ProcId a, ProcId b) {
+      return lat_row[a] != lat_row[b] ? lat_row[a] < lat_row[b] : a < b;
+    });
+  }
+  std::vector<std::uint64_t> cursor(n, 0);
+
   constexpr Tick kUninformed = -1;
   std::vector<Tick> free_at(n, kUninformed);  // informed -> next free tick
   free_at[0] = 0;
@@ -135,17 +152,15 @@ Schedule hetero_greedy_broadcast(const HeteroLatency& lat) {
     ProcId best_s = 0;
     ProcId best_q = 0;
     for (ProcId s = 0; s < n; ++s) {
-      const Tick free = free_at[s];
-      if (free == kUninformed) continue;
-      const Tick* row = latency.data() + std::uint64_t{s} * n;
-      for (ProcId t = 0; t < n; ++t) {
-        if (informed[t] != 0) continue;
-        const Tick arrival = free + row[t];
-        if (best_arrival == kUninformed || arrival < best_arrival) {
-          best_arrival = arrival;
-          best_s = s;
-          best_q = t;
-        }
+      if (free_at[s] == kUninformed) continue;
+      const ProcId* row = targets.data() + std::uint64_t{s} * (n - 1);
+      std::uint64_t& next = cursor[s];
+      while (informed[row[next]] != 0) ++next;  // an uninformed rank remains
+      const Tick arrival = free_at[s] + latency[std::uint64_t{s} * n + row[next]];
+      if (best_arrival == kUninformed || arrival < best_arrival) {
+        best_arrival = arrival;
+        best_s = s;
+        best_q = row[next];
       }
     }
     POSTAL_CHECK(best_arrival != kUninformed);

@@ -46,7 +46,7 @@ ReduceReport validate_reduce(const Schedule& schedule, const PostalParams& param
   // use), so only receive ports can clash. Events are visited in t order
   // and lambda is a constant, so the windows [t+lambda-1, t+lambda) offered
   // to one port come in nondecreasing start: the end of the last accepted
-  // window decides the check (sim/validator.cpp's one-window argument), and
+  // window decides the check (LatestWindows in sched/tick_check.hpp), and
   // 0 marks a port that has accepted nothing.
   std::vector<Rational> recv_free(n);
   std::vector<std::optional<Rational>> sent_at(n);

@@ -1,18 +1,13 @@
-// One tick checker for the Section 5 model variants: more send ports,
-// LogP's o/g windows, and "hierarchies of latency parameters" up to a
-// per-link latency matrix (Cidon-Mokryn). validate_kported,
-// validate_logp_schedule, simulate_hetero and simulate_two_level each build
-// a ModelSpec and map its three clauses to their own wording; the loop is
-// this one.
+// The Section 5 model variants' checker: more send ports, LogP's o/g
+// windows, and "hierarchies of latency parameters" up to a per-link
+// latency matrix (Cidon-Mokryn). validate_kported, validate_logp_schedule,
+// simulate_hetero and simulate_two_level each build a ModelSpec and map its
+// three clauses to their own wording.
 //
-// The model: a single-message broadcast from p0. A send at t occupies one
-// of the sender's k send ports on [t, t+w) and the receiver's single
-// receive port on [t+lambda-w, t+lambda), where lambda = lambda(src, dst),
-// and the receiver holds the message from t + lambda. Windows on one port
-// are half-open and must not overlap beyond what k allows; a sender must
-// hold the message when it starts; every rank must be informed. The
-// postal variants have w = 1; LogP has w = G = max(o, g) and
-// lambda = 2o + L (docs/MODEL.md).
+// The model is the one sched/tick_check.hpp states, whose per-send loop and
+// tick probe check_model runs (as validate_schedule does): a single-message
+// broadcast from p0 that must inform every rank. The postal variants have
+// w = 1; LogP has w = G = max(o, g) and lambda = 2o + L (docs/MODEL.md).
 #pragma once
 
 #include <cstdint>

@@ -405,17 +405,4 @@ std::ostream& operator<<(std::ostream& os, const Schedule& s) {
   return os;
 }
 
-std::vector<std::size_t> tick_visit_order(const std::vector<TickSend>& records) {
-  const auto by_tick = [](const TickSend& a, const TickSend& b) {
-    return a.tick < b.tick;
-  };
-  if (std::is_sorted(records.begin(), records.end(), by_tick)) return {};
-  std::vector<std::size_t> order(records.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&records](std::size_t a, std::size_t b) {
-    return records[a].tick < records[b].tick;
-  });
-  return order;
-}
-
 }  // namespace postal

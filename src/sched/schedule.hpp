@@ -273,10 +273,4 @@ class RankBlockAssembly {
   Schedule out_;
 };
 
-/// The order a validator visits `records` in: nondecreasing tick, ties in
-/// record order. Empty when the records are already in that order, so they
-/// can be visited in place; otherwise one stable sort of their indices.
-[[nodiscard]] std::vector<std::size_t> tick_visit_order(
-    const std::vector<TickSend>& records);
-
 }  // namespace postal

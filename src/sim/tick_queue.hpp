@@ -41,7 +41,7 @@
 // are known before they pop. ahead(k) returns the payload k slots past the
 // next pop in the cursor's bucket (nullptr past the bucket's end), so an
 // event loop can prefetch the state the k-th next event will touch while
-// it handles the current one (kLookAhead, below). It is a read-only hint:
+// it handles the current one (kLookAhead, support/ticks.hpp). It is a hint:
 // pop order is unchanged whether or not anyone calls it.
 #pragma once
 
@@ -55,12 +55,6 @@
 #include "support/ticks.hpp"
 
 namespace postal {
-
-/// How many events ahead the simulators' event loops prefetch (Machine,
-/// ParMachine's shards, the validator's in-place visit): far enough to
-/// cover a cache miss, near enough that the line is still resident when
-/// its event arrives.
-inline constexpr std::size_t kLookAhead = 8;
 
 /// Monotone (tick, seq)-ordered queue of payloads; see file comment.
 template <typename Payload>

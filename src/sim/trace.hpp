@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <iterator>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,19 +50,6 @@ struct TickDelivery {
   friend bool operator==(const TickDelivery&, const TickDelivery&) = default;
 };
 static_assert(sizeof(TickDelivery) == 32, "a delivery record is 32 bytes");
-
-/// The first-arrival (and validator hold) cell of a processor/message pair
-/// nothing has reached. Above every tick a run can form (< 2^62), so a
-/// plain `arrival < cell` both detects and replaces it.
-inline constexpr Tick kNeverArrived = std::numeric_limits<Tick>::max();
-
-/// Index of cell (p, msg) in a row-major n x messages table: the Trace's
-/// first arrivals and the validator's holds. Computed in size_t, because
-/// p * messages exceeds 32 bits once n * messages >= 2^32.
-[[nodiscard]] constexpr std::size_t arrival_cell(std::uint64_t p, std::uint32_t messages,
-                                                 MsgId msg) noexcept {
-  return static_cast<std::size_t>(p) * messages + msg;
-}
 
 /// Read-only Rational view of a trace's delivery records, in record order.
 /// Elements are Delivery values built on access; records() exposes the

@@ -14,6 +14,9 @@
 //                               message id in [0, messages).
 // Order preservation is additionally reported (all the paper's algorithms
 // have it, but it is a property, not a model constraint).
+// The per-send loop is sched/tick_check.hpp's, shared with check_model
+// (the Section 5 variants); this front end keeps the options below, the
+// coverage goals, the Trace and its own wording.
 #pragma once
 
 #include <string>

@@ -22,7 +22,9 @@
 // naming the entry point -- there is no second engine to fall back to.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "support/rational.hpp"
@@ -64,6 +66,25 @@ class TickDomain {
  private:
   std::int64_t q_;
 };
+
+/// The first-arrival (and checker hold) cell of a processor/message pair
+/// nothing has reached. Above every tick a run can form (< 2^62), so a
+/// plain `arrival < cell` both detects and replaces it.
+inline constexpr Tick kNeverArrived = std::numeric_limits<Tick>::max();
+
+/// Index of cell (p, msg) in a row-major n x messages table: the Trace's
+/// first arrivals and the schedule checker's holds. Computed in size_t,
+/// because p * messages exceeds 32 bits once n * messages >= 2^32.
+[[nodiscard]] constexpr std::size_t arrival_cell(std::uint64_t p, std::uint32_t messages,
+                                                 std::uint32_t msg) noexcept {
+  return static_cast<std::size_t>(p) * messages + msg;
+}
+
+/// How many events ahead the tick loops prefetch (Machine, ParMachine's
+/// shards, the schedule checker's in-place visit): far enough to cover a
+/// cache miss, near enough that the line is still resident when its event
+/// arrives.
+inline constexpr std::size_t kLookAhead = 8;
 
 /// Whether tick t of grid 1/qa and tick u of grid 1/qb are the same time
 /// (t / qa == u / qb). Ticks and grids fit int64, so the products fit 128

@@ -12,6 +12,7 @@
 
 #include "model/genfib.hpp"
 #include "pinned_render.hpp"
+#include "sim/validator.hpp"
 #include "support/prng.hpp"
 #include "test_util.hpp"
 
@@ -242,6 +243,113 @@ TEST(ReduceValidator, ViolationStringsOfEachMutationAtFourteen) {
             "[p8 -> p14 : M9 @ t=3/2] processor id out of range\n"
             "# port clash\n"
             "[p2 -> p0 : M3 @ t=0] receive-port conflict\n");
+}
+
+// --- Reduce is a time-reversed broadcast ----------------------------------
+//
+// Reverse every reduce send v -> u at s into the broadcast send u -> v at
+// T - s - lambda, where T is the latest arrival. A reduce send port is
+// then a broadcast receive port and the reverse, "v combined every input
+// before it sent" is broadcast causality, and "the root combined all n
+// inputs" is coverage. So validate_reduce should accept exactly when
+// validate_schedule accepts the reversal, the root never sends, and every
+// non-root sends exactly once.
+
+Schedule reversed_broadcast(const Schedule& reduce, const PostalParams& params) {
+  const Rational& lambda = params.lambda();
+  Rational latest(0);
+  for (const SendEvent& e : reduce.events()) latest = rmax(latest, e.t + lambda);
+  Schedule out;
+  for (const SendEvent& e : reduce.events()) {
+    out.add(e.dst, e.src, 0, latest - e.t - lambda);
+  }
+  return out;
+}
+
+bool reversal_predicts_ok(const Schedule& reduce, const PostalParams& params) {
+  ValidatorOptions options;
+  options.messages = 1;
+  const bool bcast_ok =
+      validate_schedule(reversed_broadcast(reduce, params), params, options).ok;
+  std::vector<std::uint64_t> sends(params.n(), 0);
+  for (const SendEvent& e : reduce.events()) {
+    if (e.src < params.n()) ++sends[e.src];
+  }
+  bool counts_ok = sends[0] == 0;
+  for (ProcId p = 1; p < params.n(); ++p) counts_ok = counts_ok && sends[p] == 1;
+  return bcast_ok && counts_ok;
+}
+
+TEST(ReduceReversal, VerdictsMatchTheReversedBroadcastOnReduceSchedules) {
+  for (const Rational lambda : {Rational(1), Rational(2), Rational(5, 2), Rational(9, 4),
+                                Rational(7, 3), Rational(10)}) {
+    for (const std::uint64_t n : {1ULL, 2ULL, 7ULL, 14ULL, 33ULL, 64ULL, 100ULL}) {
+      const PostalParams params(n, lambda);
+      const Schedule s = reduce_schedule(params);
+      EXPECT_TRUE(validate_reduce(s, params).ok) << "n=" << n << " lambda=" << lambda;
+      EXPECT_TRUE(reversal_predicts_ok(s, params)) << "n=" << n << " lambda=" << lambda;
+    }
+  }
+}
+
+TEST(ReduceReversal, VerdictsMatchTheReversedBroadcastOnTheMutationCorpus) {
+  const Mutation mutations[] = {Mutation::kShift,   Mutation::kDuplicate,
+                                Mutation::kRootSends, Mutation::kMissing,
+                                Mutation::kOutOfRange, Mutation::kPortClash};
+  // The pinned corpus's draws first, then more of each mutation.
+  Xoshiro256 rng(0x4EDCEu);
+  std::uint64_t cases = 0;
+  for (int reps : {3, 20}) {
+    for (const auto& [n, lambda] :
+         {std::pair<std::uint64_t, Rational>{14, Rational(5, 2)},
+          std::pair<std::uint64_t, Rational>{40, Rational(1)},
+          std::pair<std::uint64_t, Rational>{33, Rational(9, 4)},
+          std::pair<std::uint64_t, Rational>{100, Rational(7, 3)}}) {
+      const PostalParams params(n, lambda);
+      for (const Mutation m : mutations) {
+        for (int rep = 0; rep < reps; ++rep) {
+          const Schedule mutant = mutated_reduce(params, m, rng);
+          EXPECT_EQ(validate_reduce(mutant, params).ok,
+                    reversal_predicts_ok(mutant, params))
+              << mutation_name(m) << " n=" << n << " rep=" << rep;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 4u * 6u * 23u);
+}
+
+TEST(ReduceReversal, VerdictsMatchTheReversedBroadcastOnJitteredSchedules) {
+  // Every mutant above is rejected; moving one send by a few half grid
+  // steps either way keeps some schedules valid.
+  Xoshiro256 rng(0x7E7u);
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  for (const auto& [n, lambda] :
+       {std::pair<std::uint64_t, Rational>{14, Rational(5, 2)},
+        std::pair<std::uint64_t, Rational>{40, Rational(1)},
+        std::pair<std::uint64_t, Rational>{33, Rational(9, 4)}}) {
+    const PostalParams params(n, lambda);
+    const std::vector<SendEvent> events = reduce_schedule(params).events();
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::size_t victim = rng.uniform(0, events.size() - 1);
+      const auto steps = static_cast<std::int64_t>(rng.uniform(0, 7)) - 4;
+      const Rational delta(steps == 0 ? 4 : steps, 2 * lambda.den());
+      Schedule mutant;
+      for (std::size_t k = 0; k < events.size(); ++k) {
+        SendEvent e = events[k];
+        if (k == victim) e.t = rmax(Rational(0), e.t + delta);
+        mutant.add(e);
+      }
+      const bool ok = validate_reduce(mutant, params).ok;
+      EXPECT_EQ(ok, reversal_predicts_ok(mutant, params))
+          << "n=" << n << " trial=" << trial << " delta=" << delta;
+      (ok ? accepted : rejected) += 1;
+    }
+  }
+  EXPECT_GT(accepted, 30u);
+  EXPECT_GT(rejected, 30u);
 }
 
 }  // namespace
