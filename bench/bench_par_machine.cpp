@@ -28,7 +28,11 @@
 // recorded per section: merge_ms is the sequential barrier residue (slot
 // assignment), flush_ms the parallel mailbox merge, assemble_ms the
 // schedule assembly after the last window -- together they bound the
-// speedup a multi-core box can reach (docs/PERFORMANCE.md). The record's `load1`
+// speedup a multi-core box can reach (docs/PERFORMANCE.md). Each section
+// also records what its engine keeps for a next run, as
+// `_arena_bytes_per_rank` (ParRunInfo::arena_bytes over n); bytes do not
+// depend on the host, and compare_trajectory.py holds a ceiling on the
+// 2-lane figure everywhere. The record's `load1`
 // extra is the host's one-minute load average when the bench started:
 // speedups measured on a busy host read low, and the floor message quotes
 // it so such a failure can be told from a regression.
@@ -64,6 +68,7 @@ struct Section {
   std::uint64_t windows = 0;
   std::uint32_t shards = 0;
   std::uint64_t arena_growths = 0;
+  double arena_bytes_per_rank = 0.0;
   std::uint64_t flush_fallback_sorts = 0;
   bool identical = false;
 };
@@ -141,6 +146,8 @@ Section run_sharded(const std::string& slug, const std::string& name,
   s.windows = info.windows;
   s.shards = info.shards;
   s.arena_growths = info.arena_growths;
+  s.arena_bytes_per_rank =
+      static_cast<double>(info.arena_bytes) / static_cast<double>(params.n());
   s.flush_fallback_sorts = info.flush_fallback_sorts;
   s.identical = info.parallel_engine &&
                 (mode == TraceMode::kFull
@@ -230,6 +237,8 @@ int main() {
     rec.extra.emplace_back(s.slug + "_threads", std::to_string(s.threads));
     rec.extra.emplace_back(s.slug + "_arena_growths",
                            std::to_string(s.arena_growths));
+    rec.extra.emplace_back(s.slug + "_arena_bytes_per_rank",
+                           fmt(s.arena_bytes_per_rank, 1));
     rec.extra.emplace_back(s.slug + "_flush_fallback_sorts",
                            std::to_string(s.flush_fallback_sorts));
     rec.extra.emplace_back(

@@ -319,7 +319,8 @@ if [ "$SANITIZE" -eq 1 ]; then
   # index arithmetic on their count arrays (test_schedule_sort), the
   # trace's never-arrived sentinel, cell index and rescale (test_trace),
   # the queue's inline slots and look-ahead (test_event_queue: moved-from
-  # and reallocated slots) and the reference model's judged engines,
+  # slots, and chunks recycled and freed mid-walk) and the reference
+  # model's judged engines,
   # the whole service layer (parser edge cases, the 200+-scenario soak,
   # the histogram's bucket math at 2^64 extremes, and the faulted exec
   # tier), and the oracle's rank walk and bucketed f_lambda inverse (the
@@ -339,7 +340,9 @@ if [ "$SANITIZE" -eq 1 ]; then
   # greedy heterogeneous planner's sorted targets and cursors (test_hetero),
   # and the sequential Machine's own suite (test_machine: the shared tick
   # step's port FIFO and handler-error paths, and one Machine reused across
-  # runs, which keeps its run state and queue between them).
+  # runs, which keeps its run state and queue between them), and the
+  # observability bridges over MachineStats (test_obs_metrics: the
+  # port_busy view's iterators over its send counts).
   echo "== sanitize: address,undefined"
   cmake -B build-asan -G Ninja -DPOSTAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_differential test_validator_fuzz \
@@ -349,7 +352,7 @@ if [ "$SANITIZE" -eq 1 ]; then
     test_svc_soak test_svc_percentile test_svc_chaos test_schedule_sort test_trace \
     test_oracle test_oracle_differential test_stream_validator test_schedule test_bcast \
     test_reduce test_model_check test_hetero test_machine test_validator \
-    test_validator_crosscheck test_kported test_logp_machine
+    test_validator_crosscheck test_kported test_logp_machine test_obs_metrics
   ./build-asan/tests/test_differential
   ./build-asan/tests/test_validator_fuzz
   ./build-asan/tests/test_validator_order
@@ -383,6 +386,7 @@ if [ "$SANITIZE" -eq 1 ]; then
   ./build-asan/tests/test_validator_crosscheck
   ./build-asan/tests/test_kported
   ./build-asan/tests/test_logp_machine
+  ./build-asan/tests/test_obs_metrics
 fi
 
 echo "ALL CHECKS PASSED"

@@ -23,6 +23,10 @@ finding, with deliberately different severity (bench/trajectory/README.md):
     message quotes the record's `load1` extra (the host's load average
     when the bench started) when there is one: a floor missed on a busy
     host is load, not a regression. The rule itself does not read it.
+  * guarded-metric ceiling -- a metric in CEILING_METRICS (currently the
+    bytes per rank a 2-lane ParMachine keeps after a bcast_1m run) rose
+    above its ceiling in the *fresh* record. Always a hard failure: bytes
+    do not depend on the core count, so threads_hw plays no part.
 """
 import argparse
 import glob
@@ -37,6 +41,24 @@ GUARDED_METRICS = {
     ("bench_par_machine", "bcast_1m_t4_speedup"): (1.0, 4),
     ("bench_par_machine", "bcast_1m_t2_speedup"): (0.9, 2),
 }
+
+
+# (bench, extra key) -> ceiling, enforced on every runner.
+CEILING_METRICS = {
+    ("bench_par_machine", "bcast_1m_t2_arena_bytes_per_rank"): 100.0,
+}
+
+
+def ceiling_findings(fresh_by_bench):
+    """Yield a message for each ceiling metric above its ceiling."""
+    for (bench, key), ceiling in CEILING_METRICS.items():
+        rec = fresh_by_bench.get(bench)
+        if rec is None:
+            continue
+        value = numeric(rec.get("extra", {}).get(key))
+        if value is not None and value > ceiling:
+            yield (f"{bench}.extra.{key}: {value:g} above ceiling "
+                   f"{ceiling:g} (enforced on every runner)")
 
 
 def guarded_findings(fresh_by_bench):
@@ -165,6 +187,7 @@ def main() -> int:
             regressions.append(message)
         else:
             drifts.append(message)
+    regressions.extend(ceiling_findings(fresh_by_bench))
 
     for line in regressions:
         print(f"REGRESSION: {line}", file=sys.stderr)

@@ -124,17 +124,22 @@ Schedule hetero_greedy_broadcast(const HeteroLatency& lat) {
   // Each sender's targets sorted once by (latency, id), with a cursor past
   // the ranks already informed: a sender's first uninformed target is its
   // earliest arrival, ties to the lower id. So a step costs one look per
-  // sender, not one per (sender, target) pair.
+  // sender, not one per (sender, target) pair. The sort runs on one packed
+  // key per target, latency * n + id, which the check above keeps below
+  // n * (q + max latency), inside int64.
+  const auto width = static_cast<Tick>(n);
   std::vector<ProcId> targets(n * (n - 1));
+  std::vector<Tick> keys(n - 1);
   for (ProcId s = 0; s < n; ++s) {
-    ProcId* row = targets.data() + std::uint64_t{s} * (n - 1);
-    for (ProcId t = 0, k = 0; t < n; ++t) {
-      if (t != s) row[k++] = t;
-    }
     const Tick* lat_row = latency.data() + std::uint64_t{s} * n;
-    std::sort(row, row + (n - 1), [lat_row](ProcId a, ProcId b) {
-      return lat_row[a] != lat_row[b] ? lat_row[a] < lat_row[b] : a < b;
-    });
+    for (ProcId t = 0, k = 0; t < n; ++t) {
+      if (t != s) keys[k++] = lat_row[t] * width + t;
+    }
+    std::sort(keys.begin(), keys.end());
+    ProcId* row = targets.data() + std::uint64_t{s} * (n - 1);
+    for (std::uint64_t k = 0; k + 1 < n; ++k) {
+      row[k] = static_cast<ProcId>(keys[k] % width);
+    }
   }
   std::vector<std::uint64_t> cursor(n, 0);
 

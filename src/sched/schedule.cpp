@@ -182,8 +182,9 @@ void Schedule::sort() {
   std::sort(records_.begin(), records_.end(), record_less);
 }
 
-Schedule Schedule::from_tick_log(TickLog log, std::int64_t q, std::uint64_t n) {
-  RankBlockAssembly assembly({{log.data(), log.size(), 0, n}}, q, n);
+Schedule Schedule::from_tick_log(TickLog log, std::int64_t q, std::uint64_t n,
+                                 std::uint64_t* sends_per_src) {
+  RankBlockAssembly assembly({{log.data(), log.size(), 0, n}}, q, n, sends_per_src);
   assembly.order(0);
   assembly.place();
   assembly.scatter(0);
@@ -191,8 +192,8 @@ Schedule Schedule::from_tick_log(TickLog log, std::int64_t q, std::uint64_t n) {
 }
 
 RankBlockAssembly::RankBlockAssembly(std::vector<Segment> segments, std::int64_t q,
-                                     std::uint64_t n)
-    : segments_(std::move(segments)) {
+                                     std::uint64_t n, std::uint64_t* sends_per_src)
+    : segments_(std::move(segments)), sends_per_src_(sends_per_src) {
   POSTAL_REQUIRE(q >= 1, "Schedule::from_tick_log: grid denominator must be >= 1");
   base_.resize(segments_.size());
   plans_.resize(segments_.size());
@@ -234,7 +235,10 @@ void RankBlockAssembly::order(std::size_t s) {
     lo = std::min(lo, e->tick);
     hi = std::max(hi, e->tick);
   }
-  if (compare_ || seg.size == 0) return;
+  if (compare_ || seg.size == 0) {
+    count_sends(seg);
+    return;
+  }
   // place() sums every segment's (tick, block) table: a segment may spend
   // its share of the cap, cut into aligned blocks if they fit in it, as
   // one block if only that fits, and not at all otherwise.
@@ -242,6 +246,7 @@ void RankBlockAssembly::order(std::size_t s) {
   const std::uint64_t share = cap_ / segments_.size();
   if (span > share) {
     plan.too_wide = true;
+    count_sends(seg);
     return;
   }
   if (aligned * span > share) {
@@ -294,10 +299,25 @@ void RankBlockAssembly::order(std::size_t s) {
           scratch[slot] = e;
           ++counts[e.tick - lo];
         });
+    // The pass's bucket ends are the block's per-src send counts, in rank
+    // order: one sequential write per rank.
+    if (sends_per_src_ != nullptr) {
+      std::uint32_t before = 0;
+      for (std::uint64_t r = rank_lo; r < rank_hi; ++r) {
+        const std::uint32_t end = ends[r - rank_lo];
+        sends_per_src_[r] = end - before;
+        before = end;
+      }
+    }
     std::copy(scratch.begin(),
               scratch.begin() + static_cast<std::ptrdiff_t>(block_last - block_first),
               first + starts[k]);
   }
+}
+
+void RankBlockAssembly::count_sends(const Segment& seg) {
+  if (sends_per_src_ == nullptr) return;
+  for (const TickSend* e = seg.sends; e != seg.sends + seg.size; ++e) ++sends_per_src_[e->src];
 }
 
 void RankBlockAssembly::place() {

@@ -170,8 +170,11 @@ class Schedule {
   /// identifies a send; a repeated pair is a logic error, and a self-send
   /// an InvalidArgument, as in add(). One RankBlockAssembly segment, run
   /// serially; the log's storage holds the ordered blocks.
+  /// With `sends_per_src` (n zeroed counts), also counts each src's sends
+  /// into it.
   [[nodiscard]] static Schedule from_tick_log(TickLog log, std::int64_t q,
-                                              std::uint64_t n);
+                                              std::uint64_t n,
+                                              std::uint64_t* sends_per_src = nullptr);
 
   /// The sends as SendEvent values, in schedule order.
   [[nodiscard]] SendEventView events() const noexcept { return {records_, q_}; }
@@ -241,7 +244,11 @@ class RankBlockAssembly {
   };
 
   /// `segments` must hold ascending, disjoint rank ranges within [0, n).
-  RankBlockAssembly(std::vector<Segment> segments, std::int64_t q, std::uint64_t n);
+  /// With `sends_per_src` (n zeroed counts), order(s) also writes each src
+  /// of segment s its send count, from the block passes' bucket ends, so
+  /// distinct segments' counts stay lane-safe.
+  RankBlockAssembly(std::vector<Segment> segments, std::int64_t q, std::uint64_t n,
+                    std::uint64_t* sends_per_src = nullptr);
 
   [[nodiscard]] std::size_t segments() const noexcept { return segments_.size(); }
 
@@ -265,11 +272,16 @@ class RankBlockAssembly {
     std::vector<std::uint32_t> counts;
   };
 
+  /// Count segment seg's sends per src one by one, for the paths that
+  /// order no blocks.
+  void count_sends(const Segment& seg);
+
   std::vector<Segment> segments_;
   std::vector<std::size_t> base_;  ///< first output slot of each segment
   std::vector<Plan> plans_;
   bool compare_ = false;           ///< take the comparison path
   std::uint64_t cap_ = 0;          ///< counting_span_cap(total size)
+  std::uint64_t* sends_per_src_ = nullptr;
   Schedule out_;
 };
 

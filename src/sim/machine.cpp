@@ -185,9 +185,12 @@ MachineResult Machine::run(Protocol& protocol, std::uint64_t max_events) {
 
   for (ProcId p = 0; p < n; ++p) eng.start(protocol, p);
   eng.run_loop(protocol, max_events);
-  eng.stats.port_busy.resize(n);
-  port_busy_of(eng.ports, 0, n, eng.stats.port_busy);
-  result.schedule = Schedule::from_tick_log(std::move(eng.sends), eng.tick_q, n);
+  // The queue is empty now; drop its chunks down to the kept reserve.
+  eng.queue.clear();
+  std::vector<std::uint64_t> sends_per_src(n);
+  result.schedule =
+      Schedule::from_tick_log(std::move(eng.sends), eng.tick_q, n, sends_per_src.data());
+  eng.stats.port_busy = PortBusy(std::move(sends_per_src));
   result.stats = std::move(eng.stats);
   result.faults = std::move(eng.faults);
   eng.trace = nullptr;

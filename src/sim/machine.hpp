@@ -41,7 +41,9 @@
 // generators in src/sched.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -50,6 +52,7 @@
 #include "model/params.hpp"
 #include "sched/schedule.hpp"
 #include "sim/trace.hpp"
+#include "support/error.hpp"
 #include "support/ticks.hpp"
 
 namespace postal {
@@ -143,6 +146,73 @@ class Protocol {
   }
 };
 
+/// Each processor's output-port busy time over a run: one unit per send, so
+/// rank p's entry is the number of schedule records with src p. Stored as
+/// 8-byte send counts and read as exact Rationals, the way SendEventView
+/// serves a Schedule's tick records.
+class PortBusy {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Rational;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Rational;
+
+    explicit const_iterator(const std::uint64_t* at) : at_(at) {}
+
+    Rational operator*() const { return busy_time(*at_); }
+    const_iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++at_;
+      return before;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.at_ == b.at_;
+    }
+
+   private:
+    const std::uint64_t* at_;
+  };
+  using iterator = const_iterator;
+  using value_type = Rational;
+  using size_type = std::size_t;
+
+  PortBusy() = default;
+  /// Rank p's entry is sends[p].
+  explicit PortBusy(std::vector<std::uint64_t> sends) : sends_(std::move(sends)) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return sends_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return sends_.empty(); }
+  [[nodiscard]] Rational operator[](std::size_t p) const { return busy_time(sends_[p]); }
+  [[nodiscard]] const_iterator begin() const noexcept {
+    return const_iterator(sends_.data());
+  }
+  [[nodiscard]] const_iterator end() const noexcept {
+    return const_iterator(sends_.data() + sends_.size());
+  }
+
+  /// The stored send counts.
+  [[nodiscard]] const std::vector<std::uint64_t>& sends() const noexcept { return sends_; }
+
+  friend bool operator==(const PortBusy& a, const PortBusy& b) {
+    return a.sends_ == b.sends_;
+  }
+
+ private:
+  static Rational busy_time(std::uint64_t sends) {
+    POSTAL_CHECK(sends <= static_cast<std::uint64_t>(INT64_MAX));
+    return Rational(static_cast<std::int64_t>(sends));
+  }
+
+  std::vector<std::uint64_t> sends_;
+};
+
 /// Occupancy and event counts of one machine run, collected for free while
 /// the run executes. These are the quantities the paper reasons about
 /// informally ("the root keeps its output port busy...") made measurable;
@@ -162,7 +232,7 @@ struct MachineStats {
   /// processor's port at request time. 1 = the port was idle.
   std::uint64_t max_fifo_depth = 0;
   /// Per-processor output-port busy time (exact; one unit per send), sized n.
-  std::vector<Rational> port_busy;
+  PortBusy port_busy;
 };
 
 /// Result of a machine run.

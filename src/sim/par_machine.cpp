@@ -40,25 +40,33 @@
 //     (dst, msg) belongs to the shard that owns dst. Outbox entries
 //     likewise get their gseq from the sequential pass and then flush into
 //     their destination shards *in parallel, one lane per destination*:
-//     each source shard sealed its per-destination outbox runs into
-//     (tick, gseq) order on its own lane before the barrier (a counting
-//     bucket by tick; gseqs increase with a run's append order, so
-//     (tick, local_seq) order IS (tick, gseq) order), and the flush is a
-//     k-way merge of those sorted runs.
+//     each source shard sealed its per-destination outbox runs on its own
+//     lane before the barrier -- an index list of each run in (tick, gseq)
+//     order, by a counting bucket by tick (gseqs increase with a run's
+//     append order, so (tick, local_seq) order IS (tick, gseq) order) --
+//     and the flush is a k-way merge of those sorted runs.
 //
 //  4. The result assembly. After the last window each shard's send log is
 //     one segment of a RankBlockAssembly (sched/schedule.hpp): its lane
-//     orders the log in 2^15-rank blocks and folds the shard's slice of
-//     port_busy, one serial prefix sum over (tick, block) places every
-//     run, and the lanes scatter their logs straight into the schedule.
+//     orders the log in 2^15-rank blocks and counts the shard's slice of
+//     port_busy on the way, one serial prefix sum over (tick, block)
+//     places every run, and the lanes scatter their logs straight into the
+//     schedule.
 //
 // No step sorts globally: not the flush, not the merge, not the assembly.
 //
-// Window placement needs no alignment: each window is [B, B + lambda)
-// with B = the global minimum pending tick, so every send started in the
-// window (at start >= B, latency >= lambda ticks) arrives at or after the
-// window's end -- sends *always* route through the barrier, and only
-// timers and input-port requeues can land in-window. The shared per-rank
+// Window placement needs no alignment: each window is [B, B + w) with B =
+// the global minimum pending tick and 1 <= w <= lambda ticks, so every
+// send started in the window (at start >= B, latency >= lambda ticks)
+// arrives at or after the window's end -- sends *always* route through
+// the barrier, and only timers and input-port requeues can land
+// in-window. w is sized by load (window_width below): lambda unless the
+// pending events of [B, B + lambda) pass kWindowEventBudget, then the
+// widest span that stays within it, at least one tick. A narrower window
+// is as safe as a lambda-wide one -- no event of it can be caused by an
+// event of another shard in the same window -- and it bounds the window
+// buffers by the budget or the busiest tick, not the busiest
+// lambda-window. The shared per-rank
 // RankPorts array is safe unsynchronized: send-side fields are indexed by
 // the handler's own rank and receive-side fields by the delivering
 // event's destination rank, and both ranks belong to the shard doing the
@@ -67,17 +75,18 @@
 // so the per-link draw counters consume in sequential order.
 //
 // Arena discipline: every window-local buffer (pop logs, side streams,
-// outbox runs, seal scratch, replay scratch) lives in ParMachine::Engine
-// and is *retained* across windows and across run() calls -- cleared,
-// never deallocated. After the first run's high-water mark, steady-state
-// windows allocate none of them; ParRunInfo::arena_growths counts the
-// capacity growths actually observed so benches can prove it
-// (bench_micro's warm-rerun section). The shard send logs are kept too,
-// so a warm rerun appends into storage it already has. The shard queues
-// are not part of that certificate and never were: their events live
-// inline in per-tick buckets (sim/tick_queue.hpp), and a drained bucket
-// larger than the queue's kept size gives its storage back, so a busy
-// tick's bucket regrows in every run.
+// outbox runs and their seal orders, replay scratch) lives in
+// ParMachine::Engine and is *retained* across windows and across run()
+// calls -- cleared, never deallocated. After the first run's high-water
+// mark, steady-state windows allocate none of them; ParRunInfo::
+// arena_growths counts the capacity growths actually observed so benches
+// can prove it (bench_micro's warm-rerun section). The shard send logs are
+// kept too, so a warm rerun appends into storage it already has.
+// ParRunInfo::arena_bytes reports what all of it, the rank ports and the
+// queues hold after a run. The shard queues are not part of the growth
+// certificate: their events live inline in fixed-size chunks that a queue
+// recycles from tick to tick within a run (sim/tick_queue.hpp), and after
+// the run each queue keeps only a constant reserve of chunks.
 #include "sim/par_machine.hpp"
 
 #include <algorithm>
@@ -94,6 +103,12 @@
 namespace postal {
 
 namespace {
+
+/// Capacity of `v` in bytes.
+template <typename T>
+std::size_t bytes_of(const std::vector<T>& v) noexcept {
+  return v.capacity() * sizeof(T);
+}
 
 /// Provisional stamps live above every possible gseq (gseqs count queue
 /// pushes, bounded by max_events, far below 2^63).
@@ -179,6 +194,9 @@ class ParShard final : public TickStep<ParShard> {
   std::vector<TickDelivery> deliveries;  ///< kFull only
   std::vector<FaultEvent> fevents;
   std::vector<std::vector<OutboxEntry>> outbox;  ///< one run per destination shard
+  /// Per destination: the run's entry indexes in (tick, local_seq) order,
+  /// written by seal_outboxes().
+  std::vector<std::vector<std::uint32_t>> sealed;
   std::uint64_t outbox_seq = 0;  ///< outbox appends this window (all runs)
   std::uint64_t prov_count = 0;  ///< provisional stamps handed out this window
 
@@ -193,7 +211,9 @@ class ParShard final : public TickStep<ParShard> {
     flush_fallback_sorts = 0;
     arena_growths = 0;
     outbox.resize(dests);
+    sealed.resize(dests);
     caps_outbox_.resize(dests, 0);
+    caps_sealed_.resize(dests, 0);
     log.clear();
     push_kinds.clear();
     deliveries.clear();
@@ -233,12 +253,27 @@ class ParShard final : public TickStep<ParShard> {
     if (steps == before) ++stalled_windows;
   }
 
-  /// Sort every per-destination outbox run into (tick, local_seq) order --
-  /// which is (tick, gseq) order, since the barrier hands out gseqs in
-  /// local_seq order. Runs on the shard's own lane, inside the window
-  /// batch, so the barrier-side flush is a pure merge of sorted runs.
+  /// Order every per-destination outbox run by (tick, local_seq) -- which
+  /// is (tick, gseq) order, since the barrier hands out gseqs in local_seq
+  /// order -- as an index list in `sealed`; the entries stay where they
+  /// were appended. Runs on the shard's own lane, inside the window batch,
+  /// so the barrier-side flush is a pure merge of sorted runs.
   void seal_outboxes() {
-    for (std::vector<OutboxEntry>& run : outbox) seal_run(run);
+    for (std::size_t d = 0; d < outbox.size(); ++d) seal_run(outbox[d], sealed[d]);
+  }
+
+  /// Capacity in bytes of every buffer the shard keeps between runs: the
+  /// window streams, the outbox runs and their seal orders, the send log
+  /// and the queue's storage.
+  [[nodiscard]] std::size_t arena_bytes() const noexcept {
+    std::size_t bytes = bytes_of(log) + bytes_of(push_kinds) + bytes_of(deliveries) +
+                        bytes_of(fevents) + bytes_of(outbox) + bytes_of(sealed) +
+                        bytes_of(sends) + bytes_of(seal_counts_) + bytes_of(caps_outbox_) +
+                        bytes_of(caps_sealed_) + q.footprint_bytes();
+    for (std::size_t d = 0; d < outbox.size(); ++d) {
+      bytes += bytes_of(outbox[d]) + bytes_of(sealed[d]);
+    }
+    return bytes;
   }
 
   /// Clear the window streams (capacity kept) and count arena growth.
@@ -247,10 +282,11 @@ class ParShard final : public TickStep<ParShard> {
     note_growth(push_kinds.capacity(), caps_kinds_);
     note_growth(deliveries.capacity(), caps_del_);
     note_growth(fevents.capacity(), caps_fev_);
-    note_growth(seal_scratch_.capacity(), caps_scratch_);
     for (std::size_t d = 0; d < outbox.size(); ++d) {
       note_growth(outbox[d].capacity(), caps_outbox_[d]);
+      note_growth(sealed[d].capacity(), caps_sealed_[d]);
       outbox[d].clear();
+      sealed[d].clear();
     }
     log.clear();
     push_kinds.clear();
@@ -325,12 +361,15 @@ class ParShard final : public TickStep<ParShard> {
     }
   }
 
-  /// Sort one outbox run by (tick, local_seq). Appends arrive in local_seq
-  /// order, so one stable counting pass by tick is a full sort; runs
-  /// spanning more than kSealSpanCap ticks fall back to std::stable_sort
-  /// (stability again supplies the local_seq order).
-  void seal_run(std::vector<OutboxEntry>& run) {
-    if (run.size() < 2) return;
+  /// Order one outbox run by (tick, local_seq) into `order`. Appends
+  /// arrive in local_seq order, so one stable counting pass by tick is a
+  /// full sort; runs spanning more than kSealSpanCap ticks fall back to
+  /// std::stable_sort (stability again supplies the local_seq order).
+  void seal_run(const std::vector<OutboxEntry>& run, std::vector<std::uint32_t>& order) {
+    POSTAL_CHECK(run.size() <= std::numeric_limits<std::uint32_t>::max());
+    const auto size = static_cast<std::uint32_t>(run.size());
+    order.resize(size);
+    if (size == 0) return;
     Tick lo_t = run[0].tick;
     Tick hi_t = run[0].tick;
     for (const OutboxEntry& e : run) {
@@ -340,25 +379,20 @@ class ParShard final : public TickStep<ParShard> {
     const std::uint64_t span = static_cast<std::uint64_t>(hi_t - lo_t) + 1;
     if (span > kSealSpanCap) {
       ++flush_fallback_sorts;
-      std::stable_sort(run.begin(), run.end(),
-                       [](const OutboxEntry& a, const OutboxEntry& b) {
-                         return a.tick < b.tick;
+      for (std::uint32_t i = 0; i < size; ++i) order[i] = i;
+      std::stable_sort(order.begin(), order.end(),
+                       [&run](std::uint32_t a, std::uint32_t b) {
+                         return run[a].tick < run[b].tick;
                        });
       return;
     }
-    seal_scratch_.resize(run.size());
     counting_pass(
         static_cast<std::size_t>(span), seal_counts_,
-        [&run](const auto& f) {
-          for (OutboxEntry& e : run) f(e);
+        [size](const auto& f) {
+          for (std::uint32_t i = 0; i < size; ++i) f(i);
         },
-        [lo_t](const OutboxEntry& e) { return static_cast<std::size_t>(e.tick - lo_t); },
-        [this](std::uint32_t slot, OutboxEntry& e) { seal_scratch_[slot] = std::move(e); });
-    // Move back instead of swapping: a swap would shuffle capacities between
-    // the run and the scratch slot, so a warm rerun of the identical workload
-    // could start a vector below its watermark and re-grow it -- breaking the
-    // zero-allocation steady-state claim the arena_growths counter certifies.
-    std::move(seal_scratch_.begin(), seal_scratch_.end(), run.begin());
+        [&run, lo_t](std::uint32_t i) { return static_cast<std::size_t>(run[i].tick - lo_t); },
+        [&order](std::uint32_t slot, std::uint32_t i) { order[slot] = i; });
   }
 
   void note_growth(std::size_t cap_now, std::size_t& cap_seen) {
@@ -370,13 +404,12 @@ class ParShard final : public TickStep<ParShard> {
 
   Tick window_end_ = 0;
   PopEntry cur_{};
-  std::vector<OutboxEntry> seal_scratch_;
   std::vector<std::uint32_t> seal_counts_;
   // Capacity watermarks (persist across runs; growth past one increments
   // arena_growths, so a warm rerun reports 0).
-  std::size_t caps_log_ = 0, caps_kinds_ = 0, caps_del_ = 0, caps_fev_ = 0,
-              caps_scratch_ = 0;
+  std::size_t caps_log_ = 0, caps_kinds_ = 0, caps_del_ = 0, caps_fev_ = 0;
   std::vector<std::size_t> caps_outbox_;
+  std::vector<std::size_t> caps_sealed_;
 };
 
 namespace {
@@ -515,6 +548,17 @@ class Replay {
     return outbox_gseq_[s];
   }
 
+  /// Capacity in bytes of the merge's scratch.
+  [[nodiscard]] std::size_t arena_bytes() const noexcept {
+    std::size_t bytes = bytes_of(head_) + bytes_of(fev_) + bytes_of(del_) + bytes_of(push_) +
+                        bytes_of(live_);
+    for (const auto* lists : {&prov2g_, &outbox_gseq_, &del_slots_, &fev_slots_}) {
+      bytes += bytes_of(*lists);
+      for (const std::vector<std::uint64_t>& list : *lists) bytes += bytes_of(list);
+    }
+    return bytes;
+  }
+
  private:
   /// A provisional head always resolves: the push that minted it sits in
   /// an earlier entry of the same log, already consumed front-to-back.
@@ -538,6 +582,24 @@ class Replay {
   std::vector<std::vector<std::uint64_t>> fev_slots_;
 };
 
+/// Width in ticks of the window that opens at `start`, the earliest
+/// pending tick: the widest span of at most `lambda` ticks whose pending
+/// events, summed over the shard queues, stay within kWindowEventBudget,
+/// and at least one tick. No shard's cursor is past `start` (each drained
+/// only ticks of earlier windows), so the counts are exact. They count the
+/// sequential engine's pending set, whatever the shard count.
+Tick window_width(const std::vector<ParShard>& shards, Tick start, Tick lambda) {
+  std::size_t pending = 0;
+  for (const ParShard& sh : shards) pending += sh.q.size();
+  if (pending <= kWindowEventBudget) return lambda;
+  std::size_t load = 0;
+  for (Tick w = 0; w < lambda; ++w) {
+    for (const ParShard& sh : shards) load += sh.q.pending_at(start + w);
+    if (load > kWindowEventBudget) return std::max<Tick>(w, 1);
+  }
+  return lambda;
+}
+
 }  // namespace
 
 /// Arena-backed engine state, retained across run() calls (header
@@ -553,6 +615,14 @@ struct ParMachine::Engine {
   std::vector<std::uint64_t> flush_cross;  ///< per dest: from another shard
   std::unique_ptr<par::ThreadPool> pool;
   unsigned pool_threads = 0;
+
+  /// ParRunInfo::arena_bytes: every buffer above but the pool's.
+  [[nodiscard]] std::size_t arena_bytes() const noexcept {
+    std::size_t bytes = bytes_of(shards) + bytes_of(ranks) + bytes_of(flush_head) +
+                        bytes_of(flush_in) + bytes_of(flush_cross) + replay.arena_bytes();
+    for (const ParShard& sh : shards) bytes += sh.arena_bytes();
+    return bytes;
+  }
 };
 
 ParMachine::ParMachine(PostalParams params, std::uint32_t messages)
@@ -666,9 +736,9 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
       Tick best_tick = 0;
       std::uint64_t best_g = 0;
       for (std::size_t s = 0; s < s_count; ++s) {
-        const std::vector<ParShard::OutboxEntry>& run = shards[s].outbox[d];
-        if (head[s] >= run.size()) continue;
-        const ParShard::OutboxEntry& e = run[head[s]];
+        const std::vector<std::uint32_t>& order = shards[s].sealed[d];
+        if (head[s] >= order.size()) continue;
+        const ParShard::OutboxEntry& e = shards[s].outbox[d][order[head[s]]];
         const std::uint64_t g = replay.outbox_gseq(s)[e.local_seq];
         if (best == s_count || e.tick < best_tick ||
             (e.tick == best_tick && g < best_g)) {
@@ -678,7 +748,8 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
         }
       }
       if (best == s_count) break;
-      ParShard::OutboxEntry& e = shards[best].outbox[d][head[best]++];
+      ParShard& src = shards[best];
+      ParShard::OutboxEntry& e = src.outbox[d][src.sealed[d][head[best]++]];
       // (tick, gseq) merge order satisfies the queue's same-tick FIFO
       // contract; every tick is >= the window end, hence >= the cursor.
       dst.q.push(e.tick, best_g, std::move(e.ev));
@@ -744,7 +815,7 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
       if (!sh.q.empty()) next = std::min(next, sh.q.peek_time());
     }
     if (next == kNoTick) break;
-    const Tick window_end = next + setup.lambda_ticks;
+    const Tick window_end = next + window_width(shards, next, setup.lambda_ticks);
     t0 = Clock::now();
     pool.for_each(s_count, [&shards, window_end](std::size_t s) {
       shards[s].run_window(window_end);
@@ -755,6 +826,8 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
     check_total_steps();
     ++info_.windows;
   }
+  // Every queue is empty now; drop their chunks down to the kept reserve.
+  for (ParShard& sh : shards) sh.q.clear();
 
   // Merge run accumulators into the sequential result shape.
   for (const ParShard& sh : shards) {
@@ -786,19 +859,18 @@ MachineResult ParMachine::run_windowed(ShardProtocolFactory& factory,
   for (ParShard& sh : shards) {
     segments.push_back({sh.sends.data(), sh.sends.size(), sh.lo, sh.hi});
   }
-  RankBlockAssembly assembly(std::move(segments), setup.q, n);
-  result.stats.port_busy.resize(n);
-  pool.for_each(s_count, [&](std::size_t s) {
-    assembly.order(s);
-    port_busy_of(eng.ranks, shards[s].lo, shards[s].hi, result.stats.port_busy);
-  });
+  std::vector<std::uint64_t> sends_per_src(n);
+  RankBlockAssembly assembly(std::move(segments), setup.q, n, sends_per_src.data());
+  pool.for_each(s_count, [&assembly](std::size_t s) { assembly.order(s); });
   assembly.place();
   pool.for_each(s_count, [&assembly](std::size_t s) { assembly.scatter(s); });
   result.schedule = assembly.take();
+  result.stats.port_busy = PortBusy(std::move(sends_per_src));
   info_.assemble_ms = ms_since(t0);
 
   info_.parallel_engine = true;
   info_.shards = s_count;
+  info_.arena_bytes = eng.arena_bytes();
   info_.replayed_pops = replay.replayed_pops;
   info_.merge_deliveries = replay.merge_deliveries;
   info_.merge_fault_events = replay.merge_fault_events;

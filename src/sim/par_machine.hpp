@@ -8,8 +8,9 @@
 // partitioned into contiguous shards, each shard runs the tick-domain
 // event loop (Machine's per-event model, the shared TickStep of
 // sim/tick_step.hpp, over TickEventQueue::drain_current_tick batched pops) on
-// a par::ThreadPool lane, and shards synchronize at a barrier every
-// lambda ticks: sends land in per-destination-shard mailboxes that are
+// a par::ThreadPool lane, and shards synchronize at barriers at most
+// lambda ticks apart (closer where the pending load is heavy; see
+// kWindowEventBudget): sends land in per-destination-shard mailboxes that are
 // drained -- in globally deterministic order -- when the window closes.
 // This is classic conservative (null-message) parallel discrete-event
 // simulation with the model's latency as the lookahead.
@@ -31,6 +32,7 @@
 // fresh sequential Machine (which rescales), reported in last_run_info().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -98,6 +100,13 @@ template <typename P, typename... Args>
   return ProtocolFactory<P, std::decay_t<Args>...>(std::forward<Args>(args)...);
 }
 
+/// Most pending events a ParMachine window may open with, summed over the
+/// shards, unless its first tick alone holds more: a window is the widest
+/// span of at most lambda ticks that stays within it (docs/SIMULATION.md,
+/// "The window protocol"). It bounds the window buffers, which the busiest
+/// lambda-window would size otherwise.
+inline constexpr std::size_t kWindowEventBudget = std::size_t{1} << 16;
+
 /// Per-shard observability of one sharded run (obs::record_par_run).
 struct ParShardInfo {
   std::uint64_t pops = 0;             ///< events this shard's loop popped
@@ -115,7 +124,7 @@ struct ParRunInfo {
   bool parallel_engine = false;
   std::string fallback_reason;        ///< empty when parallel_engine
   std::uint32_t shards = 0;
-  std::uint64_t windows = 0;          ///< lambda-lookahead windows executed
+  std::uint64_t windows = 0;          ///< load-sized lookahead windows executed
   std::uint64_t barrier_events = 0;   ///< events routed through mailboxes
   std::uint64_t cross_shard_events = 0;  ///< subset that changed shard
   std::uint64_t replayed_pops = 0;    ///< pop-log entries merged at barriers
@@ -134,6 +143,11 @@ struct ParRunInfo {
   /// so a warm rerun reports 0 here: the steady state allocates nothing
   /// per window (bench_micro proves it).
   std::uint64_t arena_growths = 0;
+  /// Capacity in bytes of what the engine keeps after the run for the next
+  /// one: window buffers, merge scratch, shard send logs, rank ports and
+  /// queue chunks (not the thread pool). A size, so it stays out of
+  /// MetricsRegistry.
+  std::uint64_t arena_bytes = 0;
   double window_ms = 0.0;             ///< wall time in parallel windows (drain + seal)
   double merge_ms = 0.0;              ///< wall time in barrier merge-replay
   double flush_ms = 0.0;              ///< wall time flushing mailboxes to shard queues

@@ -2,15 +2,6 @@
 
 namespace postal {
 
-void port_busy_of(const std::vector<RankPorts>& ranks, std::size_t lo, std::size_t hi,
-                  std::vector<Rational>& busy) {
-  POSTAL_CHECK(lo <= hi && hi <= ranks.size() && busy.size() == ranks.size());
-  for (std::size_t p = lo; p < hi; ++p) {
-    POSTAL_CHECK(ranks[p].sends <= static_cast<std::uint64_t>(INT64_MAX));
-    busy[p] = Rational(static_cast<std::int64_t>(ranks[p].sends));
-  }
-}
-
 void begin_fault_run(FaultInjector& injector, std::uint64_t n, FaultStats& faults) {
   injector.reset();
   for (ProcId p = 0; p < n; ++p) {

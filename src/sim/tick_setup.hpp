@@ -67,18 +67,14 @@ struct InFlight {
 static_assert(sizeof(InFlight) == 40, "an in-flight record is 40 bytes");
 
 /// One rank's port bookkeeping in a tick run. The sharded engine writes a
-/// rank's record only from the shard that owns the rank.
+/// rank's record only from the shard that owns the rank. A rank's send
+/// count (MachineStats::port_busy) is not kept here: the schedule assembly
+/// counts it from the send log.
 struct RankPorts {
-  Tick port_free = 0;       ///< output port idle from this tick on
-  Tick recv_free = 0;       ///< input port idle from this tick on
-  std::uint64_t sends = 0;  ///< sends started (one unit of port time each)
+  Tick port_free = 0;  ///< output port idle from this tick on
+  Tick recv_free = 0;  ///< input port idle from this tick on
 };
-
-/// MachineStats::port_busy of a run, ranks [lo, hi): each rank's send
-/// count as an exact Rational, written to busy[lo, hi). `busy` is sized like
-/// `ranks`; disjoint ranges may be filled concurrently.
-void port_busy_of(const std::vector<RankPorts>& ranks, std::size_t lo, std::size_t hi,
-                  std::vector<Rational>& busy);
+static_assert(sizeof(RankPorts) == 16, "a rank's port record is 16 bytes");
 
 /// Start a run under `injector`'s plan: reset its loss draws and open the
 /// run's fault timeline with the plan's crashes, in rank order.

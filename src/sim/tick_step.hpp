@@ -40,7 +40,7 @@ class TickStep : public ContextSink {
 
   // What the step accumulates over a run.
   TickLog sends;      ///< every send performed, in request order
-  MachineStats stats;  ///< port_busy stays empty (folded from the RankPorts)
+  MachineStats stats;  ///< port_busy stays empty (counted by the assembly)
   FaultStats faults;   ///< counters; the engine's fault hook keeps the timeline
 
   /// Wire a run and reset the accumulators (capacity kept).
@@ -138,7 +138,6 @@ class TickStep : public ContextSink {
     ports.port_free = start + tick_q;
     ++stats.sends_enqueued;
     if (start > now) ++stats.sends_deferred;
-    ++ports.sends;
     // Backlog = transmissions not yet finished on this port, i.e. the busy
     // span [now, port_free) measured in unit-length sends (partial first
     // send rounds up).

@@ -109,6 +109,50 @@ TEST(Chaos, HundredPlusSeededScenariosHoldTheInvariants) {
   EXPECT_GT(runs_with_repairs, 0u);
 }
 
+/// MachineStats::port_busy counts each rank's schedule records on the
+/// chaos corpus's two shapes (the crash sweep and the storms), on both
+/// engines.
+TEST(Chaos, PortBusyCountsEachSourcesScheduleRecords) {
+  std::vector<Scenario> corpus;
+  for (const Rational& lambda : {Rational(1), Rational(5, 2)}) {
+    const PostalParams params(48, lambda);
+    for (const std::uint64_t crashes : {std::uint64_t{0}, std::uint64_t{2}, std::uint64_t{8}}) {
+      for (std::uint64_t seed_ix = 0; seed_ix < 4; ++seed_ix) {
+        const std::uint64_t seed = 0xc4a05 + seed_ix * 131 + crashes * 17 +
+                                   static_cast<std::uint64_t>(lambda.num());
+        RandomFaultOptions opts;
+        opts.crashes = crashes;
+        corpus.push_back(Scenario{params, random_fault_plan(params, seed, opts),
+                                  "crash sweep seed=" + std::to_string(seed)});
+      }
+    }
+  }
+  const PostalParams storm_params(40, Rational(2));
+  for (std::uint64_t seed_ix = 0; seed_ix < 12; ++seed_ix) {
+    RandomFaultOptions opts;
+    opts.crashes = 3;
+    opts.loss_p = Rational(1, 4);
+    opts.lossy_links = 20;
+    opts.spikes = 1;
+    corpus.push_back(Scenario{storm_params,
+                              random_fault_plan(storm_params, 0x570a0 + seed_ix, opts),
+                              "storm seed=" + std::to_string(0x570a0 + seed_ix)});
+  }
+  std::uint64_t lost = 0;
+  for (const Scenario& s : corpus) {
+    for (const unsigned threads : {1u, 3u}) {
+      ReliableBcastOptions ropts;
+      ropts.threads = threads;
+      const ReliableBcastReport report = run_reliable_bcast(s.params, &s.plan, ropts);
+      EXPECT_EQ(report.result.stats.port_busy.sends(),
+                report.result.schedule.sends_per_proc(s.params.n()))
+          << s.tag << " threads=" << threads;
+      lost += report.result.faults.drops_loss;
+    }
+  }
+  EXPECT_GT(lost, 0u);
+}
+
 TEST(Chaos, IdenticalSeedsReproduceIdenticalRuns) {
   const PostalParams params(48, Rational(5, 2));
   for (std::uint64_t seed = 0; seed < 8; ++seed) {

@@ -279,6 +279,35 @@ TEST(MachineStats, CountsMatchScheduleAndTrace) {
   EXPECT_LT(result.stats.sends_deferred, result.stats.sends_enqueued);
 }
 
+TEST(MachineStats, PortBusyIsARationalViewOfSendCounts) {
+  const PortBusy busy(std::vector<std::uint64_t>{6, 0, 2, 1});
+  EXPECT_EQ(busy.size(), 4u);
+  EXPECT_FALSE(busy.empty());
+  EXPECT_EQ(busy[0], Rational(6));
+  EXPECT_EQ(busy[1], Rational(0));
+  std::vector<Rational> seen;
+  for (const Rational& b : busy) seen.push_back(b);
+  EXPECT_EQ(seen, (std::vector<Rational>{Rational(6), Rational(0), Rational(2),
+                                         Rational(1)}));
+  EXPECT_EQ(busy, PortBusy(std::vector<std::uint64_t>{6, 0, 2, 1}));
+  EXPECT_FALSE(busy == PortBusy(std::vector<std::uint64_t>{6, 0, 2}));
+  EXPECT_FALSE(busy == PortBusy(std::vector<std::uint64_t>{6, 0, 2, 2}));
+  EXPECT_TRUE(PortBusy().empty());
+  EXPECT_EQ(PortBusy().begin(), PortBusy().end());
+
+  // The engines fill it from the schedule: rank p's entry is its number of
+  // records, and the registry bridge reads the same Rationals.
+  const PostalParams params(14, Rational(5, 2));
+  Machine machine(params, 1);
+  BcastProtocol protocol(params);
+  const MachineResult result = machine.run(protocol);
+  EXPECT_EQ(result.stats.port_busy.sends(), result.schedule.sends_per_proc(params.n()));
+  MetricsRegistry reg;
+  obs::record_machine_stats(reg, result.stats);
+  EXPECT_EQ(reg.rational("machine.port_busy.total").total(),
+            Rational(static_cast<std::int64_t>(result.schedule.size())));
+}
+
 TEST(MachineStats, RecordIntoRegistry) {
   const PostalParams params(8, Rational(2));
   Machine machine(params, 1);

@@ -307,6 +307,63 @@ TEST(TickDifferential, SweepResultsMatchThePinnedReference) {
   expect_digest("sweep", pinned::render_sweep(points), 0x42a040d06be1cf09ULL);
 }
 
+/// MachineStats::port_busy over the corpus above: rank p's entry is the
+/// number of schedule records with src p. A crash-suppressed send is in
+/// neither; a lost send is in both.
+TEST(TickDifferential, PortBusyCountsEachSourcesScheduleRecords) {
+  const auto expect_counts = [](const MachineResult& r, std::uint64_t n,
+                                const std::string& tag) {
+    EXPECT_EQ(r.stats.port_busy.sends(), r.schedule.sends_per_proc(n)) << tag;
+  };
+  for (const RandomPair& pair : random_pairs(0x3AC41u, 30)) {
+    const PostalParams params(pair.n, pair.lambda);
+    Machine machine(params, 1);
+    BcastProtocol protocol(params);
+    expect_counts(machine.run(protocol), pair.n, tag_of(pair));
+  }
+  const PostalParams multi(24, Rational(5, 2));
+  Machine repeat_machine(multi, 6);
+  RepeatProtocol repeat(multi, 6);
+  expect_counts(repeat_machine.run(repeat), 24, "repeat");
+  Machine pipeline_machine(multi, 6);
+  Pipeline2Protocol pipeline(multi, 6);
+  expect_counts(pipeline_machine.run(pipeline), 24, "pipeline2");
+  std::uint64_t suppressed = 0;
+  std::uint64_t lost = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const std::uint64_t n = 8 + (seed % 3) * 12;
+    const PostalParams params(n, seed % 2 == 0 ? Rational(2) : Rational(7, 2));
+    RandomFaultOptions fopts;
+    fopts.crashes = seed % 4;
+    fopts.lossy_links = 4;
+    fopts.loss_p = Rational(1, 3);
+    fopts.spikes = seed % 3;
+    Machine machine(params, 1);
+    machine.attach_faults(random_fault_plan(params, seed, fopts));
+    BcastProtocol protocol(params);
+    const MachineResult r = machine.run(protocol);
+    expect_counts(r, n, "faulted seed " + std::to_string(seed));
+    suppressed += r.faults.sends_suppressed;
+    lost += r.faults.drops_loss;
+  }
+  // The origin crashes while its port still holds queued BCAST sends.
+  const PostalParams origin_params(14, Rational(5, 2));
+  FaultPlan origin_crash;
+  origin_crash.crashes.push_back(CrashFault{0, Rational(2)});
+  Machine origin_machine(origin_params, 1);
+  origin_machine.attach_faults(origin_crash);
+  BcastProtocol origin_protocol(origin_params);
+  const MachineResult crashed = origin_machine.run(origin_protocol);
+  expect_counts(crashed, 14, "origin crash");
+  suppressed += crashed.faults.sends_suppressed;
+  EXPECT_GT(suppressed, 0u);
+  EXPECT_GT(lost, 0u);
+  Machine offgrid_machine(PostalParams(8, Rational(3, 2)), 1);
+  offgrid_machine.attach_faults(offgrid::crash_and_spike_plan());
+  offgrid::TwoTimersProtocol offgrid_protocol(8);
+  expect_counts(offgrid_machine.run(offgrid_protocol), 8, "offgrid");
+}
+
 // ---------------------------------------------------------------------------
 // OverflowError contract: a run whose time grid cannot fit int64 ticks
 // throws from its entry point -- it never returns a result.

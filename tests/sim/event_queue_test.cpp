@@ -426,5 +426,179 @@ TEST(QueueDifferential, DrainBatchesLookAheadAndFarRefillsMatchTheReference) {
   }
 }
 
+// --- Chunked buckets ------------------------------------------------------
+
+constexpr std::size_t kChunk = TickEventQueue<int>::kChunkSlots;
+
+TEST(TickEventQueue, FifoAndAheadCrossChunkBoundaries) {
+  TickEventQueue<int> q;
+  const int count = static_cast<int>(3 * kChunk + 5);
+  for (int i = 0; i < count; ++i) q.push(7, static_cast<std::uint64_t>(i), i);
+  EXPECT_EQ(q.pending_at(7), static_cast<std::size_t>(count));
+  EXPECT_EQ(q.next_time(), 7);
+  ASSERT_NE(q.ahead(kChunk), nullptr);
+  EXPECT_EQ(*q.ahead(kChunk - 1), static_cast<int>(kChunk - 1));
+  EXPECT_EQ(*q.ahead(kChunk), static_cast<int>(kChunk));
+  EXPECT_EQ(*q.ahead(static_cast<std::size_t>(count - 1)), count - 1);
+  EXPECT_EQ(q.ahead(static_cast<std::size_t>(count)), nullptr);
+  for (int i = 0; i < count; ++i) {
+    // Around each boundary the look-ahead reads into the next chunk.
+    for (std::size_t k = 0; k <= kLookAhead; ++k) {
+      const int* p = q.ahead(k);
+      if (i + static_cast<int>(k) < count) {
+        ASSERT_NE(p, nullptr) << i << " " << k;
+        EXPECT_EQ(*p, i + static_cast<int>(k)) << i << " " << k;
+      } else {
+        EXPECT_EQ(p, nullptr) << i << " " << k;
+      }
+    }
+    ASSERT_EQ(q.pop(), (std::pair<Tick, int>{7, i}));
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending_at(7), 0u);
+}
+
+TEST(TickEventQueue, SameTickPushesDuringDrainCrossAChunk) {
+  // The bucket starts two slots short of a chunk; every visit pushes one
+  // more event at the drained tick, so the walk runs onto chunks that were
+  // appended after it started, and each visit's ahead() sees the pushes
+  // made so far.
+  TickEventQueue<int> q;
+  const int initial = static_cast<int>(kChunk - 2);
+  for (int i = 0; i < initial; ++i) q.push(4, static_cast<std::uint64_t>(i), i);
+  q.push(9, 1'000'000, -1);
+  std::uint64_t seq = static_cast<std::uint64_t>(initial);
+  int next_payload = initial;
+  const int extra = static_cast<int>(2 * kChunk);
+  std::vector<int> seen;
+  const Tick drained = q.drain_current_tick([&](std::uint64_t s, int&& v) {
+    EXPECT_EQ(s, static_cast<std::uint64_t>(v));
+    seen.push_back(v);
+    const int* next = q.ahead(0);
+    const int expected_next = v + 1;
+    if (expected_next < next_payload) {
+      ASSERT_NE(next, nullptr) << v;
+      EXPECT_EQ(*next, expected_next);
+    } else {
+      EXPECT_EQ(next, nullptr) << v;
+    }
+    if (next_payload < initial + extra) {
+      q.push(4, seq++, next_payload++);
+    }
+  });
+  EXPECT_EQ(drained, 4);
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(initial + extra));
+  for (int i = 0; i < initial + extra; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop(), (std::pair<Tick, int>{9, -1}));
+}
+
+TEST(TickEventQueue, FarHeapRefillsIntoChunks) {
+  // Three chunks' worth of events at one far tick, interleaved with a
+  // second far tick: the refill appends them to chunked buckets in (tick,
+  // seq) order.
+  TickEventQueue<int> q;
+  q.push(0, 0, -1);
+  std::uint64_t seq = 1;
+  const int count = static_cast<int>(3 * kChunk);
+  for (int i = 0; i < count; ++i) {
+    q.push(i % 3 == 0 ? 5'001 : 5'000, seq++, i);
+  }
+  EXPECT_EQ(q.pending_at(5'000), static_cast<std::size_t>(count - count / 3));
+  EXPECT_EQ(q.pending_at(5'001), static_cast<std::size_t>(count / 3));
+  EXPECT_EQ(q.pop(), (std::pair<Tick, int>{0, -1}));
+  EXPECT_EQ(q.next_time(), 5'000);
+  EXPECT_EQ(q.pending_at(5'000), static_cast<std::size_t>(count - count / 3));
+  std::vector<int> at_5000;
+  std::vector<int> at_5001;
+  while (!q.empty()) {
+    const auto [t, v] = q.pop();
+    (t == 5'000 ? at_5000 : at_5001).push_back(v);
+  }
+  ASSERT_EQ(at_5000.size() + at_5001.size(), static_cast<std::size_t>(count));
+  EXPECT_TRUE(std::is_sorted(at_5000.begin(), at_5000.end()));
+  EXPECT_TRUE(std::is_sorted(at_5001.begin(), at_5001.end()));
+  for (const int v : at_5001) EXPECT_EQ(v % 3, 0);
+}
+
+TEST(TickEventQueue, ClearKeepsOnlyTheConstantReserve) {
+  TickEventQueue<int> q;
+  const std::size_t bare = q.footprint_bytes();
+  q.push(0, 0, 0);
+  const std::size_t chunk = q.footprint_bytes() - bare;
+  EXPECT_GT(chunk, kChunk * sizeof(int));
+  static_cast<void>(q.pop());
+  // A run whose peak holds 40 chunks: pops hand them back to the free list,
+  // so the queue keeps them until clear().
+  std::uint64_t seq = 1;
+  for (Tick t = 0; t < 10; ++t) {
+    for (std::size_t i = 0; i < 4 * kChunk; ++i) q.push(t, seq++, 1);
+  }
+  EXPECT_EQ(q.footprint_bytes(), bare + 40 * chunk);
+  while (!q.empty()) static_cast<void>(q.pop());
+  EXPECT_EQ(q.footprint_bytes(), bare + 40 * chunk);
+  q.clear();
+  const std::size_t reserve = bare + TickEventQueue<int>::kKeepChunks * chunk;
+  EXPECT_EQ(q.footprint_bytes(), reserve);
+  // A run within the reserve allocates nothing; clearing again keeps it.
+  for (std::size_t i = 0; i < TickEventQueue<int>::kKeepChunks * kChunk; ++i) {
+    q.push(3, seq++, 2);
+  }
+  EXPECT_EQ(q.footprint_bytes(), reserve);
+  q.clear();
+  EXPECT_EQ(q.footprint_bytes(), reserve);
+  EXPECT_TRUE(q.empty());
+}
+
+// The randomized differential again, with pushes crowded onto a few ticks
+// so that buckets hold many chunks, and batched drains among the pops.
+TEST(QueueDifferential, BucketsFarLargerThanAChunkPopIdentically) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Xoshiro256 rng(seed * 0xA24BAED4963EE407ULL);
+    EventQueue<std::uint64_t> ref;
+    TickEventQueue<std::uint64_t> tick;
+    std::uint64_t seq = 0;
+    Tick now = 0;
+    std::uint64_t next_payload = 0;
+    std::size_t widest = 0;
+    for (int step = 0; step < 6'000; ++step) {
+      const std::uint64_t r = rng.uniform(0, 99);
+      if (ref.empty() || r < 60) {
+        // A burst of several chunks at one tick, now and then past the ring.
+        const std::uint64_t kind = rng.uniform(0, 99);
+        const Tick t = now + (kind < 95 ? static_cast<Tick>(rng.uniform(0, 3))
+                                        : static_cast<Tick>(rng.uniform(900, 1'200)));
+        const std::uint64_t burst =
+            rng.uniform(0, 9) == 0 ? rng.uniform(kChunk, 6 * kChunk) : rng.uniform(1, 8);
+        for (std::uint64_t i = 0; i < burst; ++i) {
+          ref.push(Rational(t, 3), next_payload);
+          tick.push(t, seq++, next_payload++);
+        }
+        widest = std::max(widest, tick.pending_at(t));
+      } else if (r < 95) {
+        const auto [rt, rv] = ref.pop();
+        const auto [tt, tv] = tick.pop();
+        ASSERT_EQ(rt, Rational(tt, 3)) << "seed " << seed << " step " << step;
+        ASSERT_EQ(rv, tv) << "seed " << seed << " step " << step;
+        now = tt;
+      } else {
+        const Tick at = tick.drain_current_tick([&](std::uint64_t, std::uint64_t&& v) {
+          const auto [rt, rv] = ref.pop();
+          ASSERT_EQ(rv, v) << "seed " << seed << " step " << step;
+          static_cast<void>(rt);
+        });
+        now = at;
+        EXPECT_TRUE(ref.empty() || Rational(at, 3) < ref.next_time()) << "seed " << seed;
+      }
+    }
+    while (!ref.empty()) {
+      ASSERT_FALSE(tick.empty());
+      EXPECT_EQ(ref.pop().second, tick.pop().second) << "seed " << seed;
+    }
+    EXPECT_TRUE(tick.empty());
+    EXPECT_GT(widest, 8 * kChunk) << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace postal

@@ -14,6 +14,8 @@
 #include "sim/machine.hpp"
 #include "sim/par_machine.hpp"
 #include "sim/protocols/bcast_protocol.hpp"
+#include "sim/protocols/multi_protocols.hpp"
+#include "sim/protocols/reliable_bcast.hpp"
 #include "sim/validator.hpp"
 #include "support/error.hpp"
 
@@ -174,6 +176,160 @@ TEST(ParMachine, AssemblyOverUnevenAndIdleShardsMatchesMachine) {
     }
     EXPECT_EQ(star_par.last_run_info().arena_growths, 0u) << threads;
   }
+}
+
+/// Every part of a run a caller can read: records, trace, stats and the
+/// fault timeline.
+void expect_same_faulted_run(const MachineResult& par, const MachineResult& ref,
+                             const std::string& tag) {
+  expect_same_run(par, ref, tag);
+  EXPECT_EQ(par.stats.timers_set, ref.stats.timers_set) << tag;
+  EXPECT_EQ(par.stats.timers_fired, ref.stats.timers_fired) << tag;
+  EXPECT_EQ(par.stats.receives_queued, ref.stats.receives_queued) << tag;
+  EXPECT_EQ(par.faults.crashes_applied, ref.faults.crashes_applied) << tag;
+  EXPECT_EQ(par.faults.sends_suppressed, ref.faults.sends_suppressed) << tag;
+  EXPECT_EQ(par.faults.drops_crash, ref.faults.drops_crash) << tag;
+  EXPECT_EQ(par.faults.drops_loss, ref.faults.drops_loss) << tag;
+  EXPECT_EQ(par.faults.spikes_applied, ref.faults.spikes_applied) << tag;
+  EXPECT_EQ(par.faults.events, ref.faults.events) << tag;
+}
+
+TEST(ParMachine, LoadSizedWindowsMatchMachine) {
+  // Both runs hold more than kWindowEventBudget pending events in some
+  // lambda-window, so those windows split. The lambda-wide windows of the
+  // engine before load sizing were counted on these exact runs: 12 for the
+  // BCAST and 116 for the reliable one. The reliable run's split windows
+  // hold ack timers and input-port requeues.
+  struct Case {
+    std::string name;
+    PostalParams params;
+    FaultPlan plan;
+    std::uint64_t lambda_windows;
+    bool reliable;
+  };
+  const PostalParams bcast_params(std::uint64_t{1} << 18, Rational(5, 2));
+  const PostalParams reliable_params(std::uint64_t{1} << 17, Rational(5, 2));
+  RandomFaultOptions fopts;
+  fopts.crashes = 8;
+  fopts.lossy_links = 64;
+  fopts.loss_p = Rational(1, 2);
+  fopts.spikes = 2;
+  const std::vector<Case> cases = {
+      {"bcast n=2^18", bcast_params, FaultPlan{}, 12, false},
+      {"reliable n=2^17", reliable_params, random_fault_plan(reliable_params, 2727, fopts),
+       116, true}};
+  for (const Case& c : cases) {
+    Machine machine(c.params, 1);
+    if (!c.plan.empty()) machine.attach_faults(c.plan);
+    BcastProtocol bcast(c.params);
+    ReliableBcastProtocol reliable(c.params);
+    Protocol& protocol = c.reliable ? static_cast<Protocol&>(reliable) : bcast;
+    const MachineResult ref = machine.run(protocol);
+    if (c.reliable) {
+      EXPECT_GT(ref.stats.timers_fired, 0u);
+      EXPECT_GT(ref.stats.receives_queued, 0u);
+      EXPECT_GT(ref.faults.drops_loss + ref.faults.drops_crash, 0u);
+    }
+    std::uint64_t windows = 0;
+    for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+      ParMachine par(c.params, 1);
+      par.set_threads(threads);
+      if (!c.plan.empty()) par.attach_faults(c.plan);
+      auto bcast_factory = make_protocol_factory<BcastProtocol>(c.params);
+      auto reliable_factory = make_protocol_factory<ReliableBcastProtocol>(
+          c.params, ReliableBcastOptions{});
+      ShardProtocolFactory& factory =
+          c.reliable ? static_cast<ShardProtocolFactory&>(reliable_factory) : bcast_factory;
+      for (const char* pass : {"cold", "warm"}) {
+        const std::string tag = c.name + " threads=" + std::to_string(threads) + " " + pass;
+        expect_same_faulted_run(par.run(factory), ref, tag);
+        const ParRunInfo& info = par.last_run_info();
+        EXPECT_TRUE(info.parallel_engine) << tag;
+        EXPECT_GT(info.windows, c.lambda_windows) << tag;
+        if (windows == 0) windows = info.windows;
+        EXPECT_EQ(info.windows, windows) << tag;
+      }
+      EXPECT_EQ(par.last_run_info().arena_growths, 0u) << c.name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ParMachine, WindowCountsOfSmallRunsArePinned) {
+  // Runs whose lambda-windows never pass kWindowEventBudget keep the
+  // lambda-wide windows exactly: these counts were recorded before
+  // windows were sized by load, per thread count 1 / 2 / 3 / 4.
+  struct Pin {
+    std::uint64_t windows;
+    std::vector<std::vector<std::uint64_t>> stalled;  ///< [threads - 1][shard]
+  };
+  const auto check = [](const std::string& name, ShardProtocolFactory& factory,
+                        const PostalParams& params, std::uint32_t messages,
+                        const FaultPlan& plan, const Pin& pin) {
+    for (unsigned threads = 1; threads <= 4; ++threads) {
+      ParMachine par(params, messages);
+      par.set_threads(threads);
+      if (!plan.empty()) par.attach_faults(plan);
+      static_cast<void>(par.run(factory));
+      const ParRunInfo& info = par.last_run_info();
+      const std::string tag = name + " threads=" + std::to_string(threads);
+      EXPECT_EQ(info.windows, pin.windows) << tag;
+      std::vector<std::uint64_t> stalled;
+      for (const ParShardInfo& s : info.shard) stalled.push_back(s.stalled_windows);
+      EXPECT_EQ(stalled, pin.stalled[threads - 1]) << tag;
+    }
+  };
+
+  const PostalParams bcast_params(64, Rational(3));
+  auto bcast = make_protocol_factory<BcastProtocol>(bcast_params);
+  check("bcast n=64", bcast, bcast_params, 1, FaultPlan{},
+        Pin{4, {{0}, {0, 0}, {1, 0, 0}, {1, 0, 0, 0}}});
+
+  const PostalParams faulted_params(100, Rational(5, 2));
+  RandomFaultOptions fopts;
+  fopts.crashes = 2;
+  fopts.lossy_links = 3;
+  fopts.loss_p = Rational(1, 4);
+  fopts.spikes = 1;
+  auto faulted = make_protocol_factory<BcastProtocol>(faulted_params);
+  check("faulted bcast n=100", faulted, faulted_params, 1,
+        random_fault_plan(faulted_params, 27, fopts),
+        Pin{5, {{0}, {0, 0}, {1, 0, 0}, {1, 0, 0, 1}}});
+
+  const PostalParams reliable_params(48, Rational(2));
+  RandomFaultOptions ropts;
+  ropts.crashes = 2;
+  ropts.lossy_links = 6;
+  ropts.loss_p = Rational(1, 3);
+  ropts.spikes = 1;
+  auto reliable =
+      make_protocol_factory<ReliableBcastProtocol>(reliable_params, ReliableBcastOptions{});
+  check("reliable n=48", reliable, reliable_params, 1,
+        random_fault_plan(reliable_params, 1127, ropts),
+        Pin{31, {{0}, {5, 14}, {13, 7, 20}, {13, 12, 14, 21}}});
+
+  const PostalParams pipeline_params(24, Rational(5, 2));
+  auto pipeline = make_protocol_factory<Pipeline2Protocol>(pipeline_params, std::uint32_t{6});
+  check("pipeline2 n=24 m=6", pipeline, pipeline_params, 6, FaultPlan{},
+        Pin{9, {{0}, {0, 1}, {1, 1, 2}, {3, 0, 1, 3}}});
+}
+
+TEST(ParMachine, WarmEngineKeepsAtMostAHundredBytesPerRank) {
+  // What a warm engine keeps between runs at 2 lanes, at most 100 B/rank:
+  // window buffers, merge scratch, send logs, rank ports and queue chunks.
+  const std::uint64_t n = std::uint64_t{1} << 20;
+  const PostalParams params(n, Rational(5, 2));
+  ParMachine par(params, 1);
+  par.set_threads(2);
+  auto factory = make_protocol_factory<BcastProtocol>(params);
+  static_cast<void>(par.run(factory));
+  const std::uint64_t cold = par.last_run_info().arena_bytes;
+  static_cast<void>(par.run(factory));
+  const ParRunInfo& info = par.last_run_info();
+  EXPECT_EQ(info.arena_growths, 0u);
+  EXPECT_EQ(info.arena_bytes, cold);
+  EXPECT_GE(info.arena_bytes, n * sizeof(RankPorts));
+  EXPECT_LE(info.arena_bytes, 100 * n)
+      << static_cast<double>(info.arena_bytes) / static_cast<double>(n) << " B/rank";
 }
 
 /// One way a handler can misuse its MachineContext, done by rank 5 in its

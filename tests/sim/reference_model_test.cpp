@@ -193,7 +193,7 @@ RefRun reference_run(const FanoutSpec& spec, Tick lambda) {
   std::vector<Pending> log;
   RefRun run;
   run.first.resize(n * spec.messages);
-  run.stats.port_busy.assign(n, Rational(0));
+  std::vector<std::uint64_t> busy(n, 0);
 
   // First slot w >= from whose unit window [w, w + q) is idle; claim it.
   const auto first_fit = [q](std::vector<char>& flags, Tick from) {
@@ -218,7 +218,7 @@ RefRun reference_run(const FanoutSpec& spec, Tick lambda) {
       const Tick start = first_fit(port, now);
       ++run.stats.sends_enqueued;
       if (start > now) ++run.stats.sends_deferred;
-      run.stats.port_busy[self] += Rational(1);
+      ++busy[self];
       // Backlog: unit sends still unfinished at `now`, counted off the flags.
       Tick left = 0;
       for (Tick s = now; s < static_cast<Tick>(port.size()); ++s) {
@@ -283,6 +283,7 @@ RefRun reference_run(const FanoutSpec& spec, Tick lambda) {
     }
     if (!more) break;
   }
+  run.stats.port_busy = PortBusy(std::move(busy));
   return run;
 }
 
